@@ -22,21 +22,19 @@ func Decompose(c *Circuit) *Circuit {
 	}
 	d := decomposer{out: out}
 	for _, g := range c.Gates {
-		d.gate(g)
+		decomposeInto(&d, g)
 	}
 	return out
 }
 
-// decomposer batches the pass-through copies of already-lowered gates
-// through arenas; compound expansions go through the circuit builders.
+// decomposer batches the per-gate qubit and parameter slices of its output
+// through arenas: pass-through copies of already-lowered gates (batch
+// Decompose, which must not alias its input) and every gate of a compound
+// expansion.
 type decomposer struct {
 	out    *Circuit
 	qubits IntArena
 	params FloatArena
-}
-
-func (d *decomposer) gate(g Gate) {
-	decomposeInto(d, g)
 }
 
 // passThrough appends a deep copy of an already-base gate, with its qubit
@@ -53,53 +51,72 @@ func (d *decomposer) passThrough(g Gate) {
 	d.out.Add(g)
 }
 
-// decomposeInto appends the base-set expansion of g to out.
+// add1 appends op on qubit q with the given parameters.
+func (d *decomposer) add1(op Op, q int, params ...float64) {
+	qs := d.qubits.Take(1)
+	qs[0] = q
+	g := Gate{Op: op, Qubits: qs}
+	if len(params) > 0 {
+		g.Params = d.params.Take(len(params))
+		copy(g.Params, params)
+	}
+	d.out.Add(g)
+}
+
+// cx appends a CNOT with control a and target b.
+func (d *decomposer) cx(a, b int) {
+	qs := d.qubits.Take(2)
+	qs[0], qs[1] = a, b
+	d.out.Add(Gate{Op: OpCX, Qubits: qs})
+}
+
+// decomposeInto appends the base-set expansion of g to d.out.
 func decomposeInto(d *decomposer, g Gate) {
 	switch g.Op {
 	case OpCCX:
 		a, b, t := g.Qubits[0], g.Qubits[1], g.Qubits[2]
-		d.out.H(t)
-		d.out.CX(b, t)
-		d.out.Tdg(t)
-		d.out.CX(a, t)
-		d.out.T(t)
-		d.out.CX(b, t)
-		d.out.Tdg(t)
-		d.out.CX(a, t)
-		d.out.T(b)
-		d.out.T(t)
-		d.out.H(t)
-		d.out.CX(a, b)
-		d.out.T(a)
-		d.out.Tdg(b)
-		d.out.CX(a, b)
+		d.add1(OpH, t)
+		d.cx(b, t)
+		d.add1(OpTdg, t)
+		d.cx(a, t)
+		d.add1(OpT, t)
+		d.cx(b, t)
+		d.add1(OpTdg, t)
+		d.cx(a, t)
+		d.add1(OpT, b)
+		d.add1(OpT, t)
+		d.add1(OpH, t)
+		d.cx(a, b)
+		d.add1(OpT, a)
+		d.add1(OpTdg, b)
+		d.cx(a, b)
 	case OpCP:
 		a, b := g.Qubits[0], g.Qubits[1]
 		l := g.Params[0]
-		d.out.U1(l/2, a)
-		d.out.CX(a, b)
-		d.out.U1(-l/2, b)
-		d.out.CX(a, b)
-		d.out.U1(l/2, b)
+		d.add1(OpU1, a, l/2)
+		d.cx(a, b)
+		d.add1(OpU1, b, -l/2)
+		d.cx(a, b)
+		d.add1(OpU1, b, l/2)
 	case OpRZZ:
 		a, b := g.Qubits[0], g.Qubits[1]
-		d.out.CX(a, b)
-		d.out.RZ(g.Params[0], b)
-		d.out.CX(a, b)
+		d.cx(a, b)
+		d.add1(OpRZ, b, g.Params[0])
+		d.cx(a, b)
 	case OpRXX:
 		a, b := g.Qubits[0], g.Qubits[1]
-		d.out.H(a)
-		d.out.H(b)
-		d.out.CX(a, b)
-		d.out.RZ(g.Params[0], b)
-		d.out.CX(a, b)
-		d.out.H(a)
-		d.out.H(b)
+		d.add1(OpH, a)
+		d.add1(OpH, b)
+		d.cx(a, b)
+		d.add1(OpRZ, b, g.Params[0])
+		d.cx(a, b)
+		d.add1(OpH, a)
+		d.add1(OpH, b)
 	case OpSwap:
 		a, b := g.Qubits[0], g.Qubits[1]
-		d.out.CX(a, b)
-		d.out.CX(b, a)
-		d.out.CX(a, b)
+		d.cx(a, b)
+		d.cx(b, a)
+		d.cx(a, b)
 	default:
 		d.passThrough(g)
 	}

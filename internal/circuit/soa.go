@@ -37,21 +37,27 @@ type SoA struct {
 
 // NewSoA builds the struct-of-arrays layout for c's gates.
 func NewSoA(c *Circuit) *SoA {
-	n := len(c.Gates)
+	s := &SoA{}
+	s.Load(c.Gates)
+	return s
+}
+
+// Load rebuilds the layout over gates in place, reusing the arrays'
+// memory: the streaming remapper re-indexes its window once per epoch.
+func (s *SoA) Load(gates []Gate) {
+	n := len(gates)
 	total := 0
-	for i := range c.Gates {
-		total += len(c.Gates[i].Qubits)
+	for i := range gates {
+		total += len(gates[i].Qubits)
 	}
-	s := &SoA{
-		Ops:      make([]Op, n),
-		Is2Q:     make([]bool, n),
-		QOff:     make([]int32, n+1),
-		Qubits:   make([]int32, 0, total),
-		SlotGate: make([]int32, total),
-		Basis:    make([]Basis, total),
-	}
-	for i := range c.Gates {
-		g := &c.Gates[i]
+	s.Ops = Reuse(s.Ops, n)
+	s.Is2Q = Reuse(s.Is2Q, n)
+	s.QOff = Reuse(s.QOff, n+1)
+	s.Qubits = Reuse(s.Qubits, total)[:0]
+	s.SlotGate = Reuse(s.SlotGate, total)
+	s.Basis = Reuse(s.Basis, total)
+	for i := range gates {
+		g := &gates[i]
 		s.Ops[i] = g.Op
 		s.Is2Q[i] = g.Op.TwoQubit()
 		s.QOff[i] = int32(len(s.Qubits))
@@ -64,7 +70,6 @@ func NewSoA(c *Circuit) *SoA {
 		}
 	}
 	s.QOff[n] = int32(len(s.Qubits))
-	return s
 }
 
 // Len returns the number of gates.

@@ -50,9 +50,12 @@ func (s *SliceSource) Next() (Gate, error) {
 }
 
 // DecomposeSource lowers an inner gate stream to the base gate set on the
-// fly — the streaming counterpart of Decompose. Compound gates expand into
-// a small bounded buffer (the largest expansion is the 15-gate Toffoli),
-// so resident memory stays O(1) regardless of stream length.
+// fly — the streaming counterpart of Decompose. Base gates pass through
+// untouched (the Source contract makes them immutable, so there is nothing
+// to copy); a compound gate is validated and expands into a small bounded
+// buffer (the largest expansion is the 15-gate Toffoli) whose qubit and
+// parameter slices come from arenas, so resident memory stays O(1)
+// regardless of stream length.
 type DecomposeSource struct {
 	src Source
 	d   decomposer
@@ -73,28 +76,30 @@ func (s *DecomposeSource) NumQubits() int { return s.d.out.NumQubits }
 func (s *DecomposeSource) NumClbits() int { return s.d.out.NumClbits }
 
 // Next implements Source.
-func (s *DecomposeSource) Next() (g Gate, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Circuit.Add panics on malformed gates; a Source reports them.
-			g, err = Gate{}, fmt.Errorf("circuit: %v", r)
-		}
-	}()
-	for s.pos >= len(s.d.out.Gates) {
-		in, err := s.src.Next()
-		if err != nil {
-			return Gate{}, err
-		}
-		// The expansion buffer is drained before each refill; gate values
-		// already handed out keep their own qubit/parameter slices (the
-		// arenas and per-gate builders never recycle), so truncating is safe.
-		s.d.out.Gates = s.d.out.Gates[:0]
-		s.pos = 0
-		decomposeInto(&s.d, in)
+func (s *DecomposeSource) Next() (Gate, error) {
+	if s.pos < len(s.d.out.Gates) {
+		g := s.d.out.Gates[s.pos]
+		s.pos++
+		return g, nil
 	}
-	out := s.d.out.Gates[s.pos]
-	s.pos++
-	return out, nil
+	in, err := s.src.Next()
+	if err != nil {
+		return Gate{}, err
+	}
+	if IsBase(in.Op) {
+		return in, nil
+	}
+	// Validating first makes the expansion's own Add checks unable to fail.
+	if err := s.d.out.check(in); err != nil {
+		return Gate{}, err
+	}
+	// The expansion buffer is drained before each refill; gate values
+	// already handed out keep their own arena slices (the arenas never
+	// rewind), so truncating is safe.
+	s.d.out.Gates = s.d.out.Gates[:0]
+	decomposeInto(&s.d, in)
+	s.pos = 1
+	return s.d.out.Gates[0], nil
 }
 
 // Window is the bounded gate buffer between a Source and a streaming

@@ -319,8 +319,11 @@ type remapper struct {
 	// front the engine returns before the remapper acts on it.
 	frontCheck func(front []int)
 
-	// arena backs the physical-qubit slices of emitted gates.
-	arena circuit.IntArena
+	// arena backs the physical-qubit slices of emitted gates. The
+	// streaming driver rewinds it after every flush (settle), staging the
+	// unflushed gates' qubits in carryQ.
+	arena  circuit.IntArena
+	carryQ []int
 
 	// Scratch buffers for the front computation (shared by both front
 	// implementations) and the SWAP-candidate search.
@@ -334,26 +337,29 @@ type remapper struct {
 	edgeEpoch int32
 }
 
+// newRemapper builds the engine for one batch run over a pre-built
+// assembly.
 func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
-	c := a.Circ
-	n := len(c.Gates)
+	r := newEngine(a.Circ.NumQubits, dev, initial, opts)
+	n := len(a.Circ.Gates)
+	// Pre-size the schedule for the input plus a typical swap overhead;
+	// growing a 30k-gate output mid-run showed up in the allocation
+	// profile.
+	r.out = make([]schedule.ScheduledGate, 0, n+n/4+16)
+	r.load(a.Circ.Gates, a.SoA)
+	return r
+}
+
+// newEngine allocates the state whose size depends only on the device and
+// the logical qubit count. The per-gate index structures come from load.
+func newEngine(numLogical int, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
 	r := &remapper{
 		opts:      opts,
 		dev:       dev,
-		gates:     c.Gates,
-		soa:       a.SoA,
-		next:      make([]int, n),
-		prev:      make([]int, n),
-		head:      -1,
-		live:      n,
 		layout:    initial.Clone(),
 		initial:   initial.Clone(),
 		locks:     make([]int, dev.NumQubits),
-		seenStack: make([][]int, c.NumQubits),
-		// Pre-size the schedule for the input plus a typical swap overhead;
-		// growing a 30k-gate output mid-run showed up in the allocation
-		// profile.
-		out: make([]schedule.ScheduledGate, 0, n+n/4+16),
+		seenStack: make([][]int, numLogical),
 	}
 	r.nq = dev.NumQubits
 	r.swapDur = dev.Durations.Of(circuit.OpSwap)
@@ -364,16 +370,8 @@ func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, op
 	} else {
 		r.distTab = r.hopTab
 	}
-	for i := 0; i < n; i++ {
-		r.next[i] = i + 1
-		r.prev[i] = i - 1
-	}
-	if n > 0 {
-		r.head = 0
-		r.next[n-1] = -1
-	}
 	if !opts.naiveFront {
-		r.f = newFrontier(r, c.NumQubits)
+		r.f = newFrontier(r, numLogical)
 	}
 	if !opts.naiveScore {
 		r.sc = newScorer(r)
@@ -383,6 +381,36 @@ func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, op
 	}
 	r.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
 	return r
+}
+
+// load points the engine at a gate sequence and its SoA view and rebuilds
+// every per-gate index structure — the remaining-sequence list, the
+// frontier and the scorer — into the memory of the previous load. The
+// rebuilt structures are pure functions of the gates plus the carried
+// dynamic state (layout, locks, clock), so the streaming driver can
+// re-index its window each epoch without changing any decision.
+func (r *remapper) load(gates []circuit.Gate, soa *circuit.SoA) {
+	n := len(gates)
+	r.gates = gates
+	r.soa = soa
+	r.next = circuit.Reuse(r.next, n)
+	r.prev = circuit.Reuse(r.prev, n)
+	for i := 0; i < n; i++ {
+		r.next[i] = i + 1
+		r.prev[i] = i - 1
+	}
+	r.head = -1
+	if n > 0 {
+		r.head = 0
+		r.next[n-1] = -1
+	}
+	r.live = n
+	if r.f != nil {
+		r.f.load()
+	}
+	if r.sc != nil {
+		r.sc.load()
+	}
 }
 
 // unlink removes gate i from the remaining sequence. The frontier is

@@ -74,35 +74,41 @@ type frontier struct {
 type bitset []bool
 
 func newFrontier(r *remapper, numQubits int) *frontier {
-	n := len(r.gates)
-	f := &frontier{
-		r:        r,
-		window:   r.opts.window(),
-		slotOff:  r.soa.QOff,
-		slotGate: r.soa.SlotGate,
-		is2q:     r.soa.Is2Q,
-		ops:      r.soa.Ops,
-		qhead:    make([]int32, numQubits),
-		qtail:    make([]int32, numQubits),
-		inWindow: make([]bool, n),
-		winTail:  -1,
-		inCF:     make([]bool, n),
-		blocker:  make([]int32, n),
-		removed:  make([]bool, n),
-		qDirty:   make(bitset, numQubits),
-		dirtyQ:   make([]int32, 0, numQubits),
+	return &frontier{
+		r:      r,
+		window: r.opts.window(),
+		qhead:  make([]int32, numQubits),
+		qtail:  make([]int32, numQubits),
+		qDirty: make(bitset, numQubits),
+		dirtyQ: make([]int32, 0, numQubits),
 	}
+}
+
+// load resets the engine to an empty window over the remapper's current
+// gates, reusing the per-gate arrays of the previous load.
+func (f *frontier) load() {
+	soa := f.r.soa
+	n := soa.Len()
+	f.slotOff, f.slotGate, f.is2q, f.ops = soa.QOff, soa.SlotGate, soa.Is2Q, soa.Ops
+	f.chainNext = circuit.Reuse(f.chainNext, len(soa.SlotGate))
+	f.chainPrev = circuit.Reuse(f.chainPrev, len(soa.SlotGate))
+	f.inWindow = circuit.Reuse(f.inWindow, n)
+	f.inCF = circuit.Reuse(f.inCF, n)
+	f.removed = circuit.Reuse(f.removed, n)
+	f.blocker = circuit.Reuse(f.blocker, n)
 	for i := range f.blocker {
 		f.blocker[i] = -1
 	}
-	total := len(r.soa.SlotGate)
-	f.chainNext = make([]int32, total)
-	f.chainPrev = make([]int32, total)
 	for q := range f.qhead {
 		f.qhead[q] = -1
 		f.qtail[q] = -1
 	}
-	return f
+	for _, q := range f.dirtyQ {
+		f.qDirty[q] = false
+	}
+	f.dirtyQ = f.dirtyQ[:0]
+	f.winTail, f.winCount, f.cfCount = -1, 0, 0
+	f.frontValid = false
 }
 
 // commute reports whether live predecessor j and gate i commute, through

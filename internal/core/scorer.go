@@ -1,5 +1,7 @@
 package core
 
+import "codar/internal/circuit"
+
 // scorer is the delta-scoring engine for the SWAP-candidate search
 // (DESIGN.md §6). The reference selection (pickBest in heuristic.go,
 // retained for the equivalence property tests) recomputes
@@ -59,13 +61,27 @@ func newScorer(r *remapper) *scorer {
 		r:        r,
 		inc2q:    make([][]int32, nq),
 		incLook:  make([][]int32, nq),
-		in2q:     make([]bool, len(r.gates)),
-		inLook:   make([]bool, len(r.gates)),
-		seen:     make([]int32, len(r.gates)),
 		keyValid: make([]bool, len(r.dev.Edges)),
 		keys:     make([][3]int, len(r.dev.Edges)),
 		hbs:      make([]int, len(r.dev.Edges)),
 	}
+}
+
+// load empties the mirrored sets and the key cache for the remapper's
+// current gates, reusing the memory of the previous load.
+func (s *scorer) load() {
+	n := len(s.r.gates)
+	s.in2q = circuit.Reuse(s.in2q, n)
+	s.inLook = circuit.Reuse(s.inLook, n)
+	s.seen = circuit.Reuse(s.seen, n)
+	s.seenEpoch = 0
+	for p := range s.inc2q {
+		s.inc2q[p] = s.inc2q[p][:0]
+		s.incLook[p] = s.incLook[p][:0]
+	}
+	s.mir2q = s.mir2q[:0]
+	s.mirLook = s.mirLook[:0]
+	clear(s.keyValid)
 }
 
 // phys returns the current physical operands of two-qubit gate i.

@@ -161,27 +161,28 @@ func (r *remapper) streamRun(cur *streamCursor) {
 	cur.t = t
 }
 
-// transplantFrom carries the dynamic engine state of the previous epoch's
-// remapper into this one. The structures rebuilt per epoch — frontier,
-// scorer, SoA, arena — are all functions of the buffered sequence and the
-// carried state, so a fresh build over the compacted buffer reproduces
-// them exactly (the scorer-equivalence and front-equivalence properties
-// are what make "stateless-correct from current state" true).
-func (r *remapper) transplantFrom(prev *remapper, carry []schedule.ScheduledGate) {
-	r.initial = prev.initial
-	copy(r.locks, prev.locks)
-	r.lockHeap = prev.lockHeap
-	r.makespan = prev.makespan
-	r.swapCount = prev.swapCount
-	r.cycles = prev.cycles
-	r.forced = prev.forced
-	r.routed = prev.routed
-	r.streak = prev.streak
-	r.asap = prev.asap
-	r.exceeded = prev.exceeded
-	r.check = prev.check
-	r.ctxErr = prev.ctxErr
-	r.out = append(r.out, carry...)
+// settle drops the flushed schedule prefix out[:cut] and recycles its
+// memory. The sink only borrowed the prefix, so the unflushed carry moves
+// down to the front of the schedule buffer, and its qubit slices move to
+// the front of the rewound arena (stashed first: a carry slice may sit
+// where the rewound arena writes next).
+func (r *remapper) settle(cut int) {
+	carry := r.out[cut:]
+	r.carryQ = r.carryQ[:0]
+	for i := range carry {
+		r.carryQ = append(r.carryQ, carry[i].Gate.Qubits...)
+	}
+	n := copy(r.out, carry)
+	clear(r.out[n:])
+	r.out = r.out[:n]
+	r.arena.Reset()
+	off := 0
+	for i := range r.out {
+		g := &r.out[i].Gate
+		qs := r.arena.Take(len(g.Qubits))
+		off += copy(qs, r.carryQ[off:])
+		g.Qubits = qs
+	}
 }
 
 // RemapStream runs CODAR over a gate stream, holding only a bounded window
@@ -198,7 +199,8 @@ func (r *remapper) transplantFrom(prev *remapper, carry []schedule.ScheduledGate
 //
 // Cancellation (Options.Ctx) and early abandon (Options.DepthBound) behave
 // as in Remap, except the caller has already received flushed chunks —
-// inherent to streaming; the sink owns what was flushed.
+// inherent to streaming. The sink borrows each chunk only for the duration
+// of its Flush call (schedule.Sink).
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
 	nl := src.NumQubits()
 	if nl > dev.NumQubits {
@@ -231,31 +233,21 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		return nil, fmt.Errorf("codar: %w", err)
 	}
 
+	// One engine serves the whole stream. Each epoch re-indexes the
+	// window's gates into the memory of the previous epoch's structures:
+	// the window owns the gate slice and the SoA and the engine index into
+	// it positionally, so eviction requires a re-index.
+	r := newEngine(nl, dev, initial, opts)
 	var (
-		r               *remapper
+		soa             circuit.SoA
 		cur             streamCursor
-		carry           []schedule.ScheduledGate
 		keep            []int
 		flushed, chunks int
 	)
 	for {
-		// Build this epoch's engine over the buffered gates. The window
-		// owns the gate slice; the assembly's SoA and the engine index into
-		// it positionally, which is why eviction requires a rebuild.
-		c := &circuit.Circuit{
-			Name:      "stream",
-			NumQubits: nl,
-			NumClbits: win.NumClbits(),
-			Gates:     win.Gates(),
-		}
-		nr := newRemapper(circuit.Assemble(c), dev, initial, opts)
-		if r != nil {
-			// Later epochs start from the evolved layout, not the initial.
-			nr.layout = r.layout
-			nr.transplantFrom(r, carry)
-		}
-		nr.sourceOpen = win.Open()
-		r = nr
+		soa.Load(win.Gates())
+		r.load(win.Gates(), &soa)
+		r.sourceOpen, r.starved = win.Open(), false
 
 		r.streamRun(&cur)
 		if r.ctxErr != nil {
@@ -280,7 +272,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 			flushed += cut
 			chunks++
 		}
-		carry = r.out[cut:]
+		r.settle(cut)
 
 		// Evict executed gates from the window and pull the next batch.
 		keep = keep[:0]

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"codar/internal/arch"
 	"codar/internal/circuit"
@@ -238,6 +239,67 @@ func TestRemapStreamDeterministicFlush(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("chunk %d: %d gates then %d gates", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRemapStreamDrainedAtEOF: with a one-gate window and no look-ahead
+// the engine starves only on an empty buffer, so a stream whose length is
+// a multiple of the refill batch ends with an epoch that finds the buffer
+// drained and the source exhausted. That epoch must end the run (the
+// engine carries its starved flag from the previous epoch) and the output
+// must still equal batch.
+func TestRemapStreamDrainedAtEOF(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	opts := Options{Window: 1, Lookahead: -1}
+	c := randCircuit(5, dev.NumQubits, 2*streamBatch(opts))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, err := RemapStream(circuit.NewSliceSource(c), dev, nil, opts, schedule.FuncSink(func([]schedule.ScheduledGate) error { return nil }))
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("RemapStream did not return after the source was exhausted")
+	}
+	checkStreamEqualsBatch(t, c, dev, opts)
+}
+
+// TestSettleMovesCarryOutOfTheArena: after a flush, the unflushed carry
+// moves to the front of the schedule buffer and its qubits survive the
+// rewound arena being written again — including a carry gate whose slice
+// sat at the start of the block, exactly where the next Take lands.
+func TestSettleMovesCarryOutOfTheArena(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	r := newEngine(4, dev, arch.NewTrivialLayout(4, dev.NumQubits), Options{})
+	emit := func(start, a, b int) {
+		qs := r.arena.Take(2)
+		qs[0], qs[1] = a, b
+		r.emit(schedule.ScheduledGate{Gate: circuit.Gate{Op: circuit.OpSwap, Qubits: qs}, Start: start, Duration: 6})
+	}
+	emit(9, 0, 1) // scheduled into the future first, as directRoute does
+	emit(1, 2, 3)
+	emit(2, 4, 5)
+	emit(7, 6, 7)
+	want := []schedule.ScheduledGate{r.out[2], r.out[3]}
+	for i := range want {
+		want[i].Gate = want[i].Gate.Clone()
+	}
+	r.settle(2)
+	for i := 0; i < 16; i++ {
+		qs := r.arena.Take(2)
+		qs[0], qs[1] = -1, -1
+	}
+	if len(r.out) != len(want) {
+		t.Fatalf("carry has %d gates, want %d", len(r.out), len(want))
+	}
+	for i := range want {
+		if g := r.out[i]; g.Start != want[i].Start || !g.Gate.Equal(want[i].Gate) {
+			t.Fatalf("carry gate %d = %v at %d, want %v at %d", i, g.Gate, g.Start, want[i].Gate, want[i].Start)
 		}
 	}
 }

@@ -6,88 +6,104 @@ import (
 	"strconv"
 )
 
-// expr is a parameter expression AST node. Expressions appear as gate
-// parameters (e.g. "pi/4", "-3*theta/2") and are evaluated against the
-// enclosing gate definition's parameter bindings.
-type expr interface {
-	eval(env map[string]float64) (float64, error)
+// expr is a parameter expression (e.g. "pi/4", "-3*theta/2") as a flat
+// node slice: children are appended before their parent and addressed by
+// index. A top-level parameter parses into the parser's reused scratch and
+// is evaluated at once; a gate body keeps its statements' expressions and
+// evaluates them against each application's parameter bindings.
+type expr []exprNode
+
+// exprNode is one node of an expression.
+type exprNode struct {
+	op   byte    // exprNum, exprVar, exprCall, exprNeg or a binary operator
+	num  float64 // exprNum value
+	name string  // exprVar parameter or exprCall function name
+	x, y int32   // operands: x alone for exprNeg and exprCall
 }
 
-type numExpr float64
+// Node kinds besides the binary operators '+', '-', '*', '/' and '^'.
+const (
+	exprNum  = 'n'
+	exprVar  = 'v'
+	exprCall = 'c'
+	exprNeg  = '~'
+)
 
-func (n numExpr) eval(map[string]float64) (float64, error) { return float64(n), nil }
-
-type varExpr string
-
-func (v varExpr) eval(env map[string]float64) (float64, error) {
-	if val, ok := env[string(v)]; ok {
-		return val, nil
-	}
-	return 0, fmt.Errorf("qasm: unbound parameter %q", string(v))
+// bindings maps a gate definition's formal parameters to the values of
+// one application. A name bound twice resolves to its last binding.
+type bindings struct {
+	names []string
+	vals  []float64
 }
 
-type unaryExpr struct {
-	op string
-	x  expr
-}
-
-func (u unaryExpr) eval(env map[string]float64) (float64, error) {
-	x, err := u.x.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch u.op {
-	case "-":
-		return -x, nil
-	case "+":
-		return x, nil
-	}
-	return 0, fmt.Errorf("qasm: unknown unary operator %q", u.op)
-}
-
-type binExpr struct {
-	op   string
-	l, r expr
-}
-
-func (b binExpr) eval(env map[string]float64) (float64, error) {
-	l, err := b.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch b.op {
-	case "+":
-		return l + r, nil
-	case "-":
-		return l - r, nil
-	case "*":
-		return l * r, nil
-	case "/":
-		if r == 0 {
-			return 0, fmt.Errorf("qasm: division by zero")
+func (b bindings) lookup(name string) (float64, bool) {
+	for i := len(b.names) - 1; i >= 0; i-- {
+		if b.names[i] == name {
+			return b.vals[i], true
 		}
-		return l / r, nil
-	case "^":
-		return math.Pow(l, r), nil
 	}
-	return 0, fmt.Errorf("qasm: unknown operator %q", b.op)
+	return 0, false
 }
 
-type callExpr struct {
-	fn string
-	x  expr
-}
-
-func (c callExpr) eval(env map[string]float64) (float64, error) {
-	x, err := c.x.eval(env)
+// value evaluates the expression rooted at node i and rejects a
+// non-finite result: the text form has no literal for ±Inf or NaN, so a
+// program whose parameter overflows could not be written back out.
+func (e expr) value(i int32, env bindings) (float64, error) {
+	v, err := e.eval(i, env)
 	if err != nil {
 		return 0, err
 	}
-	switch c.fn {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("parameter evaluates to %v", v)
+	}
+	return v, nil
+}
+
+func (e expr) eval(i int32, env bindings) (float64, error) {
+	n := &e[i]
+	switch n.op {
+	case exprNum:
+		return n.num, nil
+	case exprVar:
+		if v, ok := env.lookup(n.name); ok {
+			return v, nil
+		}
+		return 0, fmt.Errorf("unbound parameter %q", n.name)
+	}
+	x, err := e.eval(n.x, env)
+	if err != nil {
+		return 0, err
+	}
+	switch n.op {
+	case exprNeg:
+		return -x, nil
+	case exprCall:
+		return call(n.name, x)
+	}
+	y, err := e.eval(n.y, env)
+	if err != nil {
+		return 0, err
+	}
+	switch n.op {
+	case '+':
+		return x + y, nil
+	case '-':
+		return x - y, nil
+	case '*':
+		return x * y, nil
+	case '/':
+		if y == 0 {
+			return 0, fmt.Errorf("division by zero")
+		}
+		return x / y, nil
+	default: // '^'
+		return math.Pow(x, y), nil
+	}
+}
+
+// call applies the named built-in function.
+func call(fn string, x float64) (float64, error) {
+	switch fn {
 	case "sin":
 		return math.Sin(x), nil
 	case "cos":
@@ -98,129 +114,149 @@ func (c callExpr) eval(env map[string]float64) (float64, error) {
 		return math.Exp(x), nil
 	case "ln":
 		if x <= 0 {
-			return 0, fmt.Errorf("qasm: ln of non-positive value")
+			return 0, fmt.Errorf("ln of non-positive value")
 		}
 		return math.Log(x), nil
-	case "sqrt":
+	default: // "sqrt"
 		if x < 0 {
-			return 0, fmt.Errorf("qasm: sqrt of negative value")
+			return 0, fmt.Errorf("sqrt of negative value")
 		}
 		return math.Sqrt(x), nil
 	}
-	return 0, fmt.Errorf("qasm: unknown function %q", c.fn)
 }
 
-// parseExpr parses an expression with standard precedence:
-// unary +/- < ^ (right assoc) < * / < + -.
-func (p *parser) parseExpr() (expr, error) {
+// function returns the built-in function a name denotes, as a constant
+// string, and whether it denotes one.
+func function(name []byte) (string, bool) {
+	switch string(name) {
+	case "sin":
+		return "sin", true
+	case "cos":
+		return "cos", true
+	case "tan":
+		return "tan", true
+	case "exp":
+		return "exp", true
+	case "ln":
+		return "ln", true
+	case "sqrt":
+		return "sqrt", true
+	}
+	return "", false
+}
+
+// node appends n to the expression scratch and returns its index.
+func (p *parser) node(n exprNode) int32 {
+	p.expr = append(p.expr, n)
+	return int32(len(p.expr) - 1)
+}
+
+// parseExpr parses an expression into p.expr with standard precedence:
+// unary +/- < ^ (right assoc) < * / < + -, and returns its root.
+func (p *parser) parseExpr() (int32, error) {
 	return p.parseAdditive()
 }
 
-func (p *parser) parseAdditive() (expr, error) {
+func (p *parser) parseAdditive() (int32, error) {
 	l, err := p.parseMultiplicative()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for p.peekSymbol("+") || p.peekSymbol("-") {
-		op := p.take().text
+		op := p.take().text[0]
 		r, err := p.parseMultiplicative()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		l = binExpr{op: op, l: l, r: r}
+		l = p.node(exprNode{op: op, x: l, y: r})
 	}
 	return l, nil
 }
 
-func (p *parser) parseMultiplicative() (expr, error) {
+func (p *parser) parseMultiplicative() (int32, error) {
 	l, err := p.parseUnary()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for p.peekSymbol("*") || p.peekSymbol("/") {
-		op := p.take().text
+		op := p.take().text[0]
 		r, err := p.parseUnary()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		l = binExpr{op: op, l: l, r: r}
+		l = p.node(exprNode{op: op, x: l, y: r})
 	}
 	return l, nil
 }
 
 // parseUnary binds looser than ^ so that -2^2 == -(2^2), matching the
-// usual mathematical convention.
-func (p *parser) parseUnary() (expr, error) {
+// usual mathematical convention. Unary plus is the identity and adds no
+// node.
+func (p *parser) parseUnary() (int32, error) {
 	if p.peekSymbol("-") || p.peekSymbol("+") {
-		op := p.take().text
+		neg := p.take().text[0] == '-'
 		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err != nil || !neg {
+			return x, err
 		}
-		return unaryExpr{op: op, x: x}, nil
+		return p.node(exprNode{op: exprNeg, x: x}), nil
 	}
 	return p.parsePower()
 }
 
-func (p *parser) parsePower() (expr, error) {
+func (p *parser) parsePower() (int32, error) {
 	l, err := p.parsePrimary()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if p.peekSymbol("^") {
 		p.take()
 		// Right associative; the exponent may carry its own unary sign.
 		r, err := p.parseUnary()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return binExpr{op: "^", l: l, r: r}, nil
+		return p.node(exprNode{op: '^', x: l, y: r}), nil
 	}
 	return l, nil
 }
 
-func (p *parser) parsePrimary() (expr, error) {
+func (p *parser) parsePrimary() (int32, error) {
 	t := p.take()
 	switch {
 	case t.kind == tokNumber:
-		v, err := strconv.ParseFloat(t.text, 64)
+		v, err := strconv.ParseFloat(string(t.text), 64)
 		if err != nil {
-			return nil, fmt.Errorf("qasm: line %d: bad number %q", t.line, t.text)
+			return 0, fmt.Errorf("qasm: line %d: bad number %q", t.line, t.text)
 		}
-		return numExpr(v), nil
-	case t.kind == tokIdent && t.text == "pi":
-		return numExpr(math.Pi), nil
-	case t.kind == tokIdent && isFunction(t.text):
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		x, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return callExpr{fn: t.text, x: x}, nil
+		return p.node(exprNode{op: exprNum, num: v}), nil
+	case t.kind == tokIdent && string(t.text) == "pi":
+		return p.node(exprNode{op: exprNum, num: math.Pi}), nil
 	case t.kind == tokIdent:
-		return varExpr(t.text), nil
-	case t.kind == tokSymbol && t.text == "(":
+		fn, ok := function(t.text)
+		if !ok {
+			return p.node(exprNode{op: exprVar, name: string(t.text)}), nil
+		}
+		if err := p.expectSymbol("("); err != nil {
+			return 0, err
+		}
 		x, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
+			return 0, err
+		}
+		return p.node(exprNode{op: exprCall, name: fn, x: x}), nil
+	case t.kind == tokSymbol && string(t.text) == "(":
+		x, err := p.parseExpr()
+		if err != nil {
+			return 0, err
+		}
+		if err := p.expectSymbol(")"); err != nil {
+			return 0, err
 		}
 		return x, nil
 	}
-	return nil, fmt.Errorf("qasm: line %d: unexpected token %s in expression", t.line, t)
-}
-
-func isFunction(name string) bool {
-	switch name {
-	case "sin", "cos", "tan", "exp", "ln", "sqrt":
-		return true
-	}
-	return false
+	return 0, fmt.Errorf("qasm: line %d: unexpected token %s in expression", t.line, t)
 }

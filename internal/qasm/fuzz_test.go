@@ -1,7 +1,6 @@
 package qasm
 
 import (
-	"math"
 	"testing"
 
 	"codar/internal/circuit"
@@ -51,16 +50,6 @@ func FuzzParseQASM(f *testing.F) {
 			t.Fatalf("depth %d out of range for %d gates", d, len(c.Gates))
 		}
 		_ = circuit.NewDAG(c)
-		// Round-trip, except for non-finite parameters: expression
-		// evaluation can overflow to ±Inf, which the text form has no
-		// literal for.
-		for _, g := range c.Gates {
-			for _, p := range g.Params {
-				if math.IsNaN(p) || math.IsInf(p, 0) {
-					return
-				}
-			}
-		}
 		out := Write(c)
 		back, err := Parse(out)
 		if err != nil {

@@ -6,7 +6,7 @@ package qasm
 
 import (
 	"fmt"
-	"strings"
+	"io"
 	"unicode"
 )
 
@@ -21,140 +21,243 @@ const (
 	tokSymbol // punctuation and operators
 )
 
-// token is one lexical unit with its source line for diagnostics.
+// lexBufSize is the lexer's buffer size for stream input. It is what
+// bounds the lexer's memory: whitespace and comments of any length stream
+// through the buffer, and only a token must fit in it whole.
+const lexBufSize = 64 << 10
+
+// maxToken bounds the length of one token in bytes, quotes included: the
+// buffer less the three bytes a number's exponent check reads past its
+// end, and one to spare.
+const maxToken = lexBufSize - 4
+
+// ErrTokenTooLong is returned (wrapped, with the line) for a token longer
+// than maxToken bytes.
+var ErrTokenTooLong = fmt.Errorf("token longer than %d bytes", maxToken)
+
+// maxEmptyReads bounds consecutive (0, nil) reads before the lexer gives
+// up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// token is one lexical unit with its source line for diagnostics. text is
+// a view into the lexer's buffer (for strings, without the quotes): it is
+// valid only until the next call to next, so a parser that keeps a name
+// past that copies it.
 type token struct {
 	kind tokenKind
-	text string
+	text []byte
 	line int
 }
 
 func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
+	if t.kind == tokEOF {
 		return "end of input"
-	case tokString:
-		return fmt.Sprintf("%q", t.text)
-	default:
-		return fmt.Sprintf("%q", t.text)
+	}
+	return fmt.Sprintf("%q", t.text)
+}
+
+// identStart and identPart classify bytes as the reference lexer always
+// has: a byte is read as the rune of the same value, so bytes 0x80–0xFF
+// are Latin-1 code points and some of them are letters.
+var identStart, identPart [256]bool
+
+func init() {
+	for c := 0; c < 256; c++ {
+		r := rune(c)
+		identStart[c] = unicode.IsLetter(r) || r == '_'
+		identPart[c] = identStart[c] || unicode.IsDigit(r)
 	}
 }
 
-// lexer scans OpenQASM source into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	line int
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isSymbol(c byte) bool {
+	switch c {
+	case '(', ')', '{', '}', '[', ']', ';', ',', '+', '-', '*', '/', '^', '=':
+		return true
+	}
+	return false
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
+// lexer scans OpenQASM source from a reader through one fixed buffer, for
+// both Parse and Stream. No token spans a newline, but lines may be any
+// length: the buffer holds only the token being scanned, so memory is
+// bounded by the buffer, not by the input. Errors are sticky.
+type lexer struct {
+	r   io.Reader
+	buf []byte
+	// The current token starts at tok; pos is the scan position and
+	// buf[pos:end] is read but not yet scanned. A refill keeps
+	// buf[tok:end] and discards everything before it.
+	tok, pos, end int
+	eof           bool
+	err           error
+	line          int
+}
+
+// newLexer returns a lexer reading r through a buffer of the given size,
+// which must exceed the input's longest token by four bytes (lexBufSize
+// does for any input).
+func newLexer(r io.Reader, size int) *lexer {
+	return &lexer{r: r, buf: make([]byte, size), line: 1}
+}
+
+// refill reads more input into the buffer after moving the current token
+// to its front. It reports whether new bytes arrived; at end of input or on
+// a read error it reports false, leaving the error in l.err.
+func (l *lexer) refill() bool {
+	if l.eof || l.err != nil {
+		return false
+	}
+	if l.tok > 0 {
+		l.end = copy(l.buf, l.buf[l.tok:l.end])
+		l.pos -= l.tok
+		l.tok = 0
+	}
+	if l.end == len(l.buf) {
+		l.err = fmt.Errorf("qasm: line %d: %w", l.line, ErrTokenTooLong)
+		return false
+	}
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := l.r.Read(l.buf[l.end:])
+		l.end += n
+		if err == io.EOF {
+			l.eof = true
+		} else if err != nil {
+			l.err = err
+		}
+		if n > 0 {
+			return true
+		}
+		if err != nil {
+			return false
+		}
+	}
+	l.err = io.ErrNoProgress
+	return false
+}
+
+// has reports whether the byte k past the scan position is available,
+// reading more input as needed.
+func (l *lexer) has(k int) bool {
+	for l.pos+k >= l.end {
+		if !l.refill() {
+			return false
+		}
+	}
+	return true
+}
+
+// fail records the lexer's terminal error.
+func (l *lexer) fail(err error) (token, error) {
+	l.err = err
+	return token{}, err
+}
 
 // next returns the next token, skipping whitespace and // comments.
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for {
+		if l.err != nil {
+			return token{}, l.err
+		}
+		l.tok = l.pos
+		if !l.has(0) {
+			if l.err != nil {
+				return token{}, l.err
+			}
+			return token{kind: tokEOF, line: l.line}, nil
+		}
+		c := l.buf[l.pos]
 		switch {
 		case c == '\n':
 			l.line++
 			l.pos++
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
+		case c == '/' && l.has(1) && l.buf[l.pos+1] == '/':
+			for l.has(0) && l.buf[l.pos] != '\n' {
 				l.pos++
+				l.tok = l.pos
 			}
 		default:
-			goto scan
+			return l.scan(c)
 		}
 	}
-	return token{kind: tokEOF, line: l.line}, nil
+}
 
-scan:
-	c := l.src[l.pos]
-	start := l.pos
+// scan reads the token starting with c at the scan position.
+func (l *lexer) scan(c byte) (token, error) {
+	kind := tokSymbol
 	switch {
-	case isIdentStart(rune(c)):
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	case identStart[c]:
+		kind = tokIdent
+		l.pos++
+		for l.pos-l.tok <= maxToken && l.has(0) && identPart[l.buf[l.pos]] {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: l.line}, nil
-	case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
+	case isDigit(c) || (c == '.' && l.has(1) && isDigit(l.buf[l.pos+1])):
+		kind = tokNumber
 		l.scanNumber()
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: l.line}, nil
 	case c == '"':
+		kind = tokString
 		l.pos++
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			if l.src[l.pos] == '\n' {
-				return token{}, fmt.Errorf("qasm: line %d: unterminated string", l.line)
+		for l.pos-l.tok <= maxToken && l.has(0) && l.buf[l.pos] != '"' {
+			if l.buf[l.pos] == '\n' {
+				return l.fail(fmt.Errorf("qasm: line %d: unterminated string", l.line))
 			}
 			l.pos++
 		}
-		if l.pos >= len(l.src) {
-			return token{}, fmt.Errorf("qasm: line %d: unterminated string", l.line)
+		if l.err == nil && l.pos-l.tok <= maxToken {
+			if !l.has(0) {
+				return l.fail(fmt.Errorf("qasm: line %d: unterminated string", l.line))
+			}
+			l.pos++ // closing quote
 		}
-		text := l.src[start+1 : l.pos]
-		l.pos++
-		return token{kind: tokString, text: text, line: l.line}, nil
-	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
+	case (c == '-' && l.has(1) && l.buf[l.pos+1] == '>') || (c == '=' && l.has(1) && l.buf[l.pos+1] == '='):
 		l.pos += 2
-		return token{kind: tokSymbol, text: "->", line: l.line}, nil
-	case c == '=' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '=':
-		l.pos += 2
-		return token{kind: tokSymbol, text: "==", line: l.line}, nil
-	case strings.ContainsRune("(){}[];,+-*/^=", rune(c)):
+	case isSymbol(c):
 		l.pos++
-		return token{kind: tokSymbol, text: string(c), line: l.line}, nil
 	default:
-		return token{}, fmt.Errorf("qasm: line %d: unexpected character %q", l.line, c)
+		return l.fail(fmt.Errorf("qasm: line %d: unexpected character %q", l.line, c))
 	}
+	if l.err != nil {
+		return token{}, l.err
+	}
+	if l.pos-l.tok > maxToken {
+		return l.fail(fmt.Errorf("qasm: line %d: %w", l.line, ErrTokenTooLong))
+	}
+	t := token{kind: kind, text: l.buf[l.tok:l.pos], line: l.line}
+	if kind == tokString {
+		t.text = t.text[1 : len(t.text)-1]
+	}
+	return t, nil
 }
 
 // scanNumber consumes an integer or real literal (with optional exponent).
 func (l *lexer) scanNumber() {
-	for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+	l.digits()
+	if l.has(0) && l.buf[l.pos] == '.' {
 		l.pos++
+		l.digits()
 	}
-	if l.pos < len(l.src) && l.src[l.pos] == '.' {
+	if l.has(0) && (l.buf[l.pos] == 'e' || l.buf[l.pos] == 'E') {
+		mark := l.pos - l.tok // relative: a refill moves the token
 		l.pos++
-		for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+		if l.has(0) && (l.buf[l.pos] == '+' || l.buf[l.pos] == '-') {
 			l.pos++
 		}
-	}
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		mark := l.pos
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-			l.pos++
-		}
-		if l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
-			for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
-				l.pos++
-			}
+		if l.has(0) && isDigit(l.buf[l.pos]) {
+			l.digits()
 		} else {
-			l.pos = mark // not an exponent after all
+			l.pos = l.tok + mark // not an exponent after all
 		}
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-// tokenize scans the whole source (used by tests).
-func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
+// digits consumes a run of decimal digits, stopping once the token is too
+// long.
+func (l *lexer) digits() {
+	for l.pos-l.tok <= maxToken && l.has(0) && isDigit(l.buf[l.pos]) {
+		l.pos++
 	}
 }

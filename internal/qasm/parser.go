@@ -2,7 +2,9 @@ package qasm
 
 import (
 	"fmt"
+	"io"
 	"strconv"
+	"strings"
 
 	"codar/internal/circuit"
 )
@@ -37,48 +39,43 @@ type gateDef struct {
 // gate to formal arguments, or a barrier over formal arguments.
 type bodyStmt struct {
 	name    string
-	params  []expr
+	expr    expr    // the nodes of every parameter expression
+	params  []int32 // the root node of each parameter
 	args    []string
 	barrier bool
 }
 
-// tokenSource yields tokens one at a time. The batch path pre-lexes the
-// whole source (sliceTokens); the streaming path lexes line by line
-// (streamLexer, stream.go). Errors are sticky: once next fails it keeps
-// failing with the same error.
-type tokenSource interface {
-	next() (token, error)
-}
-
-// sliceTokens replays a pre-lexed token slice. tokenize always terminates
-// the slice with tokEOF, which is re-returned forever.
-type sliceTokens struct {
-	toks []token
-	pos  int
-}
-
-func (s *sliceTokens) next() (token, error) {
-	t := s.toks[s.pos]
-	if t.kind != tokEOF {
-		s.pos++
-	}
-	return t, nil
-}
-
 // parser consumes a token stream and builds a circuit.
 type parser struct {
-	src    tokenSource
+	lex    *lexer
 	tok    token // one-token lookahead
 	primed bool
-	// lexErr records a token-source failure. The failing position is masked
-	// as EOF so the recursive-descent code needs no per-take error plumbing;
-	// every entry point checks lexErr before trusting an accept.
+	// lexErr records a lexer failure. The failing position is masked as EOF
+	// so the recursive-descent code needs no per-take error plumbing; every
+	// entry point checks lexErr before trusting an accept.
 	lexErr error
 
 	qregs []reg
 	cregs []reg
 	defs  map[string]*gateDef
 	circ  *circuit.Circuit
+
+	// Scratch reused by every statement: the applied gate's name (kept past
+	// its token), operands, qubits, evaluated parameters (a stack: gate
+	// inlining pushes each body statement's values above its caller's) and
+	// expression nodes.
+	name   []byte
+	ops    []operand
+	qs     []int
+	params []float64
+	expr   expr
+	// qubits and floats back the slices of the emitted gates.
+	qubits circuit.IntArena
+	floats circuit.FloatArena
+}
+
+func newParser(r io.Reader, bufSize int) *parser {
+	return &parser{lex: newLexer(r, bufSize), defs: make(map[string]*gateDef)}
 }
 
 // Parse compiles OpenQASM 2.0 source into a flat circuit over all declared
@@ -86,11 +83,9 @@ type parser struct {
 // flattened the same way. include directives are ignored — the standard
 // qelib1 gates are built in, and user-defined gates are inlined.
 func Parse(src string) (*circuit.Circuit, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: &sliceTokens{toks: toks}, defs: make(map[string]*gateDef)}
+	// A source shorter than the stream buffer is read whole; one spare byte
+	// lets the lexer see the end of input.
+	p := newParser(strings.NewReader(src), min(len(src)+1, lexBufSize))
 	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
@@ -109,7 +104,7 @@ func ParseNamed(name, src string) (*circuit.Circuit, error) {
 
 func (p *parser) peek() token {
 	if !p.primed {
-		t, err := p.src.next()
+		t, err := p.lex.next()
 		if err != nil {
 			if p.lexErr == nil {
 				p.lexErr = err
@@ -127,17 +122,17 @@ func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) peekSymbol(s string) bool {
 	t := p.peek()
-	return t.kind == tokSymbol && t.text == s
+	return t.kind == tokSymbol && string(t.text) == s
 }
 
 func (p *parser) peekIdent(s string) bool {
 	t := p.peek()
-	return t.kind == tokIdent && t.text == s
+	return t.kind == tokIdent && string(t.text) == s
 }
 
 func (p *parser) expectSymbol(s string) error {
 	t := p.take()
-	if t.kind != tokSymbol || t.text != s {
+	if t.kind != tokSymbol || string(t.text) != s {
 		return fmt.Errorf("qasm: line %d: expected %q, found %s", t.line, s, t)
 	}
 	return nil
@@ -156,7 +151,7 @@ func (p *parser) expectInt() (int, error) {
 	if t.kind != tokNumber {
 		return 0, fmt.Errorf("qasm: line %d: expected integer, found %s", t.line, t)
 	}
-	n, err := strconv.Atoi(t.text)
+	n, err := strconv.Atoi(string(t.text))
 	if err != nil {
 		return 0, fmt.Errorf("qasm: line %d: expected integer, found %q", t.line, t.text)
 	}
@@ -166,19 +161,27 @@ func (p *parser) expectInt() (int, error) {
 // parseProgram parses the full translation unit.
 func (p *parser) parseProgram() error {
 	if err := p.parseHeader(); err != nil {
-		return err
+		return p.failure(err)
 	}
 	for !p.atEOF() {
 		if err := p.parseStatement(); err != nil {
-			return err
+			return p.failure(err)
 		}
 	}
 	if p.lexErr != nil {
-		// A token-source failure surfaces as a masked EOF; report the
-		// original lexer error, not the truncated-program symptom.
 		return p.lexErr
 	}
 	return p.finishProgram()
+}
+
+// failure returns the error a failed parse reports: a lexer failure
+// surfaces as a masked EOF, so report the lexer's error, not the
+// truncated-statement symptom.
+func (p *parser) failure(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
 }
 
 // parseHeader consumes the optional "OPENQASM 2.0;" prologue.
@@ -233,7 +236,7 @@ func (p *parser) parseStatement() error {
 	if t.kind != tokIdent {
 		return fmt.Errorf("qasm: line %d: expected statement, found %s", t.line, t)
 	}
-	switch t.text {
+	switch string(t.text) {
 	case "include":
 		p.take()
 		s := p.take()
@@ -271,10 +274,11 @@ func (p *parser) parseStatement() error {
 
 func (p *parser) parseRegDecl(quantum bool) error {
 	p.take() // qreg/creg
-	name, err := p.expectIdent()
+	id, err := p.expectIdent()
 	if err != nil {
 		return err
 	}
+	name, line := string(id.text), id.line
 	if err := p.expectSymbol("["); err != nil {
 		return err
 	}
@@ -283,7 +287,7 @@ func (p *parser) parseRegDecl(quantum bool) error {
 		return err
 	}
 	if size <= 0 {
-		return fmt.Errorf("qasm: line %d: register %q has size %d", name.line, name.text, size)
+		return fmt.Errorf("qasm: line %d: register %q has size %d", line, name, size)
 	}
 	if err := p.expectSymbol("]"); err != nil {
 		return err
@@ -292,13 +296,13 @@ func (p *parser) parseRegDecl(quantum bool) error {
 		return err
 	}
 	if p.circ != nil {
-		return fmt.Errorf("qasm: line %d: register %q declared after first operation", name.line, name.text)
+		return fmt.Errorf("qasm: line %d: register %q declared after first operation", line, name)
 	}
-	if _, _, ok := p.findReg(name.text, true); ok {
-		return fmt.Errorf("qasm: line %d: register %q redeclared", name.line, name.text)
+	if _, ok := p.findReg([]byte(name), true); ok {
+		return fmt.Errorf("qasm: line %d: register %q redeclared", line, name)
 	}
-	if _, _, ok := p.findReg(name.text, false); ok {
-		return fmt.Errorf("qasm: line %d: register %q redeclared", name.line, name.text)
+	if _, ok := p.findReg([]byte(name), false); ok {
+		return fmt.Errorf("qasm: line %d: register %q redeclared", line, name)
 	}
 	if quantum {
 		offset := 0
@@ -306,33 +310,33 @@ func (p *parser) parseRegDecl(quantum bool) error {
 			offset += r.size
 		}
 		if size > maxQubits-offset {
-			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d qubits", name.line, name.text, maxQubits)
+			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d qubits", line, name, maxQubits)
 		}
-		p.qregs = append(p.qregs, reg{name: name.text, offset: offset, size: size})
+		p.qregs = append(p.qregs, reg{name: name, offset: offset, size: size})
 	} else {
 		offset := 0
 		for _, r := range p.cregs {
 			offset += r.size
 		}
 		if size > maxQubits-offset {
-			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d classical bits", name.line, name.text, maxQubits)
+			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d classical bits", line, name, maxQubits)
 		}
-		p.cregs = append(p.cregs, reg{name: name.text, offset: offset, size: size})
+		p.cregs = append(p.cregs, reg{name: name, offset: offset, size: size})
 	}
 	return nil
 }
 
-func (p *parser) findReg(name string, quantum bool) (offset, size int, ok bool) {
+func (p *parser) findReg(name []byte, quantum bool) (reg, bool) {
 	regs := p.qregs
 	if !quantum {
 		regs = p.cregs
 	}
 	for _, r := range regs {
-		if r.name == name {
-			return r.offset, r.size, true
+		if r.name == string(name) {
+			return r, true
 		}
 	}
-	return 0, 0, false
+	return reg{}, false
 }
 
 // operand is a parsed register reference: whole register (index < 0) or a
@@ -344,16 +348,20 @@ type operand struct {
 	line   int
 }
 
-// qubits returns the flat indices the operand denotes.
-func (o operand) qubits() []int {
+// count returns how many bits the operand denotes.
+func (o operand) count() int {
 	if o.index >= 0 {
-		return []int{o.offset + o.index}
+		return 1
 	}
-	out := make([]int, o.size)
-	for i := range out {
-		out[i] = o.offset + i
+	return o.size
+}
+
+// at returns the flat index of the operand's k-th bit.
+func (o operand) at(k int) int {
+	if o.index >= 0 {
+		return o.offset + o.index
 	}
-	return out
+	return o.offset + k
 }
 
 func (p *parser) parseOperand(quantum bool) (operand, error) {
@@ -361,7 +369,7 @@ func (p *parser) parseOperand(quantum bool) (operand, error) {
 	if err != nil {
 		return operand{}, err
 	}
-	offset, size, ok := p.findReg(name.text, quantum)
+	r, ok := p.findReg(name.text, quantum)
 	if !ok {
 		kind := "quantum"
 		if !quantum {
@@ -369,7 +377,7 @@ func (p *parser) parseOperand(quantum bool) (operand, error) {
 		}
 		return operand{}, fmt.Errorf("qasm: line %d: unknown %s register %q", name.line, kind, name.text)
 	}
-	o := operand{offset: offset, size: size, index: -1, line: name.line}
+	o := operand{offset: r.offset, size: r.size, index: -1, line: name.line}
 	if p.peekSymbol("[") {
 		p.take()
 		idx, err := p.expectInt()
@@ -379,25 +387,34 @@ func (p *parser) parseOperand(quantum bool) (operand, error) {
 		if err := p.expectSymbol("]"); err != nil {
 			return operand{}, err
 		}
-		if idx < 0 || idx >= size {
-			return operand{}, fmt.Errorf("qasm: line %d: index %d out of range for %q[%d]", name.line, idx, name.text, size)
+		if idx < 0 || idx >= r.size {
+			return operand{}, fmt.Errorf("qasm: line %d: index %d out of range for %q[%d]", o.line, idx, r.name, r.size)
 		}
 		o.index = idx
 	}
 	return o, nil
 }
 
+// take1 returns a one-element qubit slice holding q.
+func (p *parser) take1(q int) []int {
+	qs := p.qubits.Take(1)
+	qs[0] = q
+	return qs
+}
+
 func (p *parser) parseBarrier() error {
 	if err := p.ensureCircuit(); err != nil {
 		return err
 	}
-	var qs []int
+	p.qs = p.qs[:0]
 	for {
 		o, err := p.parseOperand(true)
 		if err != nil {
 			return err
 		}
-		qs = append(qs, o.qubits()...)
+		for k := 0; k < o.count(); k++ {
+			p.qs = append(p.qs, o.at(k))
+		}
 		if p.peekSymbol(",") {
 			p.take()
 			continue
@@ -407,6 +424,8 @@ func (p *parser) parseBarrier() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
+	qs := p.qubits.Take(len(p.qs))
+	copy(qs, p.qs)
 	return p.addGate(circuit.Gate{Op: circuit.OpBarrier, Qubits: qs})
 }
 
@@ -428,21 +447,11 @@ func (p *parser) parseMeasure() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	qs := q.qubits()
-	var cs []int
-	if c.index >= 0 {
-		cs = []int{c.offset + c.index}
-	} else {
-		cs = make([]int, c.size)
-		for i := range cs {
-			cs[i] = c.offset + i
-		}
+	if q.count() != c.count() {
+		return fmt.Errorf("qasm: line %d: measure size mismatch (%d qubits -> %d bits)", q.line, q.count(), c.count())
 	}
-	if len(qs) != len(cs) {
-		return fmt.Errorf("qasm: line %d: measure size mismatch (%d qubits -> %d bits)", q.line, len(qs), len(cs))
-	}
-	for i := range qs {
-		if err := p.addGate(circuit.Gate{Op: circuit.OpMeasure, Qubits: []int{qs[i]}, Cbit: cs[i]}); err != nil {
+	for k := 0; k < q.count(); k++ {
+		if err := p.addGate(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}); err != nil {
 			return err
 		}
 	}
@@ -460,8 +469,8 @@ func (p *parser) parseReset() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	for _, q := range o.qubits() {
-		if err := p.addGate(circuit.Gate{Op: circuit.OpReset, Qubits: []int{q}}); err != nil {
+	for k := 0; k < o.count(); k++ {
+		if err := p.addGate(circuit.Gate{Op: circuit.OpReset, Qubits: p.take1(o.at(k))}); err != nil {
 			return err
 		}
 	}
@@ -470,27 +479,30 @@ func (p *parser) parseReset() error {
 
 // parseApplication handles "name(params)? operands ;" statements.
 func (p *parser) parseApplication() error {
-	name, err := p.expectIdent()
+	id, err := p.expectIdent()
 	if err != nil {
 		return err
 	}
+	line := id.line
+	p.name = append(p.name[:0], id.text...)
 	if err := p.ensureCircuit(); err != nil {
 		return err
 	}
-	var params []float64
+	p.params = p.params[:0]
 	if p.peekSymbol("(") {
 		p.take()
 		if !p.peekSymbol(")") {
 			for {
-				e, err := p.parseExpr()
+				p.expr = p.expr[:0]
+				root, err := p.parseExpr()
 				if err != nil {
 					return err
 				}
-				v, err := e.eval(nil)
+				v, err := p.expr.value(root, bindings{})
 				if err != nil {
-					return fmt.Errorf("qasm: line %d: %w", name.line, err)
+					return fmt.Errorf("qasm: line %d: %w", line, err)
 				}
-				params = append(params, v)
+				p.params = append(p.params, v)
 				if p.peekSymbol(",") {
 					p.take()
 					continue
@@ -502,13 +514,13 @@ func (p *parser) parseApplication() error {
 			return err
 		}
 	}
-	var ops []operand
+	p.ops = p.ops[:0]
 	for {
 		o, err := p.parseOperand(true)
 		if err != nil {
 			return err
 		}
-		ops = append(ops, o)
+		p.ops = append(p.ops, o)
 		if p.peekSymbol(",") {
 			p.take()
 			continue
@@ -518,13 +530,27 @@ func (p *parser) parseApplication() error {
 	if err := p.expectSymbol(";"); err != nil {
 		return err
 	}
-	return p.applyBroadcast(name.text, name.line, params, ops, 0)
+	return p.applyBroadcast(p.gateName(p.name), line, p.params, p.ops)
+}
+
+// gateName returns the string applyGate resolves name by, without
+// allocating when the name denotes a built-in op or a defined gate: the
+// op's canonical mnemonic resolves to the same op, and a definition's own
+// name to itself.
+func (p *parser) gateName(name []byte) string {
+	if op, ok := circuit.OpByName(string(name)); ok {
+		return op.Name()
+	}
+	if def, ok := p.defs[string(name)]; ok {
+		return def.name
+	}
+	return string(name)
 }
 
 // applyBroadcast expands whole-register operands: every full-register
 // operand must have the same size, and the gate is applied element-wise;
 // indexed operands stay fixed.
-func (p *parser) applyBroadcast(name string, line int, params []float64, ops []operand, depth int) error {
+func (p *parser) applyBroadcast(name string, line int, params []float64, ops []operand) error {
 	bsize := -1
 	for _, o := range ops {
 		if o.index < 0 {
@@ -534,23 +560,12 @@ func (p *parser) applyBroadcast(name string, line int, params []float64, ops []o
 			bsize = o.size
 		}
 	}
-	if bsize < 0 {
-		qs := make([]int, len(ops))
+	for k := 0; k < max(bsize, 1); k++ {
+		qs := p.qubits.Take(len(ops))
 		for i, o := range ops {
-			qs[i] = o.offset + o.index
+			qs[i] = o.at(k)
 		}
-		return p.applyGate(name, line, params, qs, depth)
-	}
-	for k := 0; k < bsize; k++ {
-		qs := make([]int, len(ops))
-		for i, o := range ops {
-			if o.index < 0 {
-				qs[i] = o.offset + k
-			} else {
-				qs[i] = o.offset + o.index
-			}
-		}
-		if err := p.applyGate(name, line, params, qs, depth); err != nil {
+		if err := p.applyGate(name, line, params, qs, 0); err != nil {
 			return err
 		}
 	}
@@ -558,13 +573,18 @@ func (p *parser) applyBroadcast(name string, line int, params []float64, ops []o
 }
 
 // applyGate resolves a gate name to a builtin op or a user definition and
-// emits / inlines it.
+// emits / inlines it. qubits must be the gate's own slice; params may be
+// scratch.
 func (p *parser) applyGate(name string, line int, params []float64, qubits []int, depth int) error {
 	if depth > maxInlineDepth {
 		return fmt.Errorf("qasm: line %d: gate %q expands too deep (recursive definition?)", line, name)
 	}
 	if op, ok := circuit.OpByName(name); ok {
-		g := circuit.Gate{Op: op, Qubits: qubits, Params: params}
+		g := circuit.Gate{Op: op, Qubits: qubits}
+		if len(params) > 0 {
+			g.Params = p.floats.Take(len(params))
+			copy(g.Params, params)
+		}
 		return p.addGateAt(g, line)
 	}
 	def, ok := p.defs[name]
@@ -577,22 +597,15 @@ func (p *parser) applyGate(name string, line int, params []float64, qubits []int
 	if len(qubits) != len(def.args) {
 		return fmt.Errorf("qasm: line %d: gate %q expects %d qubits, got %d", line, name, len(def.args), len(qubits))
 	}
-	env := make(map[string]float64, len(def.params))
-	for i, pn := range def.params {
-		env[pn] = params[i]
-	}
-	bind := make(map[string]int, len(def.args))
-	for i, an := range def.args {
-		bind[an] = qubits[i]
-	}
+	env := bindings{names: def.params, vals: params}
 	for _, st := range def.body {
-		qs := make([]int, len(st.args))
+		qs := p.qubits.Take(len(st.args))
 		for i, an := range st.args {
-			q, ok := bind[an]
-			if !ok {
+			k := lastIndex(def.args, an)
+			if k < 0 {
 				return fmt.Errorf("qasm: gate %q: unbound argument %q", name, an)
 			}
-			qs[i] = q
+			qs[i] = qubits[k]
 		}
 		if st.barrier {
 			if err := p.addGateAt(circuit.Gate{Op: circuit.OpBarrier, Qubits: qs}, line); err != nil {
@@ -600,19 +613,35 @@ func (p *parser) applyGate(name string, line int, params []float64, qubits []int
 			}
 			continue
 		}
-		sub := make([]float64, len(st.params))
-		for i, e := range st.params {
-			v, err := e.eval(env)
+		// Push this statement's values above the caller's on the
+		// parameter stack; an append that moves the stack leaves the
+		// caller's view intact.
+		base := len(p.params)
+		for _, root := range st.params {
+			v, err := st.expr.value(root, env)
 			if err != nil {
-				return fmt.Errorf("qasm: gate %q: %w", name, err)
+				return fmt.Errorf("qasm: line %d: gate %q: %w", line, name, err)
 			}
-			sub[i] = v
+			p.params = append(p.params, v)
 		}
-		if err := p.applyGate(st.name, line, sub, qs, depth+1); err != nil {
+		err := p.applyGate(st.name, line, p.params[base:], qs, depth+1)
+		p.params = p.params[:base]
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// lastIndex returns the index of the last occurrence of s in list, or -1:
+// a formal argument declared twice binds to its last position.
+func lastIndex(list []string, s string) int {
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] == s {
+			return i
+		}
+	}
+	return -1
 }
 
 func (p *parser) addGate(g circuit.Gate) error { return p.addGateAt(g, 0) }
@@ -630,11 +659,11 @@ func (p *parser) addGateAt(g circuit.Gate, line int) (err error) {
 // parseGateDef parses "gate name(params)? args { body }".
 func (p *parser) parseGateDef() error {
 	p.take() // gate
-	name, err := p.expectIdent()
+	id, err := p.expectIdent()
 	if err != nil {
 		return err
 	}
-	def := &gateDef{name: name.text}
+	def := &gateDef{name: string(id.text)}
 	if p.peekSymbol("(") {
 		p.take()
 		if !p.peekSymbol(")") {
@@ -643,7 +672,7 @@ func (p *parser) parseGateDef() error {
 				if err != nil {
 					return err
 				}
-				def.params = append(def.params, id.text)
+				def.params = append(def.params, string(id.text))
 				if p.peekSymbol(",") {
 					p.take()
 					continue
@@ -660,7 +689,7 @@ func (p *parser) parseGateDef() error {
 		if err != nil {
 			return err
 		}
-		def.args = append(def.args, id.text)
+		def.args = append(def.args, string(id.text))
 		if p.peekSymbol(",") {
 			p.take()
 			continue
@@ -672,7 +701,7 @@ func (p *parser) parseGateDef() error {
 	}
 	for !p.peekSymbol("}") {
 		if p.atEOF() {
-			return fmt.Errorf("qasm: unterminated body of gate %q", name.text)
+			return fmt.Errorf("qasm: unterminated body of gate %q", def.name)
 		}
 		st, err := p.parseBodyStmt()
 		if err != nil {
@@ -681,7 +710,7 @@ func (p *parser) parseGateDef() error {
 		def.body = append(def.body, st)
 	}
 	p.take() // }
-	p.defs[name.text] = def
+	p.defs[def.name] = def
 	return nil
 }
 
@@ -691,18 +720,19 @@ func (p *parser) parseBodyStmt() (bodyStmt, error) {
 	if err != nil {
 		return bodyStmt{}, err
 	}
-	st := bodyStmt{name: id.text}
-	if id.text == "barrier" {
+	st := bodyStmt{name: string(id.text)}
+	p.expr = p.expr[:0]
+	if st.name == "barrier" {
 		st.barrier = true
 	} else if p.peekSymbol("(") {
 		p.take()
 		if !p.peekSymbol(")") {
 			for {
-				e, err := p.parseExpr()
+				root, err := p.parseExpr()
 				if err != nil {
 					return bodyStmt{}, err
 				}
-				st.params = append(st.params, e)
+				st.params = append(st.params, root)
 				if p.peekSymbol(",") {
 					p.take()
 					continue
@@ -714,12 +744,13 @@ func (p *parser) parseBodyStmt() (bodyStmt, error) {
 			return bodyStmt{}, err
 		}
 	}
+	st.expr = append(expr(nil), p.expr...)
 	for {
 		arg, err := p.expectIdent()
 		if err != nil {
 			return bodyStmt{}, err
 		}
-		st.args = append(st.args, arg.text)
+		st.args = append(st.args, string(arg.text))
 		if p.peekSymbol(",") {
 			p.take()
 			continue

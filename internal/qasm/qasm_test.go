@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -511,6 +512,54 @@ func TestSuiteQASMRoundTrip(t *testing.T) {
 		back.Name = c.Name
 		if !c.Equal(back) {
 			t.Errorf("%s: QASM round trip diverged", name)
+		}
+	}
+}
+
+// TestParseRejectsNonFiniteParams: a parameter that evaluates to ±Inf or
+// NaN is a parse error with its line, at top level and inside gate-body
+// expansion — the text form has no literal for it, so accepting it would
+// produce output Parse rejects.
+func TestParseRejectsNonFiniteParams(t *testing.T) {
+	for _, src := range []string{
+		"qreg q[1];\nh q[0];\nrz(2^2000) q[0];\n",
+		"qreg q[1];\nh q[0];\nrz(-2^2000) q[0];\n",
+		"qreg q[1];\nh q[0];\nu3(0, 0*2^2000, 0) q[0];\n",
+		"qreg q[1];\nh q[0];\nrz(sin(2^2000)) q[0];\n",
+		"qreg q[1];\ngate g(a) x { rz(a*a) x; }\ng(1e200) q[0];\n",
+		"qreg q[1];\ngate g(a) x { h x; rz(a) x; }\ngate f(b) x { g(b^b) x; }\nf(1000) q[0];\n",
+	} {
+		_, err := Parse(src)
+		if err == nil {
+			t.Errorf("accepted non-finite parameter:\n%s", src)
+			continue
+		}
+		last := strings.Count(strings.TrimSuffix(src, "\n"), "\n") + 1
+		if want := fmt.Sprintf("qasm: line %d: ", last); !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "parameter evaluates to") {
+			t.Errorf("error %q: want prefix %q and the non-finite value", err, want)
+		}
+		if _, serr := drainStream(src); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("Stream error %v, Parse error %v", serr, err)
+		}
+	}
+	// Large but finite values still parse and round-trip.
+	c := parse(t, "qreg q[1];\nrz(1/2^2000) q[0];\nrz(1e300) q[0];\n")
+	if back := parse(t, Write(c)); !back.Equal(c) {
+		t.Fatalf("round trip diverged:\n%s", Write(c))
+	}
+}
+
+// TestEvalErrorsCarryOnePrefix: evaluator errors read "qasm: line N: ...",
+// not "qasm: line N: qasm: ...".
+func TestEvalErrorsCarryOnePrefix(t *testing.T) {
+	for src, want := range map[string]string{
+		"qreg q[1];\nrz(Inf) q[0];\n":                            `qasm: line 2: unbound parameter "Inf"`,
+		"qreg q[1];\nrz(1/0) q[0];\n":                            "qasm: line 2: division by zero",
+		"qreg q[1];\ngate g a { rz(t) a; }\ng q[0];\n":           `qasm: line 3: gate "g": unbound parameter "t"`,
+		"qreg q[1];\ngate g(t) a { rz(ln(t)) a; }\ng(0) q[0];\n": `qasm: line 3: gate "g": ln of non-positive value`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error %v, want %q", src, err, want)
 		}
 	}
 }

@@ -1,63 +1,19 @@
 package qasm
 
 import (
-	"bufio"
 	"io"
 
 	"codar/internal/circuit"
 )
 
-// streamLexer lexes OpenQASM incrementally from a reader. No token in the
-// grammar spans a newline (strings and // comments are line-bounded and
-// every multi-character token is scanned within the current line), so the
-// reader is consumed line by line — each line, including its terminating
-// '\n', runs through the same string lexer the batch path uses, making the
-// token stream identical to tokenize of the whole source by construction.
-// Resident memory is O(longest line).
-type streamLexer struct {
-	r    *bufio.Reader
-	lx   lexer
-	done bool  // reader exhausted
-	err  error // sticky lexer/reader error
-}
-
-func newStreamLexer(r io.Reader) *streamLexer {
-	return &streamLexer{r: bufio.NewReader(r), lx: lexer{line: 1}}
-}
-
-func (s *streamLexer) next() (token, error) {
-	if s.err != nil {
-		return token{}, s.err
-	}
-	for {
-		t, err := s.lx.next()
-		if err != nil {
-			s.err = err
-			return token{}, err
-		}
-		if t.kind != tokEOF || s.done {
-			return t, nil
-		}
-		line, err := s.r.ReadString('\n')
-		if err == io.EOF {
-			s.done = true
-		} else if err != nil {
-			s.err = err
-			return token{}, err
-		}
-		// Start a fresh string lexer over the next line, carrying the line
-		// counter (the previous line's '\n' was consumed by its own lexer,
-		// advancing the count exactly as the batch lexer would).
-		s.lx = lexer{src: line, line: s.lx.line}
-	}
-}
-
 // Stream is the pull-based streaming front end: it parses OpenQASM 2.0
 // incrementally and emits gates one at a time without materialising the
 // whole program. It accepts exactly the language Parse accepts (the same
-// parser runs underneath, including user-defined gate inlining and the
-// 65536-qubit cap) and, for accepted programs, yields the identical gate
-// sequence — the FuzzStreamQASM differential fuzzer pins this.
+// lexer and parser run underneath, including user-defined gate inlining,
+// the 65536-qubit cap and the token-length cap) and, for accepted
+// programs, yields the identical gate sequence — the FuzzStreamQASM
+// differential fuzzer pins this. Memory is bounded by the lexer's 64 KiB
+// buffer plus one statement's gates, whatever the line lengths.
 //
 // Register declarations are frozen at the first operation (an OpenQASM
 // rule), so NumQubits and NumClbits are known as soon as NewStream
@@ -79,8 +35,7 @@ type Stream struct {
 // end of input, or an error; programs that fail before their first gate
 // are rejected here rather than from Next.
 func NewStream(r io.Reader) (*Stream, error) {
-	p := &parser{src: newStreamLexer(r), defs: make(map[string]*gateDef)}
-	s := &Stream{p: p}
+	s := &Stream{p: newParser(r, lexBufSize)}
 	s.pump()
 	if s.err != nil {
 		return nil, s.err
@@ -116,13 +71,9 @@ func (s *Stream) Next() (circuit.Gate, error) {
 	return g, nil
 }
 
-// fail records the stream's terminal error, preferring the underlying
-// lexer error over the truncated-program symptom a masked EOF produces.
+// fail records the stream's terminal error.
 func (s *Stream) fail(err error) {
-	if s.p.lexErr != nil {
-		err = s.p.lexErr
-	}
-	s.err = err
+	s.err = s.p.failure(err)
 }
 
 // pump parses statements until at least one gate is queued, end of input,
@@ -159,9 +110,9 @@ func (s *Stream) pump() {
 			return
 		}
 		if p.circ != nil && len(p.circ.Gates) > 0 {
-			// Gate values own their qubit/parameter slices (the parser
-			// allocates them per application), so copying the values out
-			// and truncating the accumulator is safe.
+			// Gate values own their qubit/parameter slices (the parser's
+			// arenas never rewind), so copying the values out and
+			// truncating the accumulator is safe.
 			s.queue = append(s.queue, p.circ.Gates...)
 			p.circ.Gates = p.circ.Gates[:0]
 			return

@@ -1,11 +1,15 @@
 package qasm
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"codar/internal/circuit"
+	"codar/internal/testutil"
+	"codar/internal/workloads"
 )
 
 // drainStream collects every gate a Stream yields, or the terminal error.
@@ -135,4 +139,61 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestStreamWriterWriteGateAllocs: after warm-up, rendering a gate reuses
+// the writer's buffer and allocates nothing.
+func TestStreamWriterWriteGateAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race perturbs allocation counts")
+	}
+	sw, err := NewStreamWriter(io.Discard, 20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := []circuit.Gate{
+		circuit.New2Q(circuit.OpCX, 3, 17),
+		circuit.New1QP(circuit.OpU3, 9, 0.1, -2.5e-7, math.Pi),
+		{Op: circuit.OpMeasure, Qubits: []int{4}, Cbit: 1},
+		{Op: circuit.OpBarrier, Qubits: []int{0, 1, 2, 3, 19}},
+		circuit.New1Q(circuit.OpReset, 11),
+	}
+	for _, g := range gates {
+		if err := sw.WriteGate(g); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = sw.WriteGate(g) }); n != 0 {
+			t.Errorf("WriteGate(%v) made %.1f allocations per gate, want 0", g, n)
+		}
+	}
+}
+
+// TestStreamDecomposeAllocs: the front half of the streaming pipeline —
+// Stream lowered by DecomposeSource — allocates at most once per 1,000
+// gates: the lexer reads through one fixed buffer, the parser keeps its
+// temporaries in scratch, gate slices come from arenas and base gates pass
+// the lowering untouched.
+func TestStreamDecomposeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race perturbs allocation counts")
+	}
+	const gates = 100_000
+	src := []byte(Write(workloads.Random(16, gates, 45, 3)))
+	n := testing.AllocsPerRun(1, func() {
+		s, err := NewStream(bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := circuit.NewDecomposeSource(s)
+		for {
+			if _, err := ds.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > gates/1000 {
+		t.Fatalf("Stream+DecomposeSource made %.0f allocations for %d gates, want <= %d", n, gates, gates/1000)
+	}
 }

@@ -1,7 +1,6 @@
 package qasm
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -15,23 +14,31 @@ import (
 // pipelines (benchgen -> file -> codar CLI).
 func Write(c *circuit.Circuit) string {
 	var b strings.Builder
-	writeHeader(&b, c.Name, c.NumQubits, c.NumClbits)
+	line := appendHeader(nil, c.Name, c.NumQubits, c.NumClbits)
+	b.Write(line)
 	for _, g := range c.Gates {
-		writeGate(&b, g)
+		line = AppendGate(line[:0], g)
+		b.Write(line)
 	}
 	return b.String()
 }
 
-func writeHeader(b *strings.Builder, name string, numQubits, numClbits int) {
-	b.WriteString("OPENQASM 2.0;\n")
-	b.WriteString("include \"qelib1.inc\";\n")
+func appendHeader(b []byte, name string, numQubits, numClbits int) []byte {
+	b = append(b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"...)
 	if name != "" {
-		fmt.Fprintf(b, "// circuit: %s\n", name)
+		b = append(b, "// circuit: "...)
+		b = append(b, name...)
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(b, "qreg q[%d];\n", numQubits)
+	b = append(b, "qreg q["...)
+	b = strconv.AppendInt(b, int64(numQubits), 10)
+	b = append(b, "];\n"...)
 	if numClbits > 0 {
-		fmt.Fprintf(b, "creg c[%d];\n", numClbits)
+		b = append(b, "creg c["...)
+		b = strconv.AppendInt(b, int64(numClbits), 10)
+		b = append(b, "];\n"...)
 	}
+	return b
 }
 
 // Header renders the OpenQASM preamble Write would emit for a circuit with
@@ -39,59 +46,50 @@ func writeHeader(b *strings.Builder, name string, numQubits, numClbits int) {
 // rendering (appending every mapped gate line reproduces Write's output
 // byte for byte).
 func Header(name string, numQubits, numClbits int) string {
-	var b strings.Builder
-	writeHeader(&b, name, numQubits, numClbits)
-	return b.String()
+	return string(appendHeader(nil, name, numQubits, numClbits))
 }
 
-// AppendGate renders one gate statement onto b, exactly as Write does.
-func AppendGate(b *strings.Builder, g circuit.Gate) {
-	writeGate(b, g)
-}
-
-func writeGate(b *strings.Builder, g circuit.Gate) {
+// AppendGate appends one gate statement to b, exactly as Write renders
+// it, and returns the extended slice.
+func AppendGate(b []byte, g circuit.Gate) []byte {
 	switch g.Op {
 	case circuit.OpMeasure:
-		fmt.Fprintf(b, "measure q[%d] -> c[%d];\n", g.Qubits[0], g.Cbit)
-		return
-	case circuit.OpBarrier:
-		b.WriteString("barrier ")
-		writeQubits(b, g.Qubits)
-		b.WriteString(";\n")
-		return
+		b = append(b, "measure "...)
+		b = appendQubit(b, g.Qubits[0])
+		b = append(b, " -> c["...)
+		b = strconv.AppendInt(b, int64(g.Cbit), 10)
+		return append(b, "];\n"...)
 	case circuit.OpReset:
-		fmt.Fprintf(b, "reset q[%d];\n", g.Qubits[0])
-		return
+		b = append(b, "reset "...)
+		b = appendQubit(b, g.Qubits[0])
+		return append(b, ";\n"...)
 	}
-	b.WriteString(g.Op.Name())
-	if len(g.Params) > 0 {
-		b.WriteByte('(')
+	b = append(b, g.Op.Name()...)
+	if len(g.Params) > 0 && g.Op != circuit.OpBarrier {
+		b = append(b, '(')
 		for i, p := range g.Params {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(formatParam(p))
+			// The shortest representation that round-trips exactly.
+			b = strconv.AppendFloat(b, p, 'g', -1, 64)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
-	b.WriteByte(' ')
-	writeQubits(b, g.Qubits)
-	b.WriteString(";\n")
-}
-
-func writeQubits(b *strings.Builder, qs []int) {
-	for i, q := range qs {
+	b = append(b, ' ')
+	for i, q := range g.Qubits {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(b, "q[%d]", q)
+		b = appendQubit(b, q)
 	}
+	return append(b, ";\n"...)
 }
 
-// formatParam renders a float with the shortest representation that
-// round-trips exactly.
-func formatParam(p float64) string {
-	return strconv.FormatFloat(p, 'g', -1, 64)
+func appendQubit(b []byte, q int) []byte {
+	b = append(b, "q["...)
+	b = strconv.AppendInt(b, int64(q), 10)
+	return append(b, ']')
 }
 
 // StreamWriter renders OpenQASM 2.0 incrementally: the header at
@@ -99,18 +97,18 @@ func formatParam(p float64) string {
 // streaming pipeline, where the mapped circuit is never materialized.
 // WriteGate(g) for every gate of a circuit produces exactly the bytes of
 // Write over that circuit (for unnamed circuits), so batch and streamed
-// renderings are interchangeable.
+// renderings are interchangeable. Each gate renders into one reused
+// buffer, so WriteGate allocates nothing of its own.
 type StreamWriter struct {
-	w io.Writer
-	b strings.Builder
+	w   io.Writer
+	buf []byte
 }
 
 // NewStreamWriter writes the OpenQASM header for numQubits qubits (and
 // numClbits classical bits when positive) and returns the gate writer.
 func NewStreamWriter(w io.Writer, numQubits, numClbits int) (*StreamWriter, error) {
-	sw := &StreamWriter{w: w}
-	writeHeader(&sw.b, "", numQubits, numClbits)
-	if err := sw.flush(); err != nil {
+	sw := &StreamWriter{w: w, buf: appendHeader(make([]byte, 0, 64), "", numQubits, numClbits)}
+	if _, err := w.Write(sw.buf); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -118,12 +116,7 @@ func NewStreamWriter(w io.Writer, numQubits, numClbits int) (*StreamWriter, erro
 
 // WriteGate renders one gate statement.
 func (sw *StreamWriter) WriteGate(g circuit.Gate) error {
-	writeGate(&sw.b, g)
-	return sw.flush()
-}
-
-func (sw *StreamWriter) flush() error {
-	_, err := io.WriteString(sw.w, sw.b.String())
-	sw.b.Reset()
+	sw.buf = AppendGate(sw.buf[:0], g)
+	_, err := sw.w.Write(sw.buf)
 	return err
 }

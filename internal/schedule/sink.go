@@ -1,10 +1,11 @@
 package schedule
 
 // Sink receives finalized schedule chunks from a streaming mapper. Flush
-// hands ownership of the chunk to the sink: the caller never touches the
-// slice again, so the sink may retain it, and the sink must copy anything
-// it needs beyond the call if it reuses buffers. A non-nil error aborts
-// the stream; the mapper returns it unchanged.
+// borrows the chunk for the duration of the call, the way io.Writer
+// borrows p: the mapper reuses the chunk's memory — the slice and the
+// gates' qubit slices — once Flush returns, so a sink that needs any of it
+// later must copy it (Gate.Clone). A non-nil error aborts the stream; the
+// mapper returns it unchanged.
 //
 // Chunks arrive in finalization order. For core.RemapStream the
 // concatenation of all chunks is exactly the Gates slice of the batch
@@ -15,9 +16,10 @@ type Sink interface {
 	Flush(chunk []ScheduledGate) error
 }
 
-// Collector is a Sink that concatenates chunks in memory — the bridge for
-// whole-result consumers and the differential tests, which compare the
-// concatenation against the batch path byte for byte.
+// Collector is a Sink that concatenates deep copies of the chunks in
+// memory — the bridge for whole-result consumers and the differential
+// tests, which compare the concatenation against the batch path byte for
+// byte.
 type Collector struct {
 	Gates  []ScheduledGate
 	Chunks int
@@ -25,7 +27,10 @@ type Collector struct {
 
 // Flush implements Sink.
 func (c *Collector) Flush(chunk []ScheduledGate) error {
-	c.Gates = append(c.Gates, chunk...)
+	for _, sg := range chunk {
+		sg.Gate = sg.Gate.Clone()
+		c.Gates = append(c.Gates, sg)
+	}
 	c.Chunks++
 	return nil
 }

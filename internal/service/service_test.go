@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"codar/api"
 	"codar/internal/qasm"
 	"codar/internal/workloads"
 )
@@ -418,4 +419,25 @@ func postMap(client *http.Client, url string, req MapRequest) ([]byte, error) {
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
 	return body, nil
+}
+
+// TestMapRejectsNonFiniteParams: a parameter that overflows to ±Inf is a
+// 400 bad_qasm, and nothing reaches the result store.
+func TestMapRejectsNonFiniteParams(t *testing.T) {
+	s := newTestServer(t, Config{})
+	src := "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nrz(2^2000) q[1];\n"
+	w := do(t, s, http.MethodPost, "/v1/map", MapRequest{QASM: src, Arch: "tokyo"})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body: %s", w.Code, w.Body.String())
+	}
+	var env ErrorEnvelope
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code != api.CodeBadQASM {
+		t.Fatalf("error body %s, want code %s", w.Body.String(), api.CodeBadQASM)
+	}
+	if !strings.Contains(env.Error.Message, "line 5") {
+		t.Errorf("message %q does not name the line", env.Error.Message)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("store holds %d entries after a rejected request", n)
+	}
 }

@@ -182,16 +182,16 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	}
 
 	seq := 0
-	var sb strings.Builder
+	var text []byte
 	sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
-		sb.Reset()
+		text = text[:0]
 		for i := range chunk {
-			qasm.AppendGate(&sb, chunk[i].Gate)
+			text = qasm.AppendGate(text, chunk[i].Gate)
 		}
 		rec := &api.StreamRecord{Type: api.StreamTypeChunk, Chunk: &api.StreamChunk{
 			Seq:   seq,
 			Gates: len(chunk),
-			QASM:  sb.String(),
+			QASM:  string(text),
 		}}
 		seq++
 		return emit(rec)
