@@ -138,3 +138,34 @@ func (l *Layout) Validate() error {
 func (l *Layout) String() string {
 	return fmt.Sprintf("layout%v", l.log2phys)
 }
+
+// StartLayout is the input check every mapper entry point shares: it
+// rejects a circuit of numLogical qubits that does not fit dev, a
+// disconnected dev, an initial layout of the wrong shape or inconsistent
+// with itself, and a cost model built for another device (cost may be
+// nil). It returns the layout the run starts from: initial, or the trivial
+// layout when initial is nil.
+func StartLayout(numLogical int, dev *Device, initial *Layout, cost *CostModel) (*Layout, error) {
+	if numLogical > dev.NumQubits {
+		return nil, fmt.Errorf("arch: circuit needs %d qubits but device %s has %d", numLogical, dev.Name, dev.NumQubits)
+	}
+	if !dev.Connected() {
+		return nil, fmt.Errorf("arch: device %s is disconnected", dev.Name)
+	}
+	if initial == nil {
+		initial = NewTrivialLayout(numLogical, dev.NumQubits)
+	}
+	if initial.NumLogical() != numLogical || initial.NumPhysical() != dev.NumQubits {
+		return nil, fmt.Errorf("arch: layout shape %d/%d does not match circuit %d / device %d",
+			initial.NumLogical(), initial.NumPhysical(), numLogical, dev.NumQubits)
+	}
+	if err := initial.Validate(); err != nil {
+		return nil, err
+	}
+	if cost != nil {
+		if err := cost.CompatibleWith(dev); err != nil {
+			return nil, err
+		}
+	}
+	return initial, nil
+}

@@ -196,44 +196,29 @@ func Remap(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Opti
 // share one assembly so the SoA gate layout and the validity walk are paid
 // once; the output is byte-identical to Remap.
 func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
-	c := a.Circ
 	if err := a.Checked(); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
-	if c.NumQubits > dev.NumQubits {
-		return nil, fmt.Errorf("codar: circuit %q needs %d qubits but device %s has %d", c.Name, c.NumQubits, dev.Name, dev.NumQubits)
-	}
-	if !dev.Connected() {
-		return nil, fmt.Errorf("codar: device %s is disconnected", dev.Name)
-	}
-	if initial == nil {
-		initial = arch.NewTrivialLayout(c.NumQubits, dev.NumQubits)
-	}
-	if initial.NumLogical() != c.NumQubits || initial.NumPhysical() != dev.NumQubits {
-		return nil, fmt.Errorf("codar: layout shape %d/%d does not match circuit %d / device %d",
-			initial.NumLogical(), initial.NumPhysical(), c.NumQubits, dev.NumQubits)
-	}
-	if err := initial.Validate(); err != nil {
+	initial, err := arch.StartLayout(a.Circ.NumQubits, dev, initial, opts.Cost)
+	if err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
-	if opts.Cost != nil {
-		if err := opts.Cost.CompatibleWith(dev); err != nil {
-			return nil, fmt.Errorf("codar: %w", err)
-		}
-	}
-
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
+	// Read before the run: this frame must not keep the assembly, whose DAG
+	// and reversed circuit CODAR never uses, reachable while the run
+	// allocates.
+	clbits := a.Circ.NumClbits
 	r := newRemapper(a, dev, initial, opts)
-	r.run()
+	r.run(&cursor{})
 	if r.ctxErr != nil {
 		return nil, fmt.Errorf("codar: %w", r.ctxErr)
 	}
 	if r.exceeded {
 		return nil, ErrDepthBound
 	}
-	return r.result(), nil
+	return r.result(clbits), nil
 }
 
 // remapper holds the mutable state of one CODAR run.
@@ -296,11 +281,12 @@ type remapper struct {
 
 	initial *arch.Layout
 
-	// Streaming state (stream.go). sourceOpen marks that the buffered gates
-	// are a prefix of a longer stream: the front computations starve —
-	// abort and set starved — instead of acting on an underfull window or
-	// look-ahead set, so every decision is made over exactly the context the
-	// batch path would have. Both stay false on the batch path.
+	// Starvation state (run). sourceOpen marks that the buffered gates are
+	// a prefix of a longer stream: the front computations starve — abort
+	// and set starved — instead of acting on an underfull window or
+	// look-ahead set, so every decision is made over exactly the context a
+	// run over the whole circuit would have. Both stay false on the batch
+	// path, whose source is closed from the start.
 	sourceOpen bool
 	starved    bool
 
@@ -430,9 +416,28 @@ func (r *remapper) unlink(i int) {
 	r.live--
 }
 
-// run executes the main CODAR loop (paper Fig 4).
-func (r *remapper) run() {
-	t := 0
+// cursor is the loop state that lives between starvation pauses: the
+// simulated clock plus enough of the cycle-local state to resume a cycle
+// that a starved front query interrupted without double-counting it. A
+// batch run starts from the zero cursor and never pauses.
+type cursor struct {
+	t           int
+	launchedAny bool
+	midCycle    bool
+}
+
+// run executes the main CODAR loop (paper Fig 4) from cur, for batch and
+// stream alike. A batch run is the closed-source case: r.sourceOpen is
+// false, no front query ever starves and the loop runs to completion.
+// While a stream's source is still open, any front query may abort with
+// r.starved set when the buffered gates cannot fill the scan window or
+// look-ahead set; the loop then saves its position in cur and returns
+// without mutating any further state, and RemapStream refills the buffer
+// and resumes. Because starvation strikes before any launch or SWAP
+// decision is taken on the underfull context, the decision sequence is
+// identical to a run over the whole circuit.
+func (r *remapper) run(cur *cursor) {
+	t := cur.t
 	for r.live > 0 {
 		if r.exceeded {
 			return
@@ -441,13 +446,25 @@ func (r *remapper) run() {
 			r.ctxErr = err
 			return
 		}
-		r.cycles++
+		launchedAny := false
+		if cur.midCycle {
+			// Resuming a cycle a starved query interrupted: keep its
+			// launch flag and don't count it twice.
+			launchedAny = cur.launchedAny
+			cur.midCycle = false
+		} else {
+			r.cycles++
+		}
 		// Steps 1–2: launch every lock-free executable CF gate at t, to a
 		// fixpoint (launching can expose new CF gates that are also free).
-		launchedAny := false
 		for {
 			launched := false
-			for _, i := range r.computeFront() {
+			front := r.computeFront()
+			if r.starved {
+				cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
+				return
+			}
+			for _, i := range front {
 				if r.executable(i, t) {
 					r.launchGate(i, t)
 					launched = true
@@ -459,11 +476,26 @@ func (r *remapper) run() {
 			launchedAny = true
 		}
 		if r.live == 0 {
+			if r.sourceOpen {
+				// Unreachable while the starvation rule holds (the window
+				// admit loop starves before the buffer can drain), but a
+				// refill is always the safe answer.
+				r.starved = true
+				cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
+				return
+			}
 			break
 		}
 
 		// Step 3: greedy positive-priority SWAP insertion.
 		front := r.computeFront()
+		if r.starved {
+			// The launch fixpoint just computed a complete front and
+			// removals only shrink the window, so this query starving is
+			// equally unreachable; pause defensively all the same.
+			cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
+			return
+		}
 		inserted := r.insertSwaps(front, t)
 
 		if launchedAny {
@@ -499,6 +531,7 @@ func (r *remapper) run() {
 			t = nt
 		}
 	}
+	cur.t = t
 }
 
 // executable reports whether gate i can launch at time t: every operand's
@@ -723,16 +756,20 @@ func (r *remapper) directRoute(front []int, t int) {
 	r.routed++
 }
 
-// result packages the run outcome.
-func (r *remapper) result() *Result {
+// result packages the outcome of a batch run over a circuit of numClbits
+// classical bits, which the output circuit declares too: a bit no measure
+// writes is still part of the program's register.
+func (r *remapper) result(numClbits int) *Result {
 	s := &schedule.Schedule{
 		NumQubits: r.dev.NumQubits,
 		Gates:     r.out,
 		Makespan:  r.makespan,
 	}
+	circ := s.Circuit("codar")
+	circ.NumClbits = max(circ.NumClbits, numClbits)
 	return &Result{
 		Schedule:      s,
-		Circuit:       s.Circuit("codar"),
+		Circuit:       circ,
 		InitialLayout: r.initial,
 		FinalLayout:   r.layout.Clone(),
 		SwapCount:     r.swapCount,

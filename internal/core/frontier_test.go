@@ -96,7 +96,7 @@ func TestIncrementalFrontMatchesNaiveEveryCycle(t *testing.T) {
 					failure = fmt.Errorf("front mismatch vs circuit.CommutativeFront: %v vs %v", gotFront, mapped)
 				}
 			}
-			r.run()
+			r.run(&cursor{})
 			if failure != nil {
 				t.Fatalf("opts %+v seed %d on %s after %d checks: %v", opts, seed, dev.Name, checks, failure)
 			}

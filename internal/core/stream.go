@@ -51,116 +51,6 @@ func streamBatch(o Options) int {
 	return b
 }
 
-// streamCursor is the engine state that lives between starvation pauses:
-// the simulated clock plus enough of the cycle-local state to resume a
-// cycle that a starved front query interrupted without double-counting it.
-type streamCursor struct {
-	t           int
-	launchedAny bool
-	midCycle    bool
-}
-
-// streamRun is run (codar.go) with starvation pauses: any front query may
-// abort with r.starved set when the buffered gates cannot fill the scan
-// window or look-ahead set while the source is still open. The engine
-// returns without mutating any further state; the driver refills the
-// buffer and resumes. Because starvation strikes before any launch or SWAP
-// decision is taken on the underfull context, the decision sequence is
-// identical to a batch run over the whole circuit.
-func (r *remapper) streamRun(cur *streamCursor) {
-	t := cur.t
-	for r.live > 0 {
-		if r.exceeded {
-			return
-		}
-		if err := r.check.Check(); err != nil {
-			r.ctxErr = err
-			return
-		}
-		launchedAny := false
-		if cur.midCycle {
-			// Resuming a cycle a starved query interrupted: keep its
-			// launch flag and don't count it twice.
-			launchedAny = cur.launchedAny
-			cur.midCycle = false
-		} else {
-			r.cycles++
-		}
-		// Steps 1–2: launch every lock-free executable CF gate at t, to a
-		// fixpoint (launching can expose new CF gates that are also free).
-		for {
-			launched := false
-			front := r.computeFront()
-			if r.starved {
-				cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
-				return
-			}
-			for _, i := range front {
-				if r.executable(i, t) {
-					r.launchGate(i, t)
-					launched = true
-				}
-			}
-			if !launched {
-				break
-			}
-			launchedAny = true
-		}
-		if r.live == 0 {
-			if r.sourceOpen {
-				// Unreachable while the starvation rule holds (the window
-				// admit loop starves before the buffer can drain), but a
-				// refill is always the safe answer.
-				r.starved = true
-				cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
-				return
-			}
-			break
-		}
-
-		// Step 3: greedy positive-priority SWAP insertion.
-		front := r.computeFront()
-		if r.starved {
-			// The launch fixpoint just computed a complete front and
-			// removals only shrink the window, so this query starving is
-			// equally unreachable; pause defensively all the same.
-			cur.t, cur.launchedAny, cur.midCycle = t, launchedAny, true
-			return
-		}
-		inserted := r.insertSwaps(front, t)
-
-		if launchedAny {
-			r.streak = 0
-		}
-		free := r.allFree(t)
-		if r.opts.checkEvents {
-			if want := r.allFreeScan(t); free != want {
-				panic(fmt.Sprintf("codar: allFree(%d) = %v, scan says %v", t, free, want))
-			}
-		}
-		if !launchedAny && !inserted && free {
-			r.streak++
-			if r.streak >= r.opts.deadlockStreak() {
-				r.directRoute(front, t)
-				r.streak = 0
-			} else {
-				r.forceSwap(front, t)
-			}
-		}
-
-		nt := r.nextEvent(t)
-		if r.opts.checkEvents {
-			if want := r.nextEventScan(t); nt != want {
-				panic(fmt.Sprintf("codar: nextEvent(%d) = %d, scan says %d", t, nt, want))
-			}
-		}
-		if nt > t {
-			t = nt
-		}
-	}
-	cur.t = t
-}
-
 // settle drops the flushed schedule prefix out[:cut] and recycles its
 // memory. The sink only borrowed the prefix, so the unflushed carry moves
 // down to the front of the schedule buffer, and its qubit slices move to
@@ -202,27 +92,9 @@ func (r *remapper) settle(cut int) {
 // inherent to streaming. The sink borrows each chunk only for the duration
 // of its Flush call (schedule.Sink).
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
-	nl := src.NumQubits()
-	if nl > dev.NumQubits {
-		return nil, fmt.Errorf("codar: stream needs %d qubits but device %s has %d", nl, dev.Name, dev.NumQubits)
-	}
-	if !dev.Connected() {
-		return nil, fmt.Errorf("codar: device %s is disconnected", dev.Name)
-	}
-	if initial == nil {
-		initial = arch.NewTrivialLayout(nl, dev.NumQubits)
-	}
-	if initial.NumLogical() != nl || initial.NumPhysical() != dev.NumQubits {
-		return nil, fmt.Errorf("codar: layout shape %d/%d does not match stream %d / device %d",
-			initial.NumLogical(), initial.NumPhysical(), nl, dev.NumQubits)
-	}
-	if err := initial.Validate(); err != nil {
+	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
+	if err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
-	}
-	if opts.Cost != nil {
-		if err := opts.Cost.CompatibleWith(dev); err != nil {
-			return nil, fmt.Errorf("codar: %w", err)
-		}
 	}
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
@@ -237,10 +109,10 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	// window's gates into the memory of the previous epoch's structures:
 	// the window owns the gate slice and the SoA and the engine index into
 	// it positionally, so eviction requires a re-index.
-	r := newEngine(nl, dev, initial, opts)
+	r := newEngine(src.NumQubits(), dev, initial, opts)
 	var (
 		soa             circuit.SoA
-		cur             streamCursor
+		cur             cursor
 		keep            []int
 		flushed, chunks int
 	)
@@ -249,7 +121,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		r.load(win.Gates(), &soa)
 		r.sourceOpen, r.starved = win.Open(), false
 
-		r.streamRun(&cur)
+		r.run(&cur)
 		if r.ctxErr != nil {
 			return nil, fmt.Errorf("codar: %w", r.ctxErr)
 		}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"codar/internal/arch"
 	"codar/internal/circuit"
@@ -151,66 +152,19 @@ func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 // the resulting layout is byte-identical to a full run. Discard is ignored
 // when a DepthBound is attached: the bound tracks emitted gates.
 func remapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (*Result, error) {
-	c := a.Circ
 	if err := a.Checked(); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
-	if c.NumQubits > dev.NumQubits {
-		return nil, fmt.Errorf("sabre: circuit %q needs %d qubits but device %s has %d", c.Name, c.NumQubits, dev.Name, dev.NumQubits)
-	}
-	if !dev.Connected() {
-		return nil, fmt.Errorf("sabre: device %s is disconnected", dev.Name)
-	}
-	if initial == nil {
-		initial = arch.NewTrivialLayout(c.NumQubits, dev.NumQubits)
-	}
-	if initial.NumLogical() != c.NumQubits || initial.NumPhysical() != dev.NumQubits {
-		return nil, fmt.Errorf("sabre: layout shape %d/%d does not match circuit %d / device %d",
-			initial.NumLogical(), initial.NumPhysical(), c.NumQubits, dev.NumQubits)
-	}
-	if opts.Cost != nil {
-		if err := opts.Cost.CompatibleWith(dev); err != nil {
-			return nil, fmt.Errorf("sabre: %w", err)
-		}
-	}
-	if opts.DepthBound != nil {
-		discard = false
+	initial, err := arch.StartLayout(a.Circ.NumQubits, dev, initial, opts.Cost)
+	if err != nil {
+		return nil, fmt.Errorf("sabre: %w", err)
 	}
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
-	m := &mapper{
-		opts:    opts,
-		dev:     dev,
-		dag:     a.DAG(),
-		soa:     a.SoA,
-		gates:   c.Gates,
-		discard: discard,
-		layout:  initial.Clone(),
-		initial: initial.Clone(),
-		decay:   make([]float64, dev.NumQubits),
-		out: &circuit.Circuit{
-			Name:      "sabre",
-			NumQubits: dev.NumQubits,
-		},
-	}
-	if !discard {
-		// Pre-size for the input plus a typical swap overhead; resizing
-		// a 30k-gate output mid-run showed up in the allocation profile.
-		m.out.Gates = make([]circuit.Gate, 0, len(c.Gates)+len(c.Gates)/4+16)
-	}
-	m.nq = dev.NumQubits
-	if opts.Cost != nil {
-		m.distTab = opts.Cost.Table()
-	} else {
-		m.distTab = dev.DistTable()
-	}
-	if opts.DepthBound != nil {
-		m.asap = arch.NewASAPTracker(dev.NumQubits)
-	}
-	m.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
-	m.resetDecay()
-	m.run()
+	m := newMapper(dev, initial, opts, discard)
+	m.load(a, false)
+	m.run(&cursor{})
 	if m.ctxErr != nil {
 		return nil, fmt.Errorf("sabre: %w", m.ctxErr)
 	}
@@ -315,14 +269,15 @@ type mapper struct {
 	check  interrupt.Checker
 	ctxErr error
 
-	// Streaming state (stream.go). sourceOpen marks that the buffered gates
-	// are a prefix of a longer stream; lastOn[q] is the last buffered gate
+	// Starvation state (run). sourceOpen marks that the buffered gates are
+	// a prefix of a longer stream; lastOn[q] is the last buffered gate
 	// index touching logical qubit q (-1 when untouched), so lastOn[q] == k
 	// means k is a chain tail: unseen gates may depend on it, and any
-	// decision that would see those dependents in a batch run starves — sets
-	// starved and aborts — instead of diverging. executedMark records which
-	// buffered gates were emitted this epoch (the driver evicts them). All
-	// stay zero on the batch path.
+	// decision that would see those dependents in a run over the whole
+	// circuit starves — sets starved and aborts — instead of diverging.
+	// executedMark records which buffered gates were emitted this epoch (the
+	// stream driver evicts them). All stay zero on the batch path, whose
+	// source is closed from the start.
 	sourceOpen   bool
 	starved      bool
 	lastOn       []int32
@@ -346,31 +301,151 @@ func (m *mapper) resetDecay() {
 	}
 }
 
-// run executes the SABRE main loop.
-func (m *mapper) run() {
-	indeg := m.dag.InDegrees()
-	n := m.dag.Len()
-	m.visitStamp = make([]int32, n)
-	m.spare = make([]int, 0, 16)
-	front := make([]int, 0, 16)
-	for k, d := range indeg {
-		if d == 0 {
-			front = append(front, k)
+// newMapper builds the state whose size depends only on the device: the
+// layouts, decay, distance table, ASAP tracker and context checker. The
+// gate-indexed state comes from load. A discard mapper runs a layout-only
+// pass (see remapAssembled); a DepthBound overrides discard, since the
+// bound tracks emitted gates. The mapper is returned by value so that a
+// batch run keeps it on the stack.
+func newMapper(dev *arch.Device, initial *arch.Layout, opts Options, discard bool) mapper {
+	m := mapper{
+		opts:    opts,
+		dev:     dev,
+		discard: discard && opts.DepthBound == nil,
+		layout:  initial.Clone(),
+		initial: initial.Clone(),
+		decay:   make([]float64, dev.NumQubits),
+		out:     &circuit.Circuit{Name: "sabre", NumQubits: dev.NumQubits},
+		nq:      dev.NumQubits,
+		spare:   make([]int, 0, 16),
+	}
+	if opts.Cost != nil {
+		m.distTab = opts.Cost.Table()
+	} else {
+		m.distTab = dev.DistTable()
+	}
+	if opts.DepthBound != nil {
+		m.asap = arch.NewASAPTracker(dev.NumQubits)
+	}
+	m.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
+	m.resetDecay()
+	return m
+}
+
+// load points the mapper at an assembly and resets the gate-indexed state:
+// the DAG and gate views, the output gates and their qubit arena, and the
+// extended-set and incidence memos. The output declares the assembly's
+// classical bits. sourceOpen marks the assembly as a prefix of a longer
+// stream (see run); only then are the chain tails and the executed marks
+// tracked. Everything else — layout, decay, swap count, ASAP tracker,
+// context checker — carries over, so the stream driver reloads one mapper
+// each epoch without changing any decision.
+func (m *mapper) load(a *circuit.Assembly, sourceOpen bool) {
+	c := a.Circ
+	n := len(c.Gates)
+	m.dag, m.soa, m.gates = a.DAG(), a.SoA, c.Gates
+	m.visitStamp = circuit.Reuse(m.visitStamp, n)
+	m.extValid, m.idxValid = false, false
+	m.out.NumClbits = c.NumClbits
+	if !m.discard {
+		// Pre-size for the input plus a typical swap overhead; resizing
+		// a 30k-gate output mid-run showed up in the allocation profile.
+		// The previous load's gates were flushed, so the arena rewinds.
+		m.out.Gates = slices.Grow(m.out.Gates[:0], n+n/4+16)
+		m.arena.Reset()
+	}
+	m.sourceOpen, m.starved = sourceOpen, false
+	if sourceOpen {
+		m.lastOn = circuit.Reuse(m.lastOn, c.NumQubits)
+		for q := range m.lastOn {
+			m.lastOn[q] = -1
+		}
+		for i := 0; i < n; i++ {
+			for _, q := range m.soa.Operands(i) {
+				m.lastOn[q] = int32(i)
+			}
+		}
+		m.executedMark = circuit.Reuse(m.executedMark, n)
+	}
+}
+
+// cursor is the loop state carried across starvation pauses: the front
+// (buffered-gate indices in front order — the stream driver remaps them
+// over each compaction) and the decay and termination counters. A batch
+// run starts from the zero cursor and never pauses.
+type cursor struct {
+	started    bool
+	front      []int
+	sinceReset int
+	stuck      int
+}
+
+// run executes the SABRE main loop from cur, for batch and stream alike. A
+// batch run is the closed-source case: m.sourceOpen is false, nothing ever
+// starves and the loop runs to completion. While a stream's source is
+// still open, three rules make every decision identical to a run over the
+// whole circuit:
+//
+//  1. While any declared qubit has no buffered gate, an unseen gate on it
+//     could still belong to the initial DAG front — whose order round 0
+//     executes in — so no round may run at all.
+//  2. A front gate that is a chain tail must not execute while the source
+//     is open: unseen successors would be enabled — and ordered into the
+//     front — at this exact round in a run over the whole circuit.
+//  3. The extended-set BFS must not expand a chain tail (guarded inside
+//     extendedSet), since its successor set may grow with unseen gates.
+//
+// Under 1–3, every newly pulled gate provably has a live buffered
+// predecessor (its last predecessor per qubit can only have executed when
+// a later buffered gate covered that qubit — rule 2 — and rule 1 covers
+// the no-predecessor case), so refilled gates enter the front exclusively
+// through enablement, exactly as in a whole-circuit run, and the carried
+// front order needs no reconstruction.
+func (m *mapper) run(cur *cursor) {
+	if m.sourceOpen {
+		for _, last := range m.lastOn {
+			if last < 0 {
+				m.starved = true // rule 1
+				return
+			}
 		}
 	}
-	sinceReset := 0
-	stuck := 0
+	indeg := m.dag.InDegrees()
+	front := cur.front
+	if !cur.started {
+		front = cur.front[:0]
+		if front == nil {
+			front = make([]int, 0, 16)
+		}
+		for k, d := range indeg {
+			if d == 0 {
+				front = append(front, k)
+			}
+		}
+	}
 	// Safety valve: SABRE with decay terminates in practice; bound the
 	// consecutive no-progress swaps defensively (see DESIGN.md §4).
 	maxStuck := 4 * m.dev.NumQubits * (m.dev.Diameter() + 1)
 
 	for len(front) > 0 {
 		if m.exceeded {
+			cur.front = front
 			return
 		}
 		if err := m.check.Check(); err != nil {
 			m.ctxErr = err
 			return
+		}
+		if m.sourceOpen {
+			// Rule 2: the layout is fixed for the whole execute pass, so
+			// checking before it is equivalent to checking at each gate.
+			for _, k := range front {
+				if m.executable(k) && m.chainTail(k) {
+					m.starved = true
+					cur.started, cur.front = true, front
+					return
+				}
+			}
 		}
 		// Execute every executable front gate. The surviving/unlocked set
 		// is built into the spare buffer, which then swaps roles with the
@@ -380,6 +455,9 @@ func (m *mapper) run() {
 		for _, k := range front {
 			if m.executable(k) {
 				m.emit(k)
+				if m.sourceOpen {
+					m.executedMark[k] = true
+				}
 				executed = true
 				for _, s := range m.dag.Succs[k] {
 					indeg[s]--
@@ -393,10 +471,11 @@ func (m *mapper) run() {
 		}
 		m.spare = front[:0]
 		front = next
+		cur.started = true
 		if executed {
 			m.resetDecay()
-			sinceReset = 0
-			stuck = 0
+			cur.sinceReset = 0
+			cur.stuck = 0
 			m.extValid = false
 			m.idxValid = false
 			continue
@@ -405,26 +484,31 @@ func (m *mapper) run() {
 			break
 		}
 		// No front gate is executable: insert the best-scoring SWAP.
-		if stuck >= maxStuck {
+		if cur.stuck >= maxStuck {
 			m.directRoute(front)
-			stuck = 0
+			cur.stuck = 0
 			continue
 		}
 		// Swaps change neither the DAG front nor the in-degrees, so the
 		// extended set survives until the next execution.
 		if !m.extValid {
 			m.ext = m.extendedSet(front)
+			if m.starved { // rule 3
+				cur.front = front
+				return
+			}
 			m.extValid = true
 		}
 		cand := m.bestSwap(front, m.ext)
 		m.applySwap(cand)
-		stuck++
-		sinceReset++
-		if sinceReset >= m.opts.decayReset() {
+		cur.stuck++
+		cur.sinceReset++
+		if cur.sinceReset >= m.opts.decayReset() {
 			m.resetDecay()
-			sinceReset = 0
+			cur.sinceReset = 0
 		}
 	}
+	cur.front = front[:0]
 }
 
 // executable reports whether gate k can be emitted under the current layout.
@@ -840,13 +924,11 @@ func InitialLayout(c *circuit.Circuit, dev *arch.Device, seed int64, opts Option
 // computing several seeded layouts of one circuit (the portfolio grid)
 // reverse and re-index it once instead of once per seed.
 func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
-	c := a.Circ
-	if c.NumQubits > dev.NumQubits {
-		return nil, fmt.Errorf("sabre: circuit %q needs %d qubits but device %s has %d", c.Name, c.NumQubits, dev.Name, dev.NumQubits)
-	}
+	// A circuit that does not fit gets a start with one logical qubit per
+	// physical one, which the forward pass's input check then rejects.
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(dev.NumQubits)[:c.NumQubits]
-	start, err := arch.NewLayout(perm, dev.NumQubits)
+	perm := rng.Perm(dev.NumQubits)
+	start, err := arch.NewLayout(perm[:min(a.Circ.NumQubits, len(perm))], dev.NumQubits)
 	if err != nil {
 		return nil, err
 	}

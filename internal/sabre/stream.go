@@ -17,8 +17,8 @@ import (
 type StreamResult struct {
 	// NumQubits is the device qubit count (the output's qubit space).
 	NumQubits int
-	// NumClbits is the output circuit's classical-bit count (grown by
-	// emitted measures, matching the batch result circuit).
+	// NumClbits is the stream's classical-bit count, which the batch
+	// result circuit declares too.
 	NumClbits int
 	// Gates is the total number of mapped gates flushed (input + SWAPs).
 	Gates int
@@ -35,153 +35,9 @@ type StreamResult struct {
 
 // streamBatchSize is the window refill granularity. SABRE's per-round
 // context is the DAG front plus the ≤ExtendedSize look-ahead — tiny — but
-// the starvation rules below also pause on chain tails, so a roomy batch
+// the starvation rules (run) also pause on chain tails, so a roomy batch
 // keeps refills rare.
 const streamBatchSize = 1024
-
-// streamCursor is the engine state carried across starvation pauses: the
-// front (buffered-gate indices in batch front order — the driver remaps
-// them over each compaction) and the decay/termination counters that in
-// the batch loop live in run's locals.
-type streamCursor struct {
-	started    bool
-	front      []int
-	sinceReset int
-	stuck      int
-}
-
-// streamRun is run (sabre.go) with starvation pauses. Three rules make
-// every decision identical to a batch run over the whole circuit:
-//
-//  1. While any declared qubit has no buffered gate, an unseen gate on it
-//     could still belong to the initial DAG front — whose order round 0
-//     executes in — so no round may run at all.
-//  2. A front gate that is a chain tail must not execute while the source
-//     is open: unseen successors would be enabled — and ordered into the
-//     front — at this exact round in a batch run.
-//  3. The extended-set BFS must not expand a chain tail (guarded inside
-//     extendedSet), since its successor set may grow with unseen gates.
-//
-// Under 1–3, every newly pulled gate provably has a live buffered
-// predecessor (its last predecessor per qubit can only have executed when
-// a later buffered gate covered that qubit — rule 2 — and rule 1 covers
-// the no-predecessor case), so refilled gates enter the front exclusively
-// through enablement, exactly as in batch, and the carried front order
-// needs no reconstruction.
-func (m *mapper) streamRun(cur *streamCursor) {
-	n := m.dag.Len()
-	m.executedMark = make([]bool, n)
-	if m.sourceOpen {
-		for _, last := range m.lastOn {
-			if last < 0 {
-				m.starved = true // rule 1
-				return
-			}
-		}
-	}
-	indeg := m.dag.InDegrees()
-	m.visitStamp = make([]int32, n)
-	m.spare = make([]int, 0, 16)
-	front := cur.front
-	if !cur.started {
-		front = cur.front[:0]
-		for k, d := range indeg {
-			if d == 0 {
-				front = append(front, k)
-			}
-		}
-	}
-	maxStuck := 4 * m.dev.NumQubits * (m.dev.Diameter() + 1)
-
-	for len(front) > 0 {
-		if m.exceeded {
-			cur.front = front
-			return
-		}
-		if err := m.check.Check(); err != nil {
-			m.ctxErr = err
-			return
-		}
-		if m.sourceOpen {
-			// Rule 2: the layout is fixed for the whole execute pass, so
-			// checking before it is equivalent to checking at each gate.
-			for _, k := range front {
-				if m.executable(k) && m.chainTail(k) {
-					m.starved = true
-					cur.started, cur.front = true, front
-					return
-				}
-			}
-		}
-		executed := false
-		next := m.spare[:0]
-		for _, k := range front {
-			if m.executable(k) {
-				m.emit(k)
-				m.executedMark[k] = true
-				executed = true
-				for _, s := range m.dag.Succs[k] {
-					indeg[s]--
-					if indeg[s] == 0 {
-						next = append(next, s)
-					}
-				}
-			} else {
-				next = append(next, k)
-			}
-		}
-		m.spare = front[:0]
-		front = next
-		cur.started = true
-		if executed {
-			m.resetDecay()
-			cur.sinceReset = 0
-			cur.stuck = 0
-			m.extValid = false
-			m.idxValid = false
-			continue
-		}
-		if len(front) == 0 {
-			break
-		}
-		if cur.stuck >= maxStuck {
-			m.directRoute(front)
-			cur.stuck = 0
-			continue
-		}
-		if !m.extValid {
-			m.ext = m.extendedSet(front)
-			if m.starved { // rule 3
-				cur.front = front
-				return
-			}
-			m.extValid = true
-		}
-		cand := m.bestSwap(front, m.ext)
-		m.applySwap(cand)
-		cur.stuck++
-		cur.sinceReset++
-		if cur.sinceReset >= m.opts.decayReset() {
-			m.resetDecay()
-			cur.sinceReset = 0
-		}
-	}
-	cur.front = front[:0]
-}
-
-// buildLastOn computes the per-logical-qubit last buffered gate index.
-func buildLastOn(soa *circuit.SoA, numQubits int) []int32 {
-	last := make([]int32, numQubits)
-	for q := range last {
-		last[q] = -1
-	}
-	for i := 0; i < soa.Len(); i++ {
-		for _, q := range soa.Operands(i) {
-			last[q] = int32(i)
-		}
-	}
-	return last
-}
 
 // RemapStream runs SABRE over a gate stream, holding only a bounded buffer
 // of the circuit in memory and flushing mapped gates to the sink at every
@@ -198,27 +54,9 @@ func buildLastOn(soa *circuit.SoA, numQubits int) []int32 {
 // (or whose per-qubit gap runs) millions of gates in forces the buffer to
 // grow to that gap — the price of exact batch equivalence (DESIGN.md §14).
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
-	nl := src.NumQubits()
-	if nl > dev.NumQubits {
-		return nil, fmt.Errorf("sabre: stream needs %d qubits but device %s has %d", nl, dev.Name, dev.NumQubits)
-	}
-	if !dev.Connected() {
-		return nil, fmt.Errorf("sabre: device %s is disconnected", dev.Name)
-	}
-	if initial == nil {
-		initial = arch.NewTrivialLayout(nl, dev.NumQubits)
-	}
-	if initial.NumLogical() != nl || initial.NumPhysical() != dev.NumQubits {
-		return nil, fmt.Errorf("sabre: layout shape %d/%d does not match stream %d / device %d",
-			initial.NumLogical(), initial.NumPhysical(), nl, dev.NumQubits)
-	}
-	if err := initial.Validate(); err != nil {
+	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
+	if err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
-	}
-	if opts.Cost != nil {
-		if err := opts.Cost.CompatibleWith(dev); err != nil {
-			return nil, fmt.Errorf("sabre: %w", err)
-		}
 	}
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
@@ -229,64 +67,26 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
 
+	// One mapper serves the whole stream; each epoch loads the window's
+	// gates. The window owns the gate slice and the mapper indexes into it
+	// positionally, so eviction requires a reload.
+	m := newMapper(dev, initial, opts, false)
 	var (
-		m                         *mapper
-		cur                       streamCursor
+		cur                       cursor
+		chunk                     []schedule.ScheduledGate
 		avail                     = make([]int, dev.NumQubits)
 		oldToNew                  []int
 		keep                      []int
 		makespan, flushed, chunks int
 	)
 	for {
-		c := &circuit.Circuit{
+		m.load(circuit.Assemble(&circuit.Circuit{
 			Name:      "stream",
-			NumQubits: nl,
+			NumQubits: src.NumQubits(),
 			NumClbits: win.NumClbits(),
 			Gates:     win.Gates(),
-		}
-		a := circuit.Assemble(c)
-		nm := &mapper{
-			opts:   opts,
-			dev:    dev,
-			dag:    a.DAG(),
-			soa:    a.SoA,
-			gates:  c.Gates,
-			decay:  make([]float64, dev.NumQubits),
-			out:    &circuit.Circuit{Name: "sabre", NumQubits: dev.NumQubits},
-			lastOn: buildLastOn(a.SoA, nl),
-		}
-		nm.out.Gates = make([]circuit.Gate, 0, len(c.Gates)+len(c.Gates)/4+16)
-		nm.nq = dev.NumQubits
-		if opts.Cost != nil {
-			nm.distTab = opts.Cost.Table()
-		} else {
-			nm.distTab = dev.DistTable()
-		}
-		if m == nil {
-			nm.layout = initial.Clone()
-			nm.initial = initial.Clone()
-			if opts.DepthBound != nil {
-				nm.asap = arch.NewASAPTracker(dev.NumQubits)
-			}
-			nm.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
-			nm.resetDecay()
-		} else {
-			// Transplant the dynamic state; everything else (DAG, SoA,
-			// incidence indexes, extended-set memo, scratch) is a function
-			// of the buffered sequence and this state, rebuilt on demand.
-			nm.layout = m.layout
-			nm.initial = m.initial
-			copy(nm.decay, m.decay)
-			nm.swaps = m.swaps
-			nm.asap = m.asap
-			nm.exceeded = m.exceeded
-			nm.check = m.check
-			nm.out.NumClbits = m.out.NumClbits
-		}
-		nm.sourceOpen = win.Open()
-		m = nm
-
-		m.streamRun(&cur)
+		}), win.Open())
+		m.run(&cur)
 		if m.ctxErr != nil {
 			return nil, fmt.Errorf("sabre: %w", m.ctxErr)
 		}
@@ -296,10 +96,11 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 
 		// Emission order is final: flush everything mapped this epoch,
 		// annotated by the carried ASAP recurrence (identical to running
-		// schedule.ASAP over the concatenated output).
+		// schedule.ASAP over the concatenated output). The sink borrows the
+		// chunk, so its buffer is reused.
 		if len(m.out.Gates) > 0 {
-			chunk := make([]schedule.ScheduledGate, len(m.out.Gates))
-			for i, g := range m.out.Gates {
+			chunk = chunk[:0]
+			for _, g := range m.out.Gates {
 				start := 0
 				for _, q := range g.Qubits {
 					if avail[q] > start {
@@ -313,7 +114,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 				if start+dur > makespan {
 					makespan = start + dur
 				}
-				chunk[i] = schedule.ScheduledGate{Gate: g, Start: start, Duration: dur}
+				chunk = append(chunk, schedule.ScheduledGate{Gate: g, Start: start, Duration: dur})
 			}
 			if err := sink.Flush(chunk); err != nil {
 				return nil, fmt.Errorf("sabre: sink: %w", err)
@@ -322,7 +123,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 			chunks++
 		}
 
-		if !m.starved && !win.Open() {
+		if !win.Open() {
 			break
 		}
 
@@ -360,7 +161,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 
 	return &StreamResult{
 		NumQubits:     dev.NumQubits,
-		NumClbits:     m.out.NumClbits,
+		NumClbits:     win.NumClbits(),
 		Gates:         flushed,
 		InitialLayout: m.initial,
 		FinalLayout:   m.layout,

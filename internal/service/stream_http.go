@@ -123,14 +123,6 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	if err != nil {
 		return mapSvcError("initial layout", err)
 	}
-	// Measures keep their input cbits through mapping, so the output creg —
-	// and with it the whole QASM preamble — is known before the run starts.
-	nclb := 0
-	for _, g := range c.Gates {
-		if g.Op == circuit.OpMeasure && g.Cbit+1 > nclb {
-			nclb = g.Cbit + 1
-		}
-	}
 
 	// Commit to the stream; from here every outcome travels in-band.
 	reqID := w.Header().Get(api.HeaderRequestID)
@@ -169,6 +161,8 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	if cal != nil {
 		resp.Calibration = cal.Hash
 	}
+	// Mapping keeps the input's classical register, so the whole QASM
+	// preamble is known before the run starts.
 	if err := emit(&api.StreamRecord{Type: api.StreamTypeHeader, Header: &api.StreamHeader{
 		Device:      dev.Name,
 		Algo:        req.Algo,
@@ -176,7 +170,7 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 		Seed:        req.Seed,
 		InputQubits: c.NumQubits,
 		InputGates:  c.Len(),
-		QASMHeader:  qasm.Header(req.Algo, dev.NumQubits, nclb),
+		QASMHeader:  qasm.Header(req.Algo, dev.NumQubits, c.NumClbits),
 	}}); err != nil {
 		return fail(streamSvcError(ctx, req.Algo, err))
 	}

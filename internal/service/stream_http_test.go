@@ -164,6 +164,43 @@ func TestMapStreamMatchesBatchBytes(t *testing.T) {
 	}
 }
 
+// TestMapKeepsClassicalRegister: a classical bit no measure writes stays in
+// the mapped program's register, on the sync answer and in the stream
+// header alike, so the NDJSON reassembly still equals the sync output.
+func TestMapKeepsClassicalRegister(t *testing.T) {
+	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[5];\n" +
+		"cx q[0],q[2];\nh q[1];\nmeasure q[0] -> c[0];\n"
+	for _, algo := range []string{"codar", "sabre"} {
+		t.Run(algo, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 2})
+			off := false
+			req := MapRequest{QASM: src, Arch: "tokyo", Algo: algo, Baseline: &off}
+			bw := do(t, s, http.MethodPost, "/v1/map", req)
+			if bw.Code != http.StatusOK {
+				t.Fatalf("sync status %d: %s", bw.Code, bw.Body.String())
+			}
+			var sync MapResponse
+			if err := json.Unmarshal(bw.Body.Bytes(), &sync); err != nil {
+				t.Fatalf("decode sync: %v", err)
+			}
+			if !strings.Contains(sync.MappedQASM, "creg c[5];") {
+				t.Fatalf("sync mapped_qasm lost the unmeasured classical bits:\n%s", sync.MappedQASM)
+			}
+			w := do(t, s, http.MethodPost, "/v1/map?stream=1", req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("stream status %d: %s", w.Code, w.Body.String())
+			}
+			hdr, chunks, _, inband := decodeStreamBody(t, w.Body.String())
+			if inband != nil {
+				t.Fatalf("stream failed in-band: %+v", inband)
+			}
+			if got := concatStream(hdr, chunks); got != sync.MappedQASM {
+				t.Fatalf("stream reassembly differs from sync mapped_qasm:\n%s\nvs\n%s", got, sync.MappedQASM)
+			}
+		})
+	}
+}
+
 // TestMapStreamRejectsWholeCircuitModes pins the pre-commit error contract:
 // requests that need the whole circuit in memory (portfolio, baseline) and
 // ordinary validation failures answer the normal JSON envelope with normal
