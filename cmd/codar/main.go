@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -356,7 +357,9 @@ func run(cfg *config) error {
 // streaming decomposition → RemapStream → incremental QASM write. The
 // initial layout is trivial (SABRE reverse traversal is O(gates) and would
 // defeat streaming); the mapped circuit goes to -out, or to stdout when
-// -stats is off, gate by gate as chunks flush.
+// -stats is off, gate by gate as chunks flush. -out is replaced only by a
+// complete mapping: on any error it keeps its previous contents (or stays
+// absent).
 func runStream(cfg *config, dev *arch.Device, snap *calib.Snapshot, cost *arch.CostModel) error {
 	var rd io.Reader = os.Stdin
 	if cfg.inPath != "" {
@@ -380,18 +383,18 @@ func runStream(cfg *config, dev *arch.Device, snap *calib.Snapshot, cost *arch.C
 	var finish func() error
 	switch {
 	case cfg.outPath != "":
-		f, err := os.Create(cfg.outPath)
+		f, err := createOut(cfg.outPath)
 		if err != nil {
 			return err
 		}
+		defer f.abort()
 		bw := bufio.NewWriterSize(f, 1<<16)
 		out = bw
 		finish = func() error {
 			if err := bw.Flush(); err != nil {
-				f.Close()
 				return err
 			}
-			return f.Close()
+			return f.commit()
 		}
 	case !cfg.stats:
 		bw := bufio.NewWriterSize(os.Stdout, 1<<16)
@@ -444,6 +447,67 @@ func runStream(cfg *config, dev *arch.Device, snap *calib.Snapshot, cost *arch.C
 		}
 	}
 	return nil
+}
+
+// outFile is -out in stream mode. A regular file, or a new path, is
+// written as a temporary file beside it that commit renames over it, so a
+// run that fails part-way leaves -out as it was. Anything else (a
+// terminal, a pipe, /dev/stdout) has no contents to keep and is written
+// in place.
+type outFile struct {
+	*os.File
+	dest      string // rename target; "" when written in place
+	committed bool
+}
+
+func createOut(path string) (*outFile, error) {
+	mode := os.FileMode(0o644)
+	if fi, err := os.Stat(path); err == nil {
+		if !fi.Mode().IsRegular() {
+			f, err := os.Create(path)
+			if err != nil {
+				return nil, err
+			}
+			return &outFile{File: f}, nil
+		}
+		mode = fi.Mode().Perm()
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return nil, err
+	}
+	o := &outFile{File: f, dest: path}
+	if err := f.Chmod(mode); err != nil {
+		o.abort()
+		return nil, err
+	}
+	return o, nil
+}
+
+// commit closes the file and moves it into place.
+func (o *outFile) commit() error {
+	if err := o.Close(); err != nil {
+		return err
+	}
+	if o.dest != "" {
+		if err := os.Rename(o.Name(), o.dest); err != nil {
+			return err
+		}
+	}
+	o.committed = true
+	return nil
+}
+
+// abort closes the file and removes the temporary one, if any; after a
+// successful commit it does nothing.
+func (o *outFile) abort() {
+	if o.committed {
+		return
+	}
+	o.Close()
+	if o.dest != "" {
+		os.Remove(o.Name())
+	}
 }
 
 // runPortfolio executes the portfolio search and prints the per-candidate

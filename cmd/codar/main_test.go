@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,6 +122,62 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 			if !mapped.Gates[i].Equal(want[i]) {
 				t.Fatalf("%s: gate %d: stream %v, batch %v", algo, i, mapped.Gates[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRunStreamFailureKeepsOut: a -stream run that fails late, after
+// chunks have been written, leaves -out as it was — absent if it was
+// absent, its old bytes if it existed — and no temporary file beside it.
+func TestRunStreamFailureKeepsOut(t *testing.T) {
+	dir := t.TempDir()
+	var prog strings.Builder
+	prog.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[16];\n")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		a := rng.Intn(16)
+		fmt.Fprintf(&prog, "cx q[%d],q[%d];\n", a, (a+1+rng.Intn(15))%16)
+	}
+	prog.WriteString("cx q[1],q[77];\n")
+	in := filepath.Join(dir, "late-error.qasm")
+	if err := os.WriteFile(in, []byte(prog.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, algo := range []string{"codar", "sabre"} {
+		for _, old := range []string{"", "// the previous mapping\n"} {
+			out := filepath.Join(dir, algo+".qasm")
+			if err := os.RemoveAll(out); err != nil {
+				t.Fatal(err)
+			}
+			if old != "" {
+				if err := os.WriteFile(out, []byte(old), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg, err := parseFlags([]string{"-arch", "tokyo", "-algo", algo, "-stream", "-in", in, "-out", out, "-stats=false"}, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("%s: run = %v, want the late range error", algo, err)
+			}
+			got, err := os.ReadFile(out)
+			switch {
+			case old == "" && !errors.Is(err, fs.ErrNotExist):
+				t.Errorf("%s: failed run left a %d-byte file at -out (read err %v)", algo, len(got), err)
+			case old != "" && string(got) != old:
+				t.Errorf("%s: failed run replaced -out with %d bytes (read err %v)", algo, len(got), err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); name != "late-error.qasm" && name != "codar.qasm" && name != "sabre.qasm" {
+			t.Errorf("failed runs left %s behind", name)
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"codar/internal/testutil"
 )
 
 // errSource yields its gates then a terminal error (never EOF).
@@ -44,26 +47,71 @@ func TestSliceSourceYieldsInOrder(t *testing.T) {
 	}
 }
 
+// windowModes runs body once with the read-ahead stage off and once with
+// it on, so each Window contract is checked on both sides of the hand-off.
+// The window it opens is closed when the test ends, and the producer must
+// be gone by then.
+func windowModes(t *testing.T, body func(t *testing.T, open func(src Source, batch int) *Window)) {
+	for _, mode := range []struct {
+		name      string
+		readAhead bool
+	}{{"direct", false}, {"read-ahead", true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			testutil.CheckGoroutineLeaks(t)
+			body(t, func(src Source, batch int) *Window {
+				w := newWindow(src, batch, mode.readAhead)
+				t.Cleanup(w.Close)
+				return w
+			})
+		})
+	}
+}
+
 func TestWindowFillBatches(t *testing.T) {
-	c := New(4)
-	for i := 0; i < 10; i++ {
-		c.RZ(float64(i), i%4)
-	}
-	w := NewWindow(NewSliceSource(c), 4)
-	for _, want := range []int{4, 8, 10} {
-		if err := w.Fill(); err != nil {
-			t.Fatal(err)
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		c := New(4)
+		for i := 0; i < 10; i++ {
+			c.RZ(float64(i), i%4)
 		}
-		if len(w.Gates()) != want {
-			t.Fatalf("buffered %d gates, want %d", len(w.Gates()), want)
+		w := open(NewSliceSource(c), 4)
+		for _, want := range []int{4, 8, 10} {
+			if err := w.Fill(); err != nil {
+				t.Fatal(err)
+			}
+			if len(w.Gates()) != want {
+				t.Fatalf("buffered %d gates, want %d", len(w.Gates()), want)
+			}
 		}
-	}
-	if w.Open() {
-		t.Fatal("window still open after the source drained")
-	}
-	if err := w.Fill(); err != nil || len(w.Gates()) != 10 {
-		t.Fatalf("fill after EOF: err %v, %d gates", err, len(w.Gates()))
-	}
+		if w.Open() {
+			t.Fatal("window still open after the source drained")
+		}
+		if err := w.Fill(); err != nil || len(w.Gates()) != 10 {
+			t.Fatalf("fill after EOF: err %v, %d gates", err, len(w.Gates()))
+		}
+	})
+}
+
+// TestWindowStaysOpenOnFullBatch: a stream whose length is a multiple of
+// the batch leaves the window open after its last full batch; only the
+// next Fill, finding nothing, closes it. The mappers' starvation decisions
+// read Open, so the read-ahead stage must not close it one Fill early.
+func TestWindowStaysOpenOnFullBatch(t *testing.T) {
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		c := New(2)
+		for i := 0; i < 8; i++ {
+			c.H(i % 2)
+		}
+		w := open(NewSliceSource(c), 4)
+		for _, want := range []int{4, 8} {
+			if err := w.Fill(); err != nil || len(w.Gates()) != want || !w.Open() {
+				t.Fatalf("Fill: err %v, %d gates, open %v; want %d gates, open", err, len(w.Gates()), w.Open(), want)
+			}
+		}
+		if err := w.Fill(); err != nil || len(w.Gates()) != 8 || w.Open() {
+			t.Fatalf("Fill at EOF: err %v, %d gates, open %v; want 8 gates, closed", err, len(w.Gates()), w.Open())
+		}
+	})
 }
 
 // TestWindowErrorSticky pins the corrupt-stream contract: the first source
@@ -71,48 +119,152 @@ func TestWindowFillBatches(t *testing.T) {
 // it — a driver that polls Fill again must not mistake a corrupt stream
 // for a cleanly drained one.
 func TestWindowErrorSticky(t *testing.T) {
-	broken := errors.New("stream corrupt")
-	src := &errSource{nq: 4, gates: []Gate{New1Q(OpH, 0), New2Q(OpCX, 0, 1)}, err: broken}
-	w := NewWindow(src, 8)
-	if err := w.Fill(); err != broken {
-		t.Fatalf("Fill = %v, want the source error", err)
-	}
-	if w.Open() {
-		t.Fatal("window open after a terminal error")
-	}
-	if err := w.Fill(); err != broken {
-		t.Fatalf("second Fill = %v, error not sticky", err)
-	}
-	if len(w.Gates()) != 2 {
-		t.Fatalf("buffered %d gates before the error, want 2", len(w.Gates()))
-	}
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		broken := errors.New("stream corrupt")
+		src := &errSource{nq: 4, gates: []Gate{New1Q(OpH, 0), New2Q(OpCX, 0, 1)}, err: broken}
+		w := open(src, 8)
+		if err := w.Fill(); err != broken {
+			t.Fatalf("Fill = %v, want the source error", err)
+		}
+		if w.Open() {
+			t.Fatal("window open after a terminal error")
+		}
+		if err := w.Fill(); err != broken {
+			t.Fatalf("second Fill = %v, error not sticky", err)
+		}
+		if len(w.Gates()) != 2 {
+			t.Fatalf("buffered %d gates before the error, want 2", len(w.Gates()))
+		}
+	})
 }
 
 func TestWindowValidatesAgainstHeader(t *testing.T) {
-	src := &errSource{nq: 3, gates: []Gate{New1Q(OpH, 5)}, err: io.EOF}
-	w := NewWindow(src, 8)
-	err := w.Fill()
-	if err == nil {
-		t.Fatal("want validation error for qubit 5 on a 3-qubit stream")
-	}
-	if err2 := w.Fill(); err2 != err {
-		t.Fatalf("validation error not sticky: %v then %v", err, err2)
-	}
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		src := &errSource{nq: 3, gates: []Gate{New1Q(OpH, 5)}, err: io.EOF}
+		w := open(src, 8)
+		err := w.Fill()
+		if err == nil {
+			t.Fatal("want validation error for qubit 5 on a 3-qubit stream")
+		}
+		if err2 := w.Fill(); err2 != err {
+			t.Fatalf("validation error not sticky: %v then %v", err, err2)
+		}
+	})
 }
 
 func TestWindowRejectsCompoundGates(t *testing.T) {
-	c := New(3)
-	c.H(0).CCX(0, 1, 2)
-	w := NewWindow(NewSliceSource(c), 8)
-	err := w.Fill()
-	if err == nil {
-		t.Fatal("want rejection of an unlowered ccx")
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		c := New(3)
+		c.H(0).CCX(0, 1, 2)
+		w := open(NewSliceSource(c), 8)
+		err := w.Fill()
+		if err == nil {
+			t.Fatal("want rejection of an unlowered ccx")
+		}
+		if want := "NewDecomposeSource"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not point at %s", err, want)
+		}
+		if err2 := w.Fill(); err2 != err {
+			t.Fatalf("compound-gate error not sticky: %v then %v", err, err2)
+		}
+	})
+}
+
+// panicSource yields its gates, then panics with pv.
+type panicSource struct {
+	errSource
+	pv any
+}
+
+func (s *panicSource) Next() (Gate, error) {
+	if s.pos < len(s.gates) {
+		return s.errSource.Next()
 	}
-	if want := "NewDecomposeSource"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not point at %s", err, want)
+	panic(s.pv)
+}
+
+// TestWindowReraisesSourcePanic: a panic in Next surfaces from Fill on the
+// caller's goroutine with its own value, after the gates read before it —
+// on a bare producer goroutine it would kill the process.
+func TestWindowReraisesSourcePanic(t *testing.T) {
+	windowModes(t, func(t *testing.T, open func(Source, int) *Window) {
+		type boom struct{}
+		src := &panicSource{errSource: errSource{nq: 2, gates: []Gate{New1Q(OpH, 0), New1Q(OpH, 1)}}, pv: boom{}}
+		w := open(src, 8)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			_ = w.Fill()
+		}()
+		if got != (boom{}) {
+			t.Fatalf("Fill recovered %v, want the source's panic value", got)
+		}
+		if len(w.Gates()) != 2 {
+			t.Fatalf("buffered %d gates before the panic, want 2", len(w.Gates()))
+		}
+	})
+}
+
+// blockingSource yields its gates, then blocks in Next until release is
+// closed and reports EOF. It counts its Next calls.
+type blockingSource struct {
+	errSource
+	blocked chan struct{} // closed when Next blocks
+	release chan struct{}
+	calls   int
+}
+
+func (s *blockingSource) Next() (Gate, error) {
+	s.calls++
+	if s.pos < len(s.gates) {
+		return s.errSource.Next()
 	}
-	if err2 := w.Fill(); err2 != err {
-		t.Fatalf("compound-gate error not sticky: %v then %v", err, err2)
+	close(s.blocked)
+	<-s.release
+	return Gate{}, io.EOF
+}
+
+// TestWindowCloseWaitsForBlockedNext: Close waits for the producer's Next
+// that is blocked in a read, returns once it is released, and leaves the
+// source untouched afterwards. The window was still open, so Fill then
+// fails rather than reporting a clean end.
+func TestWindowCloseWaitsForBlockedNext(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	src := &blockingSource{
+		errSource: errSource{nq: 2, gates: []Gate{New1Q(OpH, 0), New1Q(OpH, 1)}},
+		blocked:   make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	w := newWindow(src, 2, true)
+	if err := w.Fill(); err != nil || len(w.Gates()) != 2 {
+		t.Fatalf("first Fill: err %v, %d gates", err, len(w.Gates()))
+	}
+	<-src.blocked // the producer is reading the next batch
+
+	closed := make(chan struct{})
+	go func() {
+		w.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while the producer was still inside Next")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(src.release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the blocked Next was released")
+	}
+	if src.calls != 3 {
+		t.Fatalf("source saw %d Next calls, want 3 (two gates, then the blocked read)", src.calls)
+	}
+	if err := w.Fill(); err == nil || w.Open() {
+		t.Fatalf("Fill after Close: err %v, open %v; want an error on a closed window", err, w.Open())
+	}
+	if src.calls != 3 {
+		t.Fatalf("source read after Close: %d Next calls", src.calls)
 	}
 }
 

@@ -90,7 +90,9 @@ func (r *remapper) settle(cut int) {
 // Cancellation (Options.Ctx) and early abandon (Options.DepthBound) behave
 // as in Remap, except the caller has already received flushed chunks —
 // inherent to streaming. The sink borrows each chunk only for the duration
-// of its Flush call (schedule.Sink).
+// of its Flush call (schedule.Sink). The source may be read ahead on
+// another goroutine (circuit.Window); it is released, and that goroutine
+// gone, on every return.
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
 	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
 	if err != nil {
@@ -101,6 +103,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	}
 
 	win := circuit.NewWindow(src, streamBatch(opts))
+	defer win.Close()
 	if err := win.Fill(); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
@@ -109,7 +112,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	// window's gates into the memory of the previous epoch's structures:
 	// the window owns the gate slice and the SoA and the engine index into
 	// it positionally, so eviction requires a re-index.
-	r := newEngine(src.NumQubits(), dev, initial, opts)
+	r := newEngine(win.NumQubits(), dev, initial, opts)
 	var (
 		soa             circuit.SoA
 		cur             cursor

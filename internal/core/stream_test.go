@@ -11,11 +11,18 @@ import (
 	"codar/internal/testutil"
 )
 
-// runStream maps c through RemapStream with a collecting sink.
+// readAheadSource feeds c through a source that is not a SliceSource, so
+// the window reads it ahead on its producer goroutine (GOMAXPROCS > 1).
+func readAheadSource(c *circuit.Circuit) circuit.Source {
+	return circuit.NewDecomposeSource(circuit.NewSliceSource(c))
+}
+
+// runStream maps c through RemapStream, reading ahead, with a collecting
+// sink.
 func runStream(t *testing.T, c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Options) (*StreamResult, *schedule.Collector) {
 	t.Helper()
 	var col schedule.Collector
-	res, err := RemapStream(circuit.NewSliceSource(c), dev, initial, opts, &col)
+	res, err := RemapStream(readAheadSource(c), dev, initial, opts, &col)
 	if err != nil {
 		t.Fatalf("RemapStream: %v", err)
 	}
@@ -124,8 +131,8 @@ func TestRemapStreamValidation(t *testing.T) {
 
 // TestRemapStreamCancel pins cancellation mid-stream: a context canceled
 // after the first flush surfaces ErrCanceled, stops the run, and strands
-// no goroutine (the pull-based pipeline has none to strand — the leak
-// check keeps it that way).
+// no goroutine — the window's read-ahead producer has exited before
+// RemapStream returns.
 func TestRemapStreamCancel(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	dev := arch.IBMQ20Tokyo()
@@ -137,7 +144,7 @@ func TestRemapStreamCancel(t *testing.T) {
 		cancel()
 		return nil
 	})
-	_, err := RemapStream(circuit.NewSliceSource(c), dev, nil, Options{Ctx: ctx}, sink)
+	_, err := RemapStream(readAheadSource(c), dev, nil, Options{Ctx: ctx}, sink)
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -214,31 +221,34 @@ func TestRemapStreamWindowBoundaries(t *testing.T) {
 
 // TestRemapStreamDeterministicFlush pins the chunking itself: for a fixed
 // input and options, two runs flush identical chunk-size sequences — the
-// flush points are a function of the stream, not of timing.
+// flush points are a function of the stream, not of timing — and reading
+// the source ahead does not move them.
 func TestRemapStreamDeterministicFlush(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := randCircuit(13, dev.NumQubits, 6000)
-	sizes := func() []int {
+	sizes := func(src circuit.Source) []int {
 		var out []int
 		sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
 			out = append(out, len(chunk))
 			return nil
 		})
-		if _, err := RemapStream(circuit.NewSliceSource(c), dev, nil, Options{}, sink); err != nil {
+		if _, err := RemapStream(src, dev, nil, Options{}, sink); err != nil {
 			t.Fatalf("RemapStream: %v", err)
 		}
 		return out
 	}
-	a, b := sizes(), sizes()
+	a, b := sizes(readAheadSource(c)), sizes(readAheadSource(c))
 	if len(a) < 2 {
 		t.Fatalf("6000-gate run flushed %d chunks, want streaming", len(a))
 	}
-	if len(a) != len(b) {
-		t.Fatalf("chunk counts differ across runs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("chunk %d: %d gates then %d gates", i, a[i], b[i])
+	for _, other := range [][]int{b, sizes(circuit.NewSliceSource(c))} {
+		if len(a) != len(other) {
+			t.Fatalf("chunk counts differ across runs: %d vs %d", len(a), len(other))
+		}
+		for i := range a {
+			if a[i] != other[i] {
+				t.Fatalf("chunk %d: %d gates then %d gates", i, a[i], other[i])
+			}
 		}
 	}
 }

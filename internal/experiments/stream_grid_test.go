@@ -15,11 +15,13 @@ import (
 )
 
 // streamCompareOn is CompareOn with both mappers run through their
-// streaming entry points. It returns the benchmark's speedup computed
-// entirely from streaming results, and errors if either mapper's streamed
-// output diverges from its batch output in any observable way: the QASM
-// rendering of the streamed gate sequence must be byte-identical to the
-// batch result circuit's, and swaps/weighted depth must agree.
+// streaming entry points, each fed through a source that is not a
+// SliceSource so the window reads it ahead. It returns the benchmark's
+// speedup computed entirely from streaming results, and errors if either
+// mapper's streamed output diverges from its batch output in any
+// observable way: the QASM rendering of the streamed gate sequence must be
+// byte-identical to the batch result circuit's, and swaps/weighted depth
+// must agree.
 func streamCompareOn(b workloads.Benchmark, dev *arch.Device) (float64, error) {
 	c := b.Circuit()
 	initial, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
@@ -32,7 +34,7 @@ func streamCompareOn(b workloads.Benchmark, dev *arch.Device) (float64, error) {
 		return 0, fmt.Errorf("%s on %s: sabre batch: %w", b.Name, dev.Name, err)
 	}
 	var scol schedule.Collector
-	sstream, err := sabre.RemapStream(circuit.NewSliceSource(c), dev, initial, sabre.Options{}, &scol)
+	sstream, err := sabre.RemapStream(circuit.NewDecomposeSource(circuit.NewSliceSource(c)), dev, initial, sabre.Options{}, &scol)
 	if err != nil {
 		return 0, fmt.Errorf("%s on %s: sabre stream: %w", b.Name, dev.Name, err)
 	}
@@ -51,7 +53,7 @@ func streamCompareOn(b workloads.Benchmark, dev *arch.Device) (float64, error) {
 		return 0, fmt.Errorf("%s on %s: codar batch: %w", b.Name, dev.Name, err)
 	}
 	var ccol schedule.Collector
-	cstream, err := core.RemapStream(circuit.NewSliceSource(c), dev, initial, core.Options{}, &ccol)
+	cstream, err := core.RemapStream(circuit.NewDecomposeSource(circuit.NewSliceSource(c)), dev, initial, core.Options{}, &ccol)
 	if err != nil {
 		return 0, fmt.Errorf("%s on %s: codar stream: %w", b.Name, dev.Name, err)
 	}

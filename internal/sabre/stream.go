@@ -53,6 +53,8 @@ const streamBatchSize = 1024
 // keep their declared qubits active; a circuit whose qubit first appears
 // (or whose per-qubit gap runs) millions of gates in forces the buffer to
 // grow to that gap — the price of exact batch equivalence (DESIGN.md §14).
+// As in core.RemapStream, the source may be read ahead on another
+// goroutine and is released on every return.
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
 	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
 	if err != nil {
@@ -63,6 +65,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	}
 
 	win := circuit.NewWindow(src, streamBatchSize)
+	defer win.Close()
 	if err := win.Fill(); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
@@ -82,7 +85,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	for {
 		m.load(circuit.Assemble(&circuit.Circuit{
 			Name:      "stream",
-			NumQubits: src.NumQubits(),
+			NumQubits: win.NumQubits(),
 			NumClbits: win.NumClbits(),
 			Gates:     win.Gates(),
 		}), win.Open())

@@ -10,6 +10,12 @@ import (
 	"codar/internal/testutil"
 )
 
+// readAheadSource feeds c through a source that is not a SliceSource, so
+// the window reads it ahead on its producer goroutine (GOMAXPROCS > 1).
+func readAheadSource(c *circuit.Circuit) circuit.Source {
+	return circuit.NewDecomposeSource(circuit.NewSliceSource(c))
+}
+
 // checkStreamEqualsBatch is the SABRE differential property: the
 // concatenated chunk gate values equal the batch result circuit, the times
 // equal the ASAP recurrence over that circuit, and the run statistics and
@@ -21,7 +27,7 @@ func checkStreamEqualsBatch(t *testing.T, c *circuit.Circuit, dev *arch.Device, 
 		t.Fatalf("Remap: %v", err)
 	}
 	var col schedule.Collector
-	res, err := RemapStream(circuit.NewSliceSource(c), dev, initial, opts, &col)
+	res, err := RemapStream(readAheadSource(c), dev, initial, opts, &col)
 	if err != nil {
 		t.Fatalf("RemapStream: %v", err)
 	}
@@ -208,38 +214,42 @@ func TestRemapStreamWindowBoundaries(t *testing.T) {
 }
 
 // TestRemapStreamDeterministicFlush pins the chunking: for a fixed input
-// and options, two runs flush identical chunk-size sequences.
+// and options, two runs flush identical chunk-size sequences, and reading
+// the source ahead does not move them.
 func TestRemapStreamDeterministicFlush(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := randCircuit(13, dev.NumQubits, 6000)
-	sizes := func() []int {
+	sizes := func(src circuit.Source) []int {
 		var out []int
 		sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
 			out = append(out, len(chunk))
 			return nil
 		})
-		if _, err := RemapStream(circuit.NewSliceSource(c), dev, nil, Options{}, sink); err != nil {
+		if _, err := RemapStream(src, dev, nil, Options{}, sink); err != nil {
 			t.Fatalf("RemapStream: %v", err)
 		}
 		return out
 	}
-	a, b := sizes(), sizes()
+	a, b := sizes(readAheadSource(c)), sizes(readAheadSource(c))
 	if len(a) < 2 {
 		t.Fatalf("6000-gate run flushed %d chunks, want streaming", len(a))
 	}
-	if len(a) != len(b) {
-		t.Fatalf("chunk counts differ across runs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("chunk %d: %d gates then %d gates", i, a[i], b[i])
+	for _, other := range [][]int{b, sizes(circuit.NewSliceSource(c))} {
+		if len(a) != len(other) {
+			t.Fatalf("chunk counts differ across runs: %d vs %d", len(a), len(other))
+		}
+		for i := range a {
+			if a[i] != other[i] {
+				t.Fatalf("chunk %d: %d gates then %d gates", i, a[i], other[i])
+			}
 		}
 	}
 }
 
 // TestRemapStreamCancel pins cancellation mid-stream on the SABRE path: a
 // context canceled after the first flush surfaces an error, stops the run,
-// and strands no goroutine.
+// and strands no goroutine — the window's read-ahead producer has exited
+// before RemapStream returns.
 func TestRemapStreamCancel(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	dev := arch.IBMQ20Tokyo()
@@ -251,7 +261,7 @@ func TestRemapStreamCancel(t *testing.T) {
 		cancel()
 		return nil
 	})
-	_, err := RemapStream(circuit.NewSliceSource(c), dev, nil, Options{Ctx: ctx}, sink)
+	_, err := RemapStream(readAheadSource(c), dev, nil, Options{Ctx: ctx}, sink)
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
