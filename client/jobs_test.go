@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"codar/api"
+	"codar/internal/chaos"
 	"codar/internal/service"
 )
 
@@ -91,27 +92,28 @@ func TestJobErrorsAreSentinels(t *testing.T) {
 // TestJobNotDoneCarriesRetryAfter: fetching the result of a queued job is a
 // 409 with a Retry-After hint, mapped to ErrJobNotDone.
 func TestJobNotDoneCarriesRetryAfter(t *testing.T) {
-	c := newServerAndClient(t, service.Config{Workers: 1})
+	// One worker, held by a first job the fault injector slows down: the
+	// second job is queued by construction, so its result is fetched too
+	// early every time.
+	c := newServerAndClient(t, service.Config{Workers: 1, Chaos: &chaos.Injector{SlowMapper: 5 * time.Second}})
 	ctx := context.Background()
 
-	// One worker, and a portfolio job in front: the second job stays queued
-	// long enough to fetch its result too early.
-	blocker, err := c.SubmitJob(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "sycamore", Portfolio: &api.PortfolioSpec{}})
+	blocker, err := c.SubmitJob(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "tokyo"})
 	if err != nil {
 		t.Fatalf("blocker: %v", err)
 	}
-	st, err := c.SubmitJob(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "tokyo"})
+	st, err := c.SubmitJob(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "melbourne"})
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
 	_, err = c.JobResult(ctx, st.ID)
-	if err != nil && !errors.Is(err, ErrJobNotDone) {
+	if !errors.Is(err, ErrJobNotDone) {
 		t.Fatalf("early result err = %v, want ErrJobNotDone", err)
 	}
-	if err != nil && RetryAfter(err) < time.Second {
+	if RetryAfter(err) < time.Second {
 		t.Fatalf("RetryAfter = %v, want >= 1s", RetryAfter(err))
 	}
-	// Cancel the queued job; its result replays the canceled error.
+	// Cancel the queued job: it settles at once, without ever running.
 	if _, err := c.CancelJob(ctx, st.ID); err != nil {
 		t.Fatalf("CancelJob: %v", err)
 	}
@@ -119,11 +121,22 @@ func TestJobNotDoneCarriesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("JobStatus: %v", err)
 	}
-	if got.State != api.JobCanceled && got.State != api.JobDone {
+	if got.State != api.JobCanceled {
 		t.Fatalf("state after cancel = %q", got.State)
 	}
-	if _, err := c.WaitJob(ctx, blocker.ID, 10*time.Millisecond); err != nil {
-		t.Fatalf("blocker WaitJob: %v", err)
+	// Cancel the blocker too; the injected delay honors its context, so
+	// its event stream ends at once in the canceled state.
+	if _, err := c.CancelJob(ctx, blocker.ID); err != nil {
+		t.Fatalf("CancelJob blocker: %v", err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	var last api.JobStatus
+	if err := c.JobEvents(wctx, blocker.ID, func(s api.JobStatus) bool { last = s; return true }); err != nil {
+		t.Fatalf("blocker JobEvents: %v", err)
+	}
+	if last.State != api.JobCanceled {
+		t.Fatalf("blocker state after cancel = %q", last.State)
 	}
 }
 

@@ -26,12 +26,15 @@
 //
 // -stream maps the circuit without ever materializing it: the QASM is
 // parsed incrementally, gates flow through a bounded window into the
-// streaming remapper (core.RemapStream / sabre.RemapStream — provably
-// byte-identical to the batch pipeline under the trivial initial layout),
-// and the mapped circuit is written out chunk by chunk. Resident memory is
-// O(window), so million-gate circuits map in a few dozen megabytes. Flags
-// that need the whole circuit in memory (-portfolio, -seed, -verify,
-// -gantt, -optimize, -orient) are rejected in stream mode.
+// streaming remapper (compile.Stream), and the mapped circuit is written
+// out chunk by chunk. Resident memory is O(window), so million-gate
+// circuits map in a few dozen megabytes. A stream starts from the trivial
+// initial layout, because SABRE's reverse traversal needs the whole
+// circuit; its output is byte-identical to a batch mapping from the
+// trivial layout, not to codar's batch output, which places by the
+// reverse traversal at -seed. Flags that need the whole circuit in memory
+// (-portfolio, -seed, -verify, -gantt, -optimize, -orient) are rejected in
+// stream mode.
 package main
 
 import (
@@ -48,10 +51,12 @@ import (
 	"codar/internal/arch"
 	"codar/internal/calib"
 	"codar/internal/circuit"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
 	"codar/internal/optimize"
 	"codar/internal/orient"
+	"codar/internal/placement"
 	"codar/internal/portfolio"
 	"codar/internal/qasm"
 	"codar/internal/sabre"
@@ -122,7 +127,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&cfg.gantt, "gantt", false, "print a per-qubit ASCII timeline of the mapped circuit")
 	fs.StringVar(&cfg.calibPath, "calib", "", "calibration snapshot JSON; enables fidelity-weighted placement and routing")
 	fs.Float64Var(&cfg.lambda, "lambda", 0, "error-term gain of the calibrated metric (0 = default, negative = hop-only)")
-	fs.BoolVar(&cfg.stream, "stream", false, "map the circuit as a stream with bounded memory (trivial initial layout; rejects whole-circuit flags)")
+	fs.BoolVar(&cfg.stream, "stream", false, "map the circuit as a stream with bounded memory, from the trivial initial layout instead of SABRE's reverse traversal (rejects whole-circuit flags)")
 	fs.BoolVar(&cfg.portfolioMode, "portfolio", false, "run the multi-start portfolio search instead of a single-shot mapping")
 	fs.StringVar(&seedsCSV, "seeds", "1,2", "portfolio seed list, comma-separated (e.g. 1,2,3)")
 	fs.StringVar(&objective, "objective", "min-depth", "portfolio objective: min-depth|min-swaps|max-esp")
@@ -166,9 +171,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	if cfg.algo != "codar" && cfg.algo != "sabre" {
 		return nil, fmt.Errorf("-algo must be codar or sabre, got %q", cfg.algo)
 	}
-	switch cfg.durations {
-	case "superconducting", "iontrap", "neutralatom", "uniform":
-	default:
+	if _, ok := arch.DurationsByName(cfg.durations); !ok {
 		return nil, fmt.Errorf("unknown duration preset %q", cfg.durations)
 	}
 	if cfg.workers < 0 {
@@ -213,16 +216,7 @@ func run(cfg *config) error {
 	if err != nil {
 		return err
 	}
-	switch cfg.durations {
-	case "superconducting":
-		dev.Durations = arch.SuperconductingDurations()
-	case "iontrap":
-		dev.Durations = arch.IonTrapDurations()
-	case "neutralatom":
-		dev.Durations = arch.NeutralAtomDurations()
-	case "uniform":
-		dev.Durations = arch.UniformDurations()
-	}
+	dev.Durations, _ = arch.DurationsByName(cfg.durations)
 
 	var (
 		snap *calib.Snapshot
@@ -259,44 +253,29 @@ func run(cfg *config) error {
 		return fmt.Errorf("circuit needs %d qubits but %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
 	}
 
-	var (
-		mapped                     *circuit.Circuit
-		initialLayout, finalLayout *arch.Layout
-		swaps                      int
-		algoLabel                  = cfg.algo
-	)
+	var res *compile.Result
+	algoLabel := cfg.algo
 	if cfg.portfolioMode {
-		res, err := runPortfolio(cfg, c, dev, snap, cost)
+		pres, err := runPortfolio(cfg, c, dev, snap, cost)
 		if err != nil {
 			return err
 		}
-		w := res.Winner
-		mapped, initialLayout, finalLayout, swaps = w.Circuit, w.InitialLayout, w.FinalLayout, w.SwapCount
-		wr := res.WinnerReport()
-		algoLabel = fmt.Sprintf("portfolio(%s) → seed %d / %s / %s", res.Objective, wr.Seed, wr.Placement, wr.Algorithm)
-	} else {
-		initial, err := sabre.InitialLayout(c, dev, cfg.seed, sabre.Options{Cost: cost})
-		if err != nil {
-			return err
-		}
-		switch cfg.algo {
-		case "codar":
-			res, err := core.Remap(c, dev, initial, core.Options{Window: cfg.window, Lookahead: cfg.lookahead, Cost: cost})
-			if err != nil {
-				return err
-			}
-			mapped, initialLayout, finalLayout, swaps = res.Circuit, res.InitialLayout, res.FinalLayout, res.SwapCount
-		case "sabre":
-			res, err := sabre.Remap(c, dev, initial, sabre.Options{Cost: cost})
-			if err != nil {
-				return err
-			}
-			mapped, initialLayout, finalLayout, swaps = res.Circuit, res.InitialLayout, res.FinalLayout, res.SwapCount
-		}
+		w, wr := pres.Winner, pres.WinnerReport()
+		res = &compile.Result{Circuit: w.Circuit, InitialLayout: w.InitialLayout, FinalLayout: w.FinalLayout, Swaps: w.SwapCount}
+		algoLabel = fmt.Sprintf("portfolio(%s) → seed %d / %s / %s", pres.Objective, wr.Seed, wr.Placement, wr.Algorithm)
+	} else if res, err = compile.Run(c, dev, compile.Spec{
+		Algorithm: compile.Algorithm(cfg.algo),
+		Placement: placement.MethodSabreReverse,
+		Seed:      cfg.seed,
+		Cost:      cost,
+		Codar:     core.Options{Window: cfg.window, Lookahead: cfg.lookahead},
+	}); err != nil {
+		return err
 	}
+	mapped := res.Circuit
 
 	if cfg.doVerify {
-		if err := verify.Full(c, mapped, dev, initialLayout, finalLayout); err != nil {
+		if err := verify.Full(c, mapped, dev, res.InitialLayout, res.FinalLayout); err != nil {
 			return fmt.Errorf("verification failed: %w", err)
 		}
 		fmt.Fprintln(os.Stderr, "verification: ok")
@@ -318,28 +297,20 @@ func run(cfg *config) error {
 	}
 
 	if cfg.stats {
-		// With a snapshot attached the ESP needs the full ASAP schedule,
-		// whose makespan is the weighted depth — build it once.
-		var wd int
-		var sched *schedule.Schedule
-		if snap != nil {
-			sched = schedule.ASAP(mapped, dev.Durations)
-			wd = sched.Makespan
-		} else {
-			wd = schedule.WeightedDepth(mapped, dev.Durations)
+		// Measured after orientation, so the numbers describe the circuit
+		// that is written out.
+		m, err := compile.Measure(mapped, dev, snap)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "device:          %s\n", dev)
 		fmt.Fprintf(os.Stderr, "algorithm:       %s\n", algoLabel)
 		fmt.Fprintf(os.Stderr, "input gates:     %d (depth %d, %d qubits)\n", c.Len(), c.Depth(), c.NumQubits)
-		fmt.Fprintf(os.Stderr, "output gates:    %d (depth %d)\n", mapped.Len(), mapped.Depth())
-		fmt.Fprintf(os.Stderr, "swaps inserted:  %d\n", swaps)
-		fmt.Fprintf(os.Stderr, "weighted depth:  %d cycles\n", wd)
+		fmt.Fprintf(os.Stderr, "output gates:    %d (depth %d)\n", m.Gates, m.Depth)
+		fmt.Fprintf(os.Stderr, "swaps inserted:  %d\n", res.Swaps)
+		fmt.Fprintf(os.Stderr, "weighted depth:  %d cycles\n", m.WeightedDepth)
 		if snap != nil {
-			esp, err := snap.Success(sched, dev)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "calibration:     %s (est. success probability %.4g)\n", snap.Hash()[:12], esp)
+			fmt.Fprintf(os.Stderr, "calibration:     %s (est. success probability %.4g)\n", snap.Hash()[:12], *m.ESP)
 		}
 	}
 
@@ -354,7 +325,7 @@ func run(cfg *config) error {
 }
 
 // runStream runs the bounded-memory pipeline: incremental QASM parse →
-// streaming decomposition → RemapStream → incremental QASM write. The
+// streaming decomposition → compile.Stream → incremental QASM write. The
 // initial layout is trivial (SABRE reverse traversal is O(gates) and would
 // defeat streaming); the mapped circuit goes to -out, or to stdout when
 // -stats is off, gate by gate as chunks flush. -out is replaced only by a
@@ -405,29 +376,22 @@ func runStream(cfg *config, dev *arch.Device, snap *calib.Snapshot, cost *arch.C
 	if err != nil {
 		return err
 	}
-	sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
-		for i := range chunk {
-			if err := sw.WriteGate(chunk[i].Gate); err != nil {
-				return err
+	res, err := compile.Stream(src, dev, compile.Spec{
+		Algorithm: compile.Algorithm(cfg.algo),
+		Placement: placement.MethodTrivial,
+		Cost:      cost,
+		Codar:     core.Options{Window: cfg.window, Lookahead: cfg.lookahead},
+		Sink: schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
+			for i := range chunk {
+				if err := sw.WriteGate(chunk[i].Gate); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
+			return nil
+		}),
 	})
-
-	var gates, swaps, makespan, chunks int
-	switch cfg.algo {
-	case "codar":
-		res, err := core.RemapStream(src, dev, nil, core.Options{Window: cfg.window, Lookahead: cfg.lookahead, Cost: cost}, sink)
-		if err != nil {
-			return err
-		}
-		gates, swaps, makespan, chunks = res.Gates, res.SwapCount, res.Makespan, res.Chunks
-	case "sabre":
-		res, err := sabre.RemapStream(src, dev, nil, sabre.Options{Cost: cost}, sink)
-		if err != nil {
-			return err
-		}
-		gates, swaps, makespan, chunks = res.Gates, res.SwapCount, res.Makespan, res.Chunks
+	if err != nil {
+		return err
 	}
 	if finish != nil {
 		if err := finish(); err != nil {
@@ -439,9 +403,9 @@ func runStream(cfg *config, dev *arch.Device, snap *calib.Snapshot, cost *arch.C
 		fmt.Fprintf(os.Stderr, "device:          %s\n", dev)
 		fmt.Fprintf(os.Stderr, "algorithm:       %s (streaming, trivial layout)\n", cfg.algo)
 		fmt.Fprintf(os.Stderr, "input gates:     %d (%d qubits)\n", st.Gates(), st.NumQubits())
-		fmt.Fprintf(os.Stderr, "output gates:    %d (%d chunks)\n", gates, chunks)
-		fmt.Fprintf(os.Stderr, "swaps inserted:  %d\n", swaps)
-		fmt.Fprintf(os.Stderr, "weighted depth:  %d cycles\n", makespan)
+		fmt.Fprintf(os.Stderr, "output gates:    %d (%d chunks)\n", res.Gates, res.Chunks)
+		fmt.Fprintf(os.Stderr, "swaps inserted:  %d\n", res.Swaps)
+		fmt.Fprintf(os.Stderr, "weighted depth:  %d cycles\n", res.WeightedDepth)
 		if snap != nil {
 			fmt.Fprintf(os.Stderr, "calibration:     %s (metric only; ESP reporting needs batch mode)\n", snap.Hash()[:12])
 		}

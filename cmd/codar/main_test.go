@@ -2,21 +2,26 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"codar/api"
 	"codar/internal/arch"
 	"codar/internal/circuit"
 	"codar/internal/core"
 	"codar/internal/qasm"
 	"codar/internal/sabre"
+	"codar/internal/service"
 	"codar/internal/workloads"
 )
 
@@ -121,6 +126,54 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 		for i := range mapped.Gates {
 			if !mapped.Gates[i].Equal(want[i]) {
 				t.Fatalf("%s: gate %d: stream %v, batch %v", algo, i, mapped.Gates[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBatchMatchesServiceBytes: the same circuit through codar batch
+// (-out) and through the service's sync /v1/map gives identical bytes —
+// both front doors run the one compile pipeline with SABRE's reverse
+// traversal at seed 1 — for both algorithms, under the default durations
+// and the iontrap preset.
+func TestBatchMatchesServiceBytes(t *testing.T) {
+	dir := t.TempDir()
+	src := qasm.Write(workloads.Random(12, 800, 45, 9))
+	in := filepath.Join(dir, "in.qasm")
+	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Config{Workers: 1})
+	for _, algo := range []string{"codar", "sabre"} {
+		for _, durations := range []string{"", "iontrap"} {
+			args := []string{"-arch", "tokyo", "-algo", algo, "-in", in, "-out", filepath.Join(dir, "out.qasm"), "-stats=false"}
+			if durations != "" {
+				args = append(args, "-durations", durations)
+			}
+			cfg, err := parseFlags(args, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(cfg); err != nil {
+				t.Fatalf("%s/%q: %v", algo, durations, err)
+			}
+			got, err := os.ReadFile(cfg.outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			body, err := json.Marshal(api.MapRequest{QASM: src, Arch: "tokyo", Algo: algo, Durations: durations})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)))
+			var resp api.MapResponse
+			if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil {
+				t.Fatalf("%s/%q: /v1/map answered %d: %s", algo, durations, w.Code, w.Body.String())
+			}
+			if string(got) != resp.MappedQASM {
+				t.Fatalf("%s/%q: codar -out wrote %d bytes, /v1/map mapped_qasm has %d; they differ", algo, durations, len(got), len(resp.MappedQASM))
 			}
 		}
 	}

@@ -8,6 +8,7 @@
 package arch
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -19,6 +20,22 @@ import (
 // (the paper's INT_MAX). It is small enough that sums of distances
 // never overflow int.
 const Infinity = math.MaxInt32 / 4
+
+// Device size caps. NewDevice allocates two n×n tables, the coupler index
+// and the distance matrix, about 8·n² bytes, before anything else can
+// reject a graph; the caps bound that for every caller, the service's
+// request bodies included.
+const (
+	// MaxQubits caps a device's qubit count: 1,024 covers grid32x32, and a
+	// device at the cap keeps about 8.4 MB live.
+	MaxQubits = 1024
+	// MaxEdges caps the coupler list, sized for sparse hardware graphs: an
+	// average degree of 16 at MaxQubits (a 32×32 grid has 1,984 couplers).
+	MaxEdges = 8192
+)
+
+// ErrTooLarge marks a device over MaxQubits or MaxEdges.
+var ErrTooLarge = errors.New("device too large")
 
 // Coord is a 2-D lattice coordinate used by the Hfine heuristic
 // (horizontal/vertical distance, paper Eq. 2).
@@ -58,10 +75,17 @@ type Device struct {
 // NewDevice builds a device from an undirected edge list. Durations default
 // to the superconducting preset; coordinates are optional (see SetCoords).
 // Self-loops and out-of-range endpoints are rejected; duplicate edges are
-// merged.
+// merged. A device over MaxQubits or MaxEdges is rejected, wrapping
+// ErrTooLarge, before anything is allocated.
 func NewDevice(name string, numQubits int, edges [][2]int) (*Device, error) {
 	if numQubits <= 0 {
 		return nil, fmt.Errorf("arch: device %q: non-positive qubit count %d", name, numQubits)
+	}
+	if numQubits > MaxQubits {
+		return nil, fmt.Errorf("arch: device %q: %d qubits exceed the limit of %d: %w", name, numQubits, MaxQubits, ErrTooLarge)
+	}
+	if len(edges) > MaxEdges {
+		return nil, fmt.Errorf("arch: device %q: %d couplers exceed the limit of %d: %w", name, len(edges), MaxEdges, ErrTooLarge)
 	}
 	d := &Device{
 		Name:      name,

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,31 @@ func TestNewDeviceErrors(t *testing.T) {
 	}
 	if _, err := NewDevice("t", 3, [][2]int{{-1, 0}}); err == nil {
 		t.Error("negative endpoint accepted")
+	}
+}
+
+// TestDeviceSizeCaps: one qubit or one coupler over the caps is rejected
+// with ErrTooLarge, by NewDevice and by a parametric name alike, while the
+// largest grid under the qubit cap still resolves.
+func TestDeviceSizeCaps(t *testing.T) {
+	if _, err := NewDevice("t", MaxQubits+1, nil); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("%d qubits: err = %v, want ErrTooLarge", MaxQubits+1, err)
+	}
+	edges := make([][2]int, MaxEdges+1)
+	for i := range edges {
+		edges[i] = [2]int{0, 1}
+	}
+	if _, err := NewDevice("t", 2, edges); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("%d couplers: err = %v, want ErrTooLarge", len(edges), err)
+	}
+	for _, name := range []string{"ring1025", "linear1025", "grid33x32", "grid1x100000", "grid4000000000x4000000000"} {
+		if _, err := ByName(name); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("ByName(%q): err = %v, want ErrTooLarge", name, err)
+		}
+	}
+	d, err := ByName("grid32x32")
+	if err != nil || d.NumQubits != MaxQubits {
+		t.Fatalf("ByName(grid32x32) = %v, %v", d, err)
 	}
 }
 

@@ -104,3 +104,21 @@ func NeutralAtomDurations() Durations {
 func UniformDurations() Durations {
 	return Durations{Single: 1, Two: 1, Swap: 1, Measure: 1}
 }
+
+// durationPresets is the preset table behind DurationsByName.
+var durationPresets = map[string]func() Durations{
+	"superconducting": SuperconductingDurations,
+	"iontrap":         IonTrapDurations,
+	"neutralatom":     NeutralAtomDurations,
+	"uniform":         UniformDurations,
+}
+
+// DurationsByName returns the preset of that exact name: superconducting,
+// iontrap, neutralatom or uniform.
+func DurationsByName(name string) (Durations, bool) {
+	preset, ok := durationPresets[name]
+	if !ok {
+		return Durations{}, false
+	}
+	return preset(), true
+}

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"reflect"
 	"testing"
 
 	"codar/internal/circuit"
@@ -151,5 +152,26 @@ func TestPresetShapes(t *testing.T) {
 	u := UniformDurations()
 	if u.Of(circuit.OpH) != u.Of(circuit.OpCX) || u.Of(circuit.OpSwap) != 1 {
 		t.Errorf("uniform preset not uniform: %+v", u)
+	}
+}
+
+// TestDurationsByName: every preset name resolves to its constructor's
+// value, and lookup is exact (front doors fold case themselves).
+func TestDurationsByName(t *testing.T) {
+	for name, want := range map[string]Durations{
+		"superconducting": SuperconductingDurations(),
+		"iontrap":         IonTrapDurations(),
+		"neutralatom":     NeutralAtomDurations(),
+		"uniform":         UniformDurations(),
+	} {
+		got, ok := DurationsByName(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("DurationsByName(%q) = %+v, %t; want %+v", name, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "IonTrap", "photonic"} {
+		if _, ok := DurationsByName(bad); ok {
+			t.Errorf("DurationsByName(%q) resolved", bad)
+		}
 	}
 }

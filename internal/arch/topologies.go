@@ -204,7 +204,8 @@ func EvaluationDevices() []*Device {
 
 // ByName resolves a device by a user-facing name. Recognised names (case
 // insensitive): q5, melbourne|q16, tokyo|q20, enfield|grid6x6, sycamore|q54,
-// gridRxC (e.g. grid3x3), linearN, ringN.
+// gridRxC (e.g. grid3x3), linearN, ringN; a parametric name over MaxQubits
+// is rejected, wrapping ErrTooLarge.
 func ByName(name string) (*Device, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
 	switch n {
@@ -221,14 +222,28 @@ func ByName(name string) (*Device, error) {
 	case "sycamore", "q54", "google-q54-sycamore":
 		return SycamoreQ54(), nil
 	}
+	// A parametric name is checked against MaxQubits before its edge list
+	// is built: the name is untrusted input and its size one number in it.
+	tooLarge := func() error {
+		return fmt.Errorf("arch: device %q exceeds the limit of %d qubits: %w", name, MaxQubits, ErrTooLarge)
+	}
 	var rows, cols, k int
 	if _, err := fmt.Sscanf(n, "grid%dx%d", &rows, &cols); err == nil && rows > 0 && cols > 0 {
+		if rows > MaxQubits || cols > MaxQubits || rows*cols > MaxQubits {
+			return nil, tooLarge()
+		}
 		return Grid(n, rows, cols), nil
 	}
 	if _, err := fmt.Sscanf(n, "linear%d", &k); err == nil && k > 0 {
+		if k > MaxQubits {
+			return nil, tooLarge()
+		}
 		return Linear(k), nil
 	}
 	if _, err := fmt.Sscanf(n, "ring%d", &k); err == nil && k >= 3 {
+		if k > MaxQubits {
+			return nil, tooLarge()
+		}
 		return Ring(k), nil
 	}
 	return nil, fmt.Errorf("arch: unknown device %q (known: %s)", name, strings.Join(KnownNames(), ", "))

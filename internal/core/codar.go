@@ -173,7 +173,11 @@ type Result struct {
 	FinalLayout   *arch.Layout
 	// SwapCount is the number of SWAPs inserted.
 	SwapCount int
-	// Makespan is the weighted depth of the output (quantum clock cycles).
+	// Makespan is the end of CODAR's own lock schedule (quantum clock
+	// cycles). It is never below the output's weighted depth, the makespan
+	// of its ASAP schedule (schedule.WeightedDepth), and is often above it:
+	// the ASAP pass starts each gate as soon as its qubits free, CODAR only
+	// when it decides to launch it.
 	Makespan int
 	// Cycles is the number of simulated scheduling iterations.
 	Cycles int

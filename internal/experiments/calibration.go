@@ -6,9 +6,9 @@ import (
 
 	"codar/internal/arch"
 	"codar/internal/calib"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
-	"codar/internal/sabre"
 	"codar/internal/schedule"
 	"codar/internal/workloads"
 )
@@ -103,35 +103,20 @@ func RunCalibrationStudyWorkers(dev *arch.Device, snap *calib.Snapshot, lambda f
 		c := b.Circuit()
 		row := CalibrationRow{Benchmark: b.Name, Qubits: b.Qubits, Gates: c.Len()}
 
-		plainInit, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
+		spec := paperSpec(opts, false)
+		spec.Snapshot = snap
+		plain, err := compile.Run(c, dev, spec)
 		if err != nil {
 			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 		}
-		plain, err := core.Remap(c, dev, plainInit, opts)
+		spec.Cost = cm
+		calibrated, err := compile.Run(c, dev, spec)
 		if err != nil {
 			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 		}
-		calOpts := opts
-		calOpts.Cost = cm
-		calInit, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{Cost: cm})
-		if err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-		}
-		calibrated, err := core.Remap(c, dev, calInit, calOpts)
-		if err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-		}
-
-		row.UncalSwaps, row.CalSwaps = plain.SwapCount, calibrated.SwapCount
-		pSched := schedule.ASAP(plain.Circuit, dev.Durations)
-		cSched := schedule.ASAP(calibrated.Circuit, dev.Durations)
-		row.UncalWD, row.CalWD = pSched.Makespan, cSched.Makespan
-		if row.UncalESP, err = snap.Success(pSched, dev); err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-		}
-		if row.CalESP, err = snap.Success(cSched, dev); err != nil {
-			return fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-		}
+		row.UncalSwaps, row.CalSwaps = plain.Swaps, calibrated.Swaps
+		row.UncalWD, row.CalWD = plain.WeightedDepth, calibrated.WeightedDepth
+		row.UncalESP, row.CalESP = *plain.ESP, *calibrated.ESP
 		rows[i] = row
 		return nil
 	})
@@ -196,38 +181,28 @@ func RunCalibrationFidelity(trajectories int, lambda float64, opts core.Options)
 	var rows []CalibFidelityRow
 	for _, b := range workloads.FamousSeven() {
 		c := b.Circuit()
-		plainInit, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
+		spec := paperSpec(opts, false)
+		plain, err := compile.Run(c, dev, spec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
-		plain, err := core.Remap(c, dev, plainInit, opts)
+		spec.Cost = cm
+		calibrated, err := compile.Run(c, dev, spec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
-		calOpts := opts
-		calOpts.Cost = cm
-		calInit, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{Cost: cm})
+		pf, err := model.FidelityEstimate(schedule.ASAP(plain.Circuit, dev.Durations), trajectories, Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
-		calibrated, err := core.Remap(c, dev, calInit, calOpts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		pSched := schedule.ASAP(plain.Circuit, dev.Durations)
-		cSched := schedule.ASAP(calibrated.Circuit, dev.Durations)
-		pf, err := model.FidelityEstimate(pSched, trajectories, Seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		cf, err := model.FidelityEstimate(cSched, trajectories, Seed)
+		cf, err := model.FidelityEstimate(schedule.ASAP(calibrated.Circuit, dev.Durations), trajectories, Seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
 		rows = append(rows, CalibFidelityRow{
 			Benchmark:  b.Name,
-			UncalSwaps: plain.SwapCount, CalSwaps: calibrated.SwapCount,
-			UncalWD: pSched.Makespan, CalWD: cSched.Makespan,
+			UncalSwaps: plain.Swaps, CalSwaps: calibrated.Swaps,
+			UncalWD: plain.WeightedDepth, CalWD: calibrated.WeightedDepth,
 			UncalFidelity: pf, CalFidelity: cf,
 		})
 	}

@@ -12,10 +12,10 @@ import (
 	"io"
 
 	"codar/internal/arch"
-	"codar/internal/circuit"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
-	"codar/internal/sabre"
+	"codar/internal/placement"
 	"codar/internal/schedule"
 	"codar/internal/sim"
 	"codar/internal/workloads"
@@ -44,42 +44,41 @@ type SpeedupRow struct {
 	SabreDepth int
 }
 
+// paperSpec is the paper's evaluation pipeline (§V-A): SABRE's reverse
+// traversal at Seed places the circuit, CODAR routes it under opts and —
+// with baseline — SABRE routes it again from the same layout.
+func paperSpec(opts core.Options, baseline bool) compile.Spec {
+	return compile.Spec{
+		Algorithm: compile.Codar,
+		Placement: placement.MethodSabreReverse,
+		Seed:      Seed,
+		Baseline:  baseline,
+		Codar:     opts,
+	}
+}
+
 // CompareOn maps one benchmark circuit with both mappers from the shared
 // SABRE reverse-traversal initial layout (paper §V-A) and measures weighted
 // depth of both outputs under the device duration map.
 func CompareOn(b workloads.Benchmark, dev *arch.Device, opts core.Options) (SpeedupRow, error) {
 	c := b.Circuit()
-	// One shared assembly: the initial-layout passes, the SABRE run and the
-	// CODAR run reuse the same SoA gate layout, DAG, reversed circuit and
-	// validity verdict instead of rebuilding them per call.
-	asm := circuit.Assemble(c)
-	initial, err := sabre.InitialLayoutAssembled(asm, dev, Seed, sabre.Options{})
+	res, err := compile.Run(c, dev, paperSpec(opts, true))
 	if err != nil {
 		return SpeedupRow{}, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
-	sres, err := sabre.RemapAssembled(asm, dev, initial, sabre.Options{})
-	if err != nil {
-		return SpeedupRow{}, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-	}
-	cres, err := core.RemapAssembled(asm, dev, initial, opts)
-	if err != nil {
-		return SpeedupRow{}, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-	}
-	sWD := schedule.WeightedDepth(sres.Circuit, dev.Durations)
-	cWD := schedule.WeightedDepth(cres.Circuit, dev.Durations)
-	row := SpeedupRow{
+	base := res.Baseline
+	return SpeedupRow{
 		Benchmark:  b.Name,
 		Qubits:     b.Qubits,
 		Gates:      c.Len(),
-		CodarWD:    cWD,
-		SabreWD:    sWD,
-		Speedup:    float64(sWD) / float64(cWD),
-		CodarSwaps: cres.SwapCount,
-		SabreSwaps: sres.SwapCount,
-		CodarDepth: cres.Circuit.Depth(),
-		SabreDepth: sres.Circuit.Depth(),
-	}
-	return row, nil
+		CodarWD:    res.WeightedDepth,
+		SabreWD:    base.WeightedDepth,
+		Speedup:    float64(base.WeightedDepth) / float64(res.WeightedDepth),
+		CodarSwaps: res.Swaps,
+		SabreSwaps: base.Swaps,
+		CodarDepth: res.Depth,
+		SabreDepth: base.Depth,
+	}, nil
 }
 
 // Fig8Result is the speedup sweep on one architecture.
@@ -246,21 +245,12 @@ func RunFig9(trajectories int, opts core.Options) ([]FidelityRow, error) {
 	}
 	var rows []FidelityRow
 	for _, b := range workloads.FamousSeven() {
-		c := b.Circuit()
-		initial, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
+		res, err := compile.Run(b.Circuit(), dev, paperSpec(opts, true))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
-		sres, err := sabre.Remap(c, dev, initial, sabre.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		cres, err := core.Remap(c, dev, initial, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		sSched := schedule.ASAP(sres.Circuit, dev.Durations)
-		cSched := schedule.ASAP(cres.Circuit, dev.Durations)
+		sSched := schedule.ASAP(res.Baseline.Circuit, dev.Durations)
+		cSched := schedule.ASAP(res.Circuit, dev.Durations)
 		for _, reg := range regimes {
 			cf, err := reg.model.FidelityEstimate(cSched, trajectories, Seed)
 			if err != nil {
@@ -273,8 +263,8 @@ func RunFig9(trajectories int, opts core.Options) ([]FidelityRow, error) {
 			rows = append(rows, FidelityRow{
 				Benchmark:     b.Name,
 				Regime:        reg.name,
-				CodarWD:       cSched.Makespan,
-				SabreWD:       sSched.Makespan,
+				CodarWD:       res.WeightedDepth,
+				SabreWD:       res.Baseline.WeightedDepth,
 				CodarFidelity: cf,
 				SabreFidelity: sf,
 			})
@@ -316,33 +306,23 @@ func RunGateErrorStudy(trajectories int, opts core.Options) ([]GateErrorRow, err
 	}
 	var rows []GateErrorRow
 	for _, b := range workloads.FamousSeven() {
-		c := b.Circuit()
-		initial, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
+		res, err := compile.Run(b.Circuit(), dev, paperSpec(opts, true))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
 		}
-		sres, err := sabre.Remap(c, dev, initial, sabre.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		cres, err := core.Remap(c, dev, initial, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-		}
-		sSched := schedule.ASAP(sres.Circuit, dev.Durations)
-		cSched := schedule.ASAP(cres.Circuit, dev.Durations)
-		cf, err := model.FidelityEstimate(cSched, trajectories, Seed)
+		base := res.Baseline
+		cf, err := model.FidelityEstimate(schedule.ASAP(res.Circuit, dev.Durations), trajectories, Seed)
 		if err != nil {
 			return nil, err
 		}
-		sf, err := model.FidelityEstimate(sSched, trajectories, Seed)
+		sf, err := model.FidelityEstimate(schedule.ASAP(base.Circuit, dev.Durations), trajectories, Seed)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, GateErrorRow{
 			Benchmark:  b.Name,
-			CodarSwaps: cres.SwapCount, SabreSwaps: sres.SwapCount,
-			CodarWD: cSched.Makespan, SabreWD: sSched.Makespan,
+			CodarSwaps: res.Swaps, SabreSwaps: base.Swaps,
+			CodarWD: res.WeightedDepth, SabreWD: base.WeightedDepth,
 			CodarFidelity: cf, SabreFidelity: sf,
 		})
 	}

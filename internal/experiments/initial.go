@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"codar/internal/arch"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
 	"codar/internal/placement"
-	"codar/internal/schedule"
 	"codar/internal/workloads"
 )
 
@@ -41,15 +41,13 @@ func RunInitialMappingStudy(dev *arch.Device, opts core.Options) ([]InitialMappi
 		c := b.Circuit()
 		row := InitialMappingRow{Benchmark: name, WD: make(map[placement.Method]int)}
 		for _, m := range placement.Methods() {
-			l, err := placement.Generate(m, c, dev, Seed)
+			spec := paperSpec(opts, false)
+			spec.Placement = m
+			res, err := compile.Run(c, dev, spec)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", name, m, err)
 			}
-			res, err := core.Remap(c, dev, l, opts)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s/%s: %w", name, m, err)
-			}
-			row.WD[m] = schedule.WeightedDepth(res.Circuit, dev.Durations)
+			row.WD[m] = res.WeightedDepth
 		}
 		rows = append(rows, row)
 	}

@@ -6,12 +6,10 @@ import (
 
 	"codar/internal/arch"
 	"codar/internal/calib"
-	"codar/internal/circuit"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
 	"codar/internal/portfolio"
-	"codar/internal/sabre"
-	"codar/internal/schedule"
 	"codar/internal/workloads"
 )
 
@@ -86,26 +84,21 @@ func (r PortfolioStudyResult) MeanDepthRatio() float64 {
 // PortfolioCompareOn runs one benchmark of the portfolio study: the
 // single-shot pipeline (SABRE reverse-traversal placement at the fixed
 // seed, then CODAR under spec.Codar) against the full candidate grid of
-// spec. snap may be nil (ESP columns read 0). The circuit is assembled
-// once and shared between the single-shot run and every grid candidate.
+// spec. snap may be nil (ESP columns read 0).
 func PortfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Snapshot, spec portfolio.Spec) (PortfolioStudyRow, *portfolio.Result, error) {
 	c := b.Circuit()
 	row := PortfolioStudyRow{Benchmark: b.Name, Qubits: b.Qubits, Gates: c.Len()}
 	spec.Snapshot = snap
 
-	asm := circuit.Assemble(c)
-	initial, err := sabre.InitialLayoutAssembled(asm, dev, Seed, sabre.Options{})
+	single := paperSpec(spec.Codar, false)
+	single.Cost, single.Snapshot = spec.Codar.Cost, snap
+	res, err := compile.Run(c, dev, single)
 	if err != nil {
 		return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
-	single, err := core.RemapAssembled(asm, dev, initial, spec.Codar)
-	if err != nil {
-		return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-	}
-	sSched := schedule.ASAP(single.Circuit, dev.Durations)
-	row.SingleWD = sSched.Makespan
+	row.SingleWD = res.WeightedDepth
 
-	pres, err := portfolio.RunAssembled(asm, dev, spec)
+	pres, err := portfolio.Run(c, dev, spec)
 	if err != nil {
 		return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
@@ -115,10 +108,7 @@ func PortfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Sna
 	row.Completed = pres.Completed
 	row.Abandoned = pres.Abandoned
 	if snap != nil {
-		if row.SingleESP, err = snap.Success(sSched, dev); err != nil {
-			return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
-		}
-		row.PortESP = pres.Winner.ESP
+		row.SingleESP, row.PortESP = *res.ESP, pres.Winner.ESP
 	}
 	return row, pres, nil
 }

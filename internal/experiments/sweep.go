@@ -5,10 +5,9 @@ import (
 	"io"
 
 	"codar/internal/arch"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/metrics"
-	"codar/internal/sabre"
-	"codar/internal/schedule"
 	"codar/internal/workloads"
 )
 
@@ -55,22 +54,11 @@ func RunDurationSweep(dev *arch.Device, ratios []int, opts core.Options) ([]Dura
 			if err != nil {
 				return nil, err
 			}
-			c := b.Circuit()
-			initial, err := sabre.InitialLayout(c, dev, Seed, sabre.Options{})
+			res, err := compile.Run(b.Circuit(), dev, paperSpec(opts, true))
 			if err != nil {
 				return nil, err
 			}
-			sres, err := sabre.Remap(c, dev, initial, sabre.Options{})
-			if err != nil {
-				return nil, err
-			}
-			cres, err := core.Remap(c, dev, initial, opts)
-			if err != nil {
-				return nil, err
-			}
-			sWD := schedule.WeightedDepth(sres.Circuit, dev.Durations)
-			cWD := schedule.WeightedDepth(cres.Circuit, dev.Durations)
-			sp = append(sp, float64(sWD)/float64(cWD))
+			sp = append(sp, float64(res.Baseline.WeightedDepth)/float64(res.WeightedDepth))
 		}
 		out = append(out, DurationPoint{
 			Ratio:      r,

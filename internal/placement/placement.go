@@ -17,39 +17,6 @@ import (
 	"codar/internal/sabre"
 )
 
-// Trivial maps logical qubit i to physical qubit i.
-func Trivial(c *circuit.Circuit, dev *arch.Device) (*arch.Layout, error) {
-	if c.NumQubits > dev.NumQubits {
-		return nil, fmt.Errorf("placement: circuit needs %d qubits, device %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
-	}
-	return arch.NewTrivialLayout(c.NumQubits, dev.NumQubits), nil
-}
-
-// Random assigns logical qubits to a seeded random subset of physical
-// qubits.
-func Random(c *circuit.Circuit, dev *arch.Device, seed int64) (*arch.Layout, error) {
-	if c.NumQubits > dev.NumQubits {
-		return nil, fmt.Errorf("placement: circuit needs %d qubits, device %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(dev.NumQubits)[:c.NumQubits]
-	return arch.NewLayout(perm, dev.NumQubits)
-}
-
-// SabreReverse is the paper's evaluation choice: SABRE's bidirectional
-// reverse-traversal initial mapping.
-func SabreReverse(c *circuit.Circuit, dev *arch.Device, seed int64) (*arch.Layout, error) {
-	return sabre.InitialLayout(c, dev, seed, sabre.Options{})
-}
-
-// SabreReverseCost is SabreReverse under a calibration-weighted metric, so
-// placement also parks busy qubits away from unreliable couplers (the
-// placement-heavy win recorded in DESIGN.md §8). nil cost is exactly
-// SabreReverse.
-func SabreReverseCost(c *circuit.Circuit, dev *arch.Device, seed int64, cost *arch.CostModel) (*arch.Layout, error) {
-	return sabre.InitialLayout(c, dev, seed, sabre.Options{Cost: cost})
-}
-
 // Dense greedily places heavily interacting logical qubits on
 // well-connected physical regions (the DenseLayout idea): logical qubits
 // are placed in descending interaction weight, each at the free physical
@@ -169,51 +136,27 @@ func (m Method) Seeded() bool {
 	return m == MethodRandom || m == MethodSabreReverse
 }
 
-// Generate dispatches by method name.
-func Generate(m Method, c *circuit.Circuit, dev *arch.Device, seed int64) (*arch.Layout, error) {
-	return GenerateCost(m, c, dev, seed, nil)
-}
-
-// GenerateCost is Generate with an optional calibration-weighted metric:
-// the sabre-reverse strategy places under it (matching the calibrated
-// single-shot pipeline), the structural strategies ignore it. nil cost is
-// exactly Generate.
-func GenerateCost(m Method, c *circuit.Circuit, dev *arch.Device, seed int64, cost *arch.CostModel) (*arch.Layout, error) {
-	return generateOpts(m, c, nil, dev, seed, sabre.Options{Cost: cost})
-}
-
-// GenerateCostAssembled is GenerateCost over a pre-built assembly: the
-// sabre-reverse strategy (two full SABRE passes) reuses the assembly's
-// DAG, SoA layout and cached reversed circuit; the structural strategies
-// just read the raw circuit. The portfolio calls this once per distinct
-// (placement, seed) pair and shares the result across algorithms.
-func GenerateCostAssembled(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, cost *arch.CostModel) (*arch.Layout, error) {
-	return generateOpts(m, a.Circ, a, dev, seed, sabre.Options{Cost: cost})
-}
-
-// GenerateOptsAssembled is GenerateCostAssembled with full SABRE options —
-// most usefully Options.Ctx, so canceling a portfolio request also aborts
-// its in-flight placement passes (a sabre-reverse placement is two full
-// SABRE runs, the grid's dominant cost). Only the sabre-reverse strategy
-// consumes the options; the structural strategies are cheap enough that
-// they always run to completion.
-func GenerateOptsAssembled(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options) (*arch.Layout, error) {
-	return generateOpts(m, a.Circ, a, dev, seed, opts)
-}
-
-func generateOpts(m Method, c *circuit.Circuit, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options) (*arch.Layout, error) {
+// Generate places the assembled circuit by the named method: trivial maps
+// logical qubit i to physical qubit i, random picks a seeded random subset
+// of physical qubits, dense is Dense, and sabre-reverse is SABRE's
+// reverse traversal (sabre.InitialLayoutAssembled, two full SABRE passes
+// that reuse the assembly's DAG and reversed circuit). Only sabre-reverse
+// runs under opts: Cost places under a calibration-weighted metric (the
+// placement-heavy win in DESIGN.md §8) and Ctx aborts its passes.
+func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options) (*arch.Layout, error) {
+	n := a.Circ.NumQubits
+	if n > dev.NumQubits {
+		return nil, fmt.Errorf("placement: circuit needs %d qubits, device %s has %d", n, dev.Name, dev.NumQubits)
+	}
 	switch m {
 	case MethodTrivial:
-		return Trivial(c, dev)
+		return arch.NewTrivialLayout(n, dev.NumQubits), nil
 	case MethodRandom:
-		return Random(c, dev, seed)
+		return arch.NewLayout(rand.New(rand.NewSource(seed)).Perm(dev.NumQubits)[:n], dev.NumQubits)
 	case MethodDense:
-		return Dense(c, dev)
+		return Dense(a.Circ, dev)
 	case MethodSabreReverse:
-		if a != nil {
-			return sabre.InitialLayoutAssembled(a, dev, seed, opts)
-		}
-		return sabre.InitialLayout(c, dev, seed, opts)
+		return sabre.InitialLayoutAssembled(a, dev, seed, opts)
 	default:
 		names := make([]string, 0, len(Methods()))
 		for _, k := range Methods() {

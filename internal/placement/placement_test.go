@@ -7,6 +7,7 @@ import (
 	"codar/internal/arch"
 	"codar/internal/circuit"
 	"codar/internal/core"
+	"codar/internal/sabre"
 	"codar/internal/schedule"
 	"codar/internal/workloads"
 )
@@ -24,7 +25,7 @@ func TestAllMethodsProduceValidLayouts(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := ghzChain(8)
 	for _, m := range Methods() {
-		l, err := Generate(m, c, dev, 3)
+		l, err := Generate(m, circuit.Assemble(c), dev, 3, sabre.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -35,7 +36,7 @@ func TestAllMethodsProduceValidLayouts(t *testing.T) {
 			t.Errorf("%s: shape %d/%d", m, l.NumLogical(), l.NumPhysical())
 		}
 	}
-	if _, err := Generate(Method("bogus"), c, dev, 0); err == nil {
+	if _, err := Generate(Method("bogus"), circuit.Assemble(c), dev, 0, sabre.Options{}); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -44,7 +45,7 @@ func TestOversizedCircuitRejected(t *testing.T) {
 	dev := arch.Linear(3)
 	c := circuit.New(5)
 	for _, m := range Methods() {
-		if _, err := Generate(m, c, dev, 0); err == nil {
+		if _, err := Generate(m, circuit.Assemble(c), dev, 0, sabre.Options{}); err == nil {
 			t.Errorf("%s accepted an oversized circuit", m)
 		}
 	}
@@ -52,7 +53,7 @@ func TestOversizedCircuitRejected(t *testing.T) {
 
 func TestTrivialIsIdentity(t *testing.T) {
 	dev := arch.Linear(5)
-	l, err := Trivial(circuit.New(3), dev)
+	l, err := Generate(MethodTrivial, circuit.Assemble(circuit.New(3)), dev, 0, sabre.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +66,13 @@ func TestTrivialIsIdentity(t *testing.T) {
 
 func TestRandomSeedBehaviour(t *testing.T) {
 	dev := arch.IBMQ16Melbourne()
-	c := circuit.New(8)
-	a, _ := Random(c, dev, 1)
-	b, _ := Random(c, dev, 1)
+	c := circuit.Assemble(circuit.New(8))
+	a, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{})
+	b, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{})
 	if !a.Equal(b) {
 		t.Error("same seed, different layouts")
 	}
-	d, _ := Random(c, dev, 2)
+	d, _ := Generate(MethodRandom, c, dev, 2, sabre.Options{})
 	if a.Equal(d) {
 		t.Error("different seeds should give different layouts (overwhelmingly)")
 	}
@@ -120,7 +121,7 @@ func TestDenseBeatsRandomOnStructuredCircuits(t *testing.T) {
 	randomTotal := 0
 	const tries = 3
 	for seed := int64(0); seed < tries; seed++ {
-		r, err := Random(c, dev, seed)
+		r, err := Generate(MethodRandom, circuit.Assemble(c), dev, seed, sabre.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -407,7 +407,7 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 				layouts[j] = placed{err: fmt.Errorf("candidate panicked: %v", r)}
 			}
 		}()
-		l, err := placement.GenerateOptsAssembled(layJobs[j].Placement, a, dev, layJobs[j].Seed, popts)
+		l, err := placement.Generate(layJobs[j].Placement, a, dev, layJobs[j].Seed, popts)
 		layouts[j] = placed{layout: l, err: err}
 	})
 	if playErr != nil {

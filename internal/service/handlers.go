@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -15,14 +16,12 @@ import (
 	"codar/internal/arch"
 	"codar/internal/calib"
 	"codar/internal/circuit"
-	"codar/internal/core"
+	"codar/internal/compile"
 	"codar/internal/experiments"
 	"codar/internal/placement"
 	"codar/internal/pool"
 	"codar/internal/portfolio"
 	"codar/internal/qasm"
-	"codar/internal/sabre"
-	"codar/internal/schedule"
 )
 
 // cacheHeader reports cache disposition per response. The disposition
@@ -194,7 +193,7 @@ func cacheKeyFor(req *MapRequest, pspec *portfolio.Spec, deviceName, calHash str
 func (s *Server) resolveDevice(req *MapRequest) (*arch.Device, *svcError) {
 	dev, err := s.registry.Resolve(req.Arch)
 	if err != nil {
-		return nil, errUnknownDevice("%v", err)
+		return nil, deviceSvcError(err)
 	}
 	if req.Durations != "" {
 		d, ok := durationsByName(req.Durations)
@@ -212,16 +211,38 @@ func (s *Server) resolveDevice(req *MapRequest) (*arch.Device, *svcError) {
 // deadline, drain). It is pure with respect to server state (no cache, no
 // counters), so the single and batch paths share it.
 func (s *Server) mapOne(ctx context.Context, req *MapRequest, pspec *portfolio.Spec, dev *arch.Device, cal *Calibration) (*MapResponse, *svcError) {
+	c, resp, serr := s.prepare(ctx, req, dev, cal)
+	if serr != nil {
+		return nil, serr
+	}
+	// The portfolio generates its own placements per candidate, so it
+	// branches off before the single-shot pipeline.
+	if pspec != nil {
+		return s.mapPortfolio(ctx, pspec, dev, cal, c, resp)
+	}
+	res, err := compile.Run(c, dev, specFor(ctx, req, cal))
+	if err != nil {
+		return nil, compileSvcError(err)
+	}
+	resp.MappedQASM = qasm.Write(res.Circuit)
+	summarize(resp, res)
+	return resp, nil
+}
+
+// prepare is the part of every single mapping before the pipeline: the
+// chaos hook, the parse, the lowering, the size check, and the response
+// fields known from the input alone.
+func (s *Server) prepare(ctx context.Context, req *MapRequest, dev *arch.Device, cal *Calibration) (*circuit.Circuit, *MapResponse, *svcError) {
 	if err := s.cfg.Chaos.BeforeMap(ctx); err != nil {
-		return nil, mapSvcError("chaos", err)
+		return nil, nil, mapSvcError("chaos", err)
 	}
 	parsed, err := qasm.Parse(req.QASM)
 	if err != nil {
-		return nil, errBadQASM("bad qasm: %v", err)
+		return nil, nil, errBadQASM("bad qasm: %v", err)
 	}
 	c := circuit.Decompose(parsed)
 	if c.NumQubits > dev.NumQubits {
-		return nil, errBadQASM("circuit needs %d qubits but %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
+		return nil, nil, errBadQASM("circuit needs %d qubits but %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
 	}
 	resp := &MapResponse{
 		Device:      dev.Name,
@@ -231,65 +252,55 @@ func (s *Server) mapOne(ctx context.Context, req *MapRequest, pspec *portfolio.S
 		InputQubits: c.NumQubits,
 		InputGates:  c.Len(),
 	}
-	// The portfolio generates its own placements per candidate, so it
-	// branches off before the single-shot initial layout is computed.
-	if pspec != nil {
-		return s.mapPortfolio(ctx, pspec, dev, cal, c, resp)
-	}
-	coreOpts := core.Options{Ctx: ctx}
-	sabreOpts := sabre.Options{Ctx: ctx}
-	if cal != nil {
-		coreOpts.Cost = cal.Cost
-		sabreOpts.Cost = cal.Cost
-	}
-	initial, err := sabre.InitialLayout(c, dev, req.Seed, sabreOpts)
-	if err != nil {
-		return nil, mapSvcError("initial layout", err)
-	}
-	var mapped *circuit.Circuit
-	switch req.Algo {
-	case "codar":
-		res, err := core.Remap(c, dev, initial, coreOpts)
-		if err != nil {
-			return nil, mapSvcError("codar", err)
-		}
-		mapped = res.Circuit
-		resp.Swaps = res.SwapCount
-	case "sabre":
-		res, err := sabre.Remap(c, dev, initial, sabreOpts)
-		if err != nil {
-			return nil, mapSvcError("sabre", err)
-		}
-		mapped = res.Circuit
-		resp.Swaps = res.SwapCount
-	}
-	resp.MappedQASM = qasm.Write(mapped)
-	resp.OutputGates = mapped.Len()
-	resp.Depth = mapped.Depth()
-	wd, esp, serr := depthAndESP(mapped, dev, cal)
-	if serr != nil {
-		return nil, serr
-	}
-	resp.WeightedDepth = wd
-	resp.EstSuccess = esp
 	if cal != nil {
 		resp.Calibration = cal.Hash
 	}
-	if *req.Baseline && req.Algo == "codar" {
-		base, err := sabre.Remap(c, dev, initial, sabreOpts)
-		if err != nil {
-			return nil, mapSvcError("sabre baseline", err)
-		}
-		resp.BaselineWeightedDepth, resp.BaselineEstSuccess, serr = depthAndESP(base.Circuit, dev, cal)
-		if serr != nil {
-			return nil, serr
-		}
-		resp.BaselineSwaps = base.SwapCount
-		if resp.WeightedDepth > 0 {
-			resp.Speedup = float64(resp.BaselineWeightedDepth) / float64(resp.WeightedDepth)
+	return c, resp, nil
+}
+
+// specFor is the single-shot pipeline of a normalized request: SABRE's
+// reverse traversal at the request seed (the paper's §V-A placement), the
+// requested router and baseline, and the calibration when one is attached.
+func specFor(ctx context.Context, req *MapRequest, cal *Calibration) compile.Spec {
+	spec := compile.Spec{
+		Algorithm: compile.Algorithm(req.Algo),
+		Placement: placement.MethodSabreReverse,
+		Seed:      req.Seed,
+		Baseline:  *req.Baseline,
+		Ctx:       ctx,
+	}
+	if cal != nil {
+		spec.Cost, spec.Snapshot = cal.Cost, cal.Snap
+	}
+	return spec
+}
+
+// summarize copies the pipeline's measurements into the response.
+func summarize(resp *MapResponse, res *compile.Result) {
+	resp.OutputGates = res.Gates
+	resp.Swaps = res.Swaps
+	resp.Depth = res.Depth
+	resp.WeightedDepth = res.WeightedDepth
+	resp.EstSuccess = res.ESP
+	if b := res.Baseline; b != nil {
+		resp.BaselineWeightedDepth = b.WeightedDepth
+		resp.BaselineEstSuccess = b.ESP
+		resp.BaselineSwaps = b.Swaps
+		if res.WeightedDepth > 0 {
+			resp.Speedup = float64(b.WeightedDepth) / float64(res.WeightedDepth)
 		}
 	}
-	return resp, nil
+}
+
+// compileSvcError maps a pipeline failure to its status: a failed success
+// estimate is the server's fault (500); every other stage maps as
+// mapSvcError does, under the stage's name.
+func compileSvcError(err error) *svcError {
+	var ce *compile.Error
+	if !errors.As(err, &ce) || ce.Stage == compile.StageEstimate {
+		return errInternal("%v", err)
+	}
+	return mapSvcError(ce.Stage, ce.Err)
 }
 
 // mapPortfolio answers a portfolio-mode request: the multi-start search
@@ -324,7 +335,6 @@ func (s *Server) mapPortfolio(ctx context.Context, pspec *portfolio.Spec, dev *a
 	if cal != nil {
 		esp := w.ESP
 		resp.EstSuccess = &esp
-		resp.Calibration = cal.Hash
 	}
 	resp.Portfolio = &PortfolioStats{
 		Objective:   string(pres.Objective),
@@ -357,22 +367,17 @@ func candidateReports(rs []portfolio.Report) []api.CandidateReport {
 	return out
 }
 
-// depthAndESP computes a mapped circuit's weighted depth and — when a
-// calibration is attached — its estimated success probability. The ESP
-// needs the full ASAP schedule and its makespan IS the weighted depth, so
-// calibrated requests build the schedule once and read both from it;
-// uncalibrated ones keep the allocation-free WeightedDepth pass and return
-// a nil ESP.
-func depthAndESP(c *circuit.Circuit, dev *arch.Device, cal *Calibration) (int, *float64, *svcError) {
-	if cal == nil {
-		return schedule.WeightedDepth(c, dev.Durations), nil, nil
+// calibrationFor returns the device's stored calibration when the request
+// asks for one (nil when it does not), or the 400 a missing one answers.
+func (s *Server) calibrationFor(req *MapRequest, dev *arch.Device) (*Calibration, *svcError) {
+	if !req.Calibrated {
+		return nil, nil
 	}
-	sched := schedule.ASAP(c, dev.Durations)
-	esp, err := cal.Snap.Success(sched, dev)
-	if err != nil {
-		return 0, nil, errInternal("success estimate: %v", err)
+	cal, ok := s.registry.Calibration(dev.Name)
+	if !ok {
+		return nil, errBadRequest("device %q has no calibration; upload one via POST /v1/devices/%s/calibration", dev.Name, req.Arch)
 	}
-	return sched.Makespan, &esp, nil
+	return cal, nil
 }
 
 // mapBytes answers one map request with the rendered response body and its
@@ -409,12 +414,9 @@ func (s *Server) mapBytesAdmit(ctx context.Context, req *MapRequest, admit admit
 	if serr != nil {
 		return nil, "", serr
 	}
-	var cal *Calibration
-	if req.Calibrated {
-		var ok bool
-		if cal, ok = s.registry.Calibration(dev.Name); !ok {
-			return nil, "", errBadRequest("device %q has no calibration; upload one via POST /v1/devices/%s/calibration", dev.Name, req.Arch)
-		}
+	cal, serr := s.calibrationFor(req, dev)
+	if serr != nil {
+		return nil, "", serr
 	}
 	calHash := ""
 	if cal != nil {
@@ -720,7 +722,7 @@ func (s *Server) handleDeviceCalibration(w http.ResponseWriter, r *http.Request)
 	case http.MethodGet:
 		dev, err := s.registry.Resolve(name)
 		if err != nil {
-			s.writeError(w, errUnknownDevice("%v", err))
+			s.writeError(w, deviceSvcError(err))
 			return
 		}
 		cal, ok := s.registry.Calibration(dev.Name)

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"codar/api"
+	"codar/internal/arch"
 	"codar/internal/chaos"
 	"codar/internal/testutil"
 )
@@ -371,5 +375,65 @@ func TestStatsExposesRobustnessCounters(t *testing.T) {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("stats body missing %q", key)
 		}
+	}
+}
+
+// TestDeviceOverCapRejectedCheaply: a device one qubit over arch.MaxQubits,
+// asked for by parametric name on /v1/map or uploaded on /v1/devices, is a
+// 400 that allocates almost nothing — the size is checked before the n²
+// tables are built, so a tiny body cannot make the server allocate O(n²).
+func TestDeviceOverCapRejectedCheaply(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race perturbs allocation counts")
+	}
+	over := arch.MaxQubits + 1
+	s := newTestServer(t, Config{Workers: 1})
+	cases := []struct {
+		name, path string
+		body       interface{}
+	}{
+		{"map by name", "/v1/map", MapRequest{QASM: ghzQASM, Arch: fmt.Sprintf("ring%d", over)}},
+		{"upload", "/v1/devices", DeviceSpec{Name: "huge", Qubits: over, Edges: [][2]int{{0, 1}}}},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := do(t, s, http.MethodPost, tc.path, tc.body)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", tc.name, w.Code, w.Body.String())
+		}
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code != api.CodeBadRequest {
+			t.Fatalf("%s: body %s, want a bad_request envelope", tc.name, w.Body.String())
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > 1<<20 {
+			t.Errorf("%s: rejecting a %d-qubit device allocated %d bytes, want < 1 MB", tc.name, over, got)
+		}
+		t.Logf("%s: rejected with %d bytes allocated", tc.name, got)
+	}
+}
+
+// TestCustomDeviceStoreCapped: uploads are never evicted, so the store
+// answers 409 once it holds customCap devices.
+func TestCustomDeviceStoreCapped(t *testing.T) {
+	s := newTestServer(t, Config{})
+	upload := func(i int) *httptest.ResponseRecorder {
+		return do(t, s, http.MethodPost, "/v1/devices", DeviceSpec{
+			Name: fmt.Sprintf("lab-%d", i), Qubits: 3, Edges: [][2]int{{0, 1}, {1, 2}},
+		})
+	}
+	for i := 0; i < customCap; i++ {
+		if w := upload(i); w.Code != http.StatusCreated {
+			t.Fatalf("upload %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	w := upload(customCap)
+	if w.Code != http.StatusConflict {
+		t.Fatalf("upload beyond the cap: status %d, want 409 (%s)", w.Code, w.Body.String())
+	}
+	if n := s.registry.CustomCount(); n != customCap {
+		t.Fatalf("store holds %d devices, want %d", n, customCap)
 	}
 }

@@ -78,16 +78,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, serr)
 		return
 	}
-	if _, serr := s.resolveDevice(&req); serr != nil {
+	dev, serr := s.resolveDevice(&req)
+	if serr != nil {
 		s.writeError(w, serr)
 		return
 	}
-	if req.Calibrated {
-		dev, _ := s.registry.Resolve(req.Arch)
-		if _, ok := s.registry.Calibration(dev.Name); !ok {
-			s.writeError(w, errBadRequest("device %q has no calibration; upload one via POST /v1/devices/%s/calibration", dev.Name, req.Arch))
-			return
-		}
+	if _, serr := s.calibrationFor(&req, dev); serr != nil {
+		s.writeError(w, serr)
+		return
 	}
 	// The job runs under the server's default mapping deadline (the
 	// X-Codard-Timeout header can only tighten it, clamped as on /v1/map),

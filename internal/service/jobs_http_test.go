@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"codar/api"
+	"codar/internal/chaos"
 	"codar/internal/testutil"
 )
 
@@ -182,14 +183,12 @@ func TestJobErrorsAndSentinocodes(t *testing.T) {
 
 func TestJobNotDoneAndCancel(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	// Workers: 1 plus a slow first job keeps the second queued, so its
-	// not-done and cancel paths are observable without racing completion.
-	s := newTestServer(t, Config{Workers: 1})
+	// Workers: 1, held by a first job the fault injector slows down, keeps
+	// the second queued by construction, so its not-done and cancel paths
+	// are observable without racing completion.
+	s := newTestServer(t, Config{Workers: 1, Chaos: &chaos.Injector{SlowMapper: 5 * time.Second}})
 
-	blocker := submitJob(t, s, api.MapRequest{
-		QASM: strings.Replace(ghzQASM, "qreg q[5];", "qreg q[5];", 1),
-		Arch: "sycamore", Portfolio: &api.PortfolioSpec{Seeds: []int64{1, 2, 3, 4}},
-	})
+	blocker := submitJob(t, s, api.MapRequest{QASM: ghzQASM, Arch: "tokyo"})
 	queued := submitJob(t, s, api.MapRequest{QASM: ghzQASM, Arch: "melbourne"})
 
 	w := do(t, s, http.MethodGet, "/v1/jobs/"+queued.ID+"/result", nil)
@@ -216,8 +215,12 @@ func TestJobNotDoneAndCancel(t *testing.T) {
 		t.Fatalf("canceled job state %s", st.State)
 	}
 
-	// Let the blocker finish so no job goroutine outlives the test.
-	pollJob(t, s, blocker.ID, api.JobDone)
+	// Cancel the blocker too: the injected delay honors the job's context,
+	// so the worker frees at once and no job goroutine outlives the test.
+	if w := do(t, s, http.MethodDelete, "/v1/jobs/"+blocker.ID, nil); w.Code != http.StatusOK {
+		t.Fatalf("DELETE running job: %d %s", w.Code, w.Body.String())
+	}
+	pollJob(t, s, blocker.ID, api.JobCanceled)
 }
 
 func TestJobCapacityRejects(t *testing.T) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -26,7 +27,7 @@ type Registry struct {
 	// serving path (and especially the cache-hit path, which resolves only
 	// to canonicalize the cache key) skips rebuilding the all-pairs
 	// distance matrix per request. Bounded: beyond builtinMemoCap distinct
-	// aliases (hostile parametric names like grid40x40) resolution falls
+	// aliases (hostile parametric names like grid30x30) resolution falls
 	// back to per-request construction instead of growing the memo.
 	builtins map[string]*arch.Device
 }
@@ -34,8 +35,14 @@ type Registry struct {
 // builtinMemoCap bounds the resolved-builtin memo (see Registry.builtins).
 const builtinMemoCap = 64
 
+// customCap bounds the custom-device store the way calibCap bounds the
+// calibration store: each device keeps its n² tables live, up to about
+// 8.4 MB at arch.MaxQubits, and uploads are never evicted, so registering
+// the cap+1-th device is rejected (409).
+const customCap = 64
+
 // calibCap bounds the calibration store for the same reason builtinMemoCap
-// bounds the builtin memo: parametric names (grid40x40, linear500, ...)
+// bounds the builtin memo: parametric names (grid30x30, linear500, ...)
 // resolve on demand, and each stored Calibration retains an n² cost-model
 // matrix. Replacing an existing device's snapshot is always allowed; only
 // calibrating the cap+1-th distinct device is rejected.
@@ -107,7 +114,7 @@ func (r *Registry) Add(dev *arch.Device) *svcError {
 	if key == "" {
 		return errBadRequest("device name must be non-empty")
 	}
-	if _, err := arch.ByName(key); err == nil {
+	if _, err := arch.ByName(key); err == nil || errors.Is(err, arch.ErrTooLarge) {
 		return errConflict("device %q shadows a builtin", dev.Name)
 	}
 	if err := dev.Validate(); err != nil {
@@ -117,6 +124,9 @@ func (r *Registry) Add(dev *arch.Device) *svcError {
 	defer r.mu.Unlock()
 	if _, ok := r.custom[key]; ok {
 		return errConflict("device %q already registered", dev.Name)
+	}
+	if len(r.custom) >= customCap {
+		return errConflict("device store holds %d custom devices (max %d)", len(r.custom), customCap)
 	}
 	r.custom[key] = dev
 	return nil
@@ -173,7 +183,7 @@ func (r *Registry) CustomCount() int {
 func (r *Registry) SetCalibration(deviceName string, snap *calib.Snapshot) (*Calibration, *svcError) {
 	dev, err := r.Resolve(deviceName)
 	if err != nil {
-		return nil, errUnknownDevice("%v", err)
+		return nil, deviceSvcError(err)
 	}
 	if err := snap.Validate(dev); err != nil {
 		return nil, errBadRequest("%v", err)
@@ -220,19 +230,10 @@ func withDurations(dev *arch.Device, d arch.Durations) *arch.Device {
 	return &cp
 }
 
-// durationsByName resolves a duration-preset name. The empty string keeps
-// the device's own durations (builtins default to superconducting; custom
-// devices keep whatever they were registered with).
+// durationsByName resolves a duration-preset name, ignoring case and
+// surrounding space. The empty string keeps the device's own durations
+// (builtins default to superconducting; custom devices keep whatever they
+// were registered with).
 func durationsByName(name string) (arch.Durations, bool) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "superconducting":
-		return arch.SuperconductingDurations(), true
-	case "iontrap":
-		return arch.IonTrapDurations(), true
-	case "neutralatom":
-		return arch.NeutralAtomDurations(), true
-	case "uniform":
-		return arch.UniformDurations(), true
-	}
-	return arch.Durations{}, false
+	return arch.DurationsByName(strings.ToLower(strings.TrimSpace(name)))
 }

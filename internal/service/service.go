@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"codar/api"
+	"codar/internal/arch"
 	"codar/internal/chaos"
 	"codar/internal/experiments"
 	"codar/internal/interrupt"
@@ -511,6 +512,15 @@ func errNotFound(format string, args ...interface{}) *svcError {
 // distinct from generic not_found so clients can prompt for a device list.
 func errUnknownDevice(format string, args ...interface{}) *svcError {
 	return &svcError{status: http.StatusNotFound, code: api.CodeUnknownDevice, msg: fmt.Sprintf(format, args...)}
+}
+
+// deviceSvcError maps a failed device resolution: a parametric name over
+// the device size caps is a 400, any other name a 404 unknown device.
+func deviceSvcError(err error) *svcError {
+	if errors.Is(err, arch.ErrTooLarge) {
+		return errBadRequest("%v", err)
+	}
+	return errUnknownDevice("%v", err)
 }
 
 func errConflict(format string, args ...interface{}) *svcError {

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"codar/api"
-	"codar/internal/circuit"
-	"codar/internal/core"
+	"codar/internal/compile"
 	"codar/internal/jobs"
 	"codar/internal/qasm"
-	"codar/internal/sabre"
 	"codar/internal/schedule"
 )
 
@@ -36,9 +34,10 @@ func streamQuery(r *http.Request) bool {
 // plant a partial cache entry; the X-Codard-Cache header says "bypass".
 //
 // Errors before the first record use the normal envelope and status;
-// errors after the stream is committed (cancel, deadline, mid-run failure)
-// arrive as an in-band error record on the already-200 response, with the
-// usual 499/504 accounting in /v1/stats.
+// errors after the stream is committed — which happens once the circuit
+// parsed and fits, before placement (cancel, deadline, any pipeline
+// failure) — arrive as an in-band error record on the already-200
+// response, with the usual 499/504 accounting in /v1/stats.
 func (s *Server) handleMapStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req MapRequest
@@ -84,12 +83,9 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	if serr != nil {
 		return serr
 	}
-	var cal *Calibration
-	if req.Calibrated {
-		var ok bool
-		if cal, ok = s.registry.Calibration(dev.Name); !ok {
-			return errBadRequest("device %q has no calibration; upload one via POST /v1/devices/%s/calibration", dev.Name, req.Arch)
-		}
+	cal, serr := s.calibrationFor(req, dev)
+	if serr != nil {
+		return serr
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -102,29 +98,13 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	}
 	defer release()
 
-	if err := s.cfg.Chaos.BeforeMap(ctx); err != nil {
-		return mapSvcError("chaos", err)
-	}
-	parsed, err := qasm.Parse(req.QASM)
-	if err != nil {
-		return errBadQASM("bad qasm: %v", err)
-	}
-	c := circuit.Decompose(parsed)
-	if c.NumQubits > dev.NumQubits {
-		return errBadQASM("circuit needs %d qubits but %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
-	}
-	coreOpts := core.Options{Ctx: ctx}
-	sabreOpts := sabre.Options{Ctx: ctx}
-	if cal != nil {
-		coreOpts.Cost = cal.Cost
-		sabreOpts.Cost = cal.Cost
-	}
-	initial, err := sabre.InitialLayout(c, dev, req.Seed, sabreOpts)
-	if err != nil {
-		return mapSvcError("initial layout", err)
+	c, resp, serr := s.prepare(ctx, req, dev, cal)
+	if serr != nil {
+		return serr
 	}
 
-	// Commit to the stream; from here every outcome travels in-band.
+	// Commit to the stream before the pipeline runs; from here every
+	// outcome, a failed placement included, travels in-band.
 	reqID := w.Header().Get(api.HeaderRequestID)
 	w.Header().Set("Content-Type", api.StreamContentType)
 	w.Header().Set(cacheHeader, api.CacheBypass)
@@ -140,7 +120,13 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	fail := func(serr *svcError) *svcError {
 		// The status is already on the wire: account the outcome and
 		// best-effort an in-band error record (a vanished client simply
-		// never reads it).
+		// never reads it). A fired request context keeps its transport
+		// meaning (499/504) even when the error surfaced through a sink
+		// write to a dead connection rather than the pipeline's own
+		// cancellation check.
+		if ctx.Err() != nil {
+			serr = ctxSvcError(ctx)
+		}
 		s.stats.countError(serr.status, serr.code)
 		emit(&api.StreamRecord{Type: api.StreamTypeError, Error: &api.ErrorBody{
 			Code:      serr.envelopeCode(),
@@ -150,34 +136,16 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 		return nil
 	}
 
-	resp := &MapResponse{
-		Device:      dev.Name,
-		Algo:        req.Algo,
-		Durations:   req.Durations,
-		Seed:        req.Seed,
-		InputQubits: c.NumQubits,
-		InputGates:  c.Len(),
-	}
-	if cal != nil {
-		resp.Calibration = cal.Hash
-	}
 	// Mapping keeps the input's classical register, so the whole QASM
 	// preamble is known before the run starts.
-	if err := emit(&api.StreamRecord{Type: api.StreamTypeHeader, Header: &api.StreamHeader{
-		Device:      dev.Name,
-		Algo:        req.Algo,
-		Durations:   req.Durations,
-		Seed:        req.Seed,
-		InputQubits: c.NumQubits,
-		InputGates:  c.Len(),
-		QASMHeader:  qasm.Header(req.Algo, dev.NumQubits, c.NumClbits),
-	}}); err != nil {
-		return fail(streamSvcError(ctx, req.Algo, err))
+	if err := emit(headerRecord(resp, qasm.Header(req.Algo, dev.NumQubits, c.NumClbits))); err != nil {
+		return fail(mapSvcError(req.Algo, err))
 	}
 
 	seq := 0
 	var text []byte
-	sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
+	spec := specFor(ctx, req, cal)
+	spec.Sink = schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
 		text = text[:0]
 		for i := range chunk {
 			text = qasm.AppendGate(text, chunk[i].Gate)
@@ -190,38 +158,28 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 		seq++
 		return emit(rec)
 	})
-	switch req.Algo {
-	case "codar":
-		res, err := core.RemapStream(circuit.NewSliceSource(c), dev, initial, coreOpts, sink)
-		if err != nil {
-			return fail(streamSvcError(ctx, "codar", err))
-		}
-		resp.OutputGates = res.Gates
-		resp.Swaps = res.SwapCount
-		resp.WeightedDepth = res.Makespan
-	case "sabre":
-		res, err := sabre.RemapStream(circuit.NewSliceSource(c), dev, initial, sabreOpts, sink)
-		if err != nil {
-			return fail(streamSvcError(ctx, "sabre", err))
-		}
-		resp.OutputGates = res.Gates
-		resp.Swaps = res.SwapCount
-		resp.WeightedDepth = res.Makespan
+	res, err := compile.Run(c, dev, spec)
+	if err != nil {
+		return fail(compileSvcError(err))
 	}
+	summarize(resp, res)
 	s.stats.mappings.Inc()
 	emit(&api.StreamRecord{Type: api.StreamTypeResult, Result: resp})
 	return nil
 }
 
-// streamSvcError classifies a mid-stream failure: a fired request context
-// keeps its transport meaning (499/504) even when the error surfaced
-// through a sink write to a dead connection rather than the pipeline's own
-// cancellation check.
-func streamSvcError(ctx context.Context, stage string, err error) *svcError {
-	if ctx.Err() != nil {
-		return ctxSvcError(ctx)
-	}
-	return mapSvcError(stage, err)
+// headerRecord is a stream's first record: the response fields known before
+// any gate is mapped, and the mapped program's QASM preamble.
+func headerRecord(resp *MapResponse, qasmHeader string) *api.StreamRecord {
+	return &api.StreamRecord{Type: api.StreamTypeHeader, Header: &api.StreamHeader{
+		Device:      resp.Device,
+		Algo:        resp.Algo,
+		Durations:   resp.Durations,
+		Seed:        resp.Seed,
+		InputQubits: resp.InputQubits,
+		InputGates:  resp.InputGates,
+		QASMHeader:  qasmHeader,
+	}}
 }
 
 // jobStreamChunkGates bounds the gate statements per chunk when a stored
@@ -245,15 +203,7 @@ func (s *Server) writeJobResultStream(w http.ResponseWriter, body []byte, snap j
 	w.Header().Set(cacheHeader, snap.Cache)
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	enc.Encode(&api.StreamRecord{Type: api.StreamTypeHeader, Header: &api.StreamHeader{
-		Device:      resp.Device,
-		Algo:        resp.Algo,
-		Durations:   resp.Durations,
-		Seed:        resp.Seed,
-		InputQubits: resp.InputQubits,
-		InputGates:  resp.InputGates,
-		QASMHeader:  header,
-	}})
+	enc.Encode(headerRecord(&resp, header))
 	for seq := 0; len(gates) > 0; seq++ {
 		n := jobStreamChunkGates
 		if n > len(gates) {

@@ -146,6 +146,10 @@ func TestMapStreamMatchesBatchBytes(t *testing.T) {
 				t.Fatalf("stream summary gates/swaps %d/%d, batch %d/%d",
 					result.OutputGates, result.Swaps, batch.OutputGates, batch.Swaps)
 			}
+			if result.Depth != batch.Depth || result.WeightedDepth != batch.WeightedDepth {
+				t.Fatalf("stream summary depth/weighted depth %d/%d, batch %d/%d",
+					result.Depth, result.WeightedDepth, batch.Depth, batch.WeightedDepth)
+			}
 			total := 0
 			for _, ch := range chunks {
 				total += ch.Gates
