@@ -5,28 +5,20 @@ import (
 	"sync"
 )
 
-// Assembly bundles a circuit with the derived structures the mapping
-// pipeline keeps rebuilding when each stage receives only the raw
-// *Circuit: the struct-of-arrays gate layout (eager — every consumer
-// wants it), the dependency DAG and the reversed circuit's assembly
-// (both lazy — only SABRE needs them, and only some passes need the
-// reverse), plus the validity check (Validate + IsLowered, two O(gates)
-// walks) memoised so a portfolio run over sixteen candidates pays for it
-// once instead of sixteen times.
+// Assembly bundles a circuit with what every mapping pass over it reads:
+// the struct-of-arrays gate layout, built eagerly, and the validity check
+// (Validate + IsLowered, two O(gates) walks), memoised so a portfolio run
+// over sixteen candidates pays for it once instead of sixteen times.
+// SABRE's dependency DAG and the reversed view of its backward placement
+// pass are rebuilt by the mapper in its own memory, not cached here.
 //
 // An Assembly treats its circuit as immutable from construction on;
 // callers that mutate c.Gates afterwards get stale derived views. The
-// lazy fields are synchronised, so one Assembly may be shared across the
+// check is synchronised, so one Assembly may be shared across the
 // portfolio worker pool.
 type Assembly struct {
 	Circ *Circuit
 	SoA  *SoA
-
-	dagOnce sync.Once
-	dag     *DAG
-
-	revOnce sync.Once
-	rev     *Assembly
 
 	chkOnce sync.Once
 	chkErr  error
@@ -35,19 +27,6 @@ type Assembly struct {
 // Assemble builds the assembly for c, eagerly constructing the SoA layout.
 func Assemble(c *Circuit) *Assembly {
 	return &Assembly{Circ: c, SoA: NewSoA(c)}
-}
-
-// DAG returns the dependency DAG, built on first use.
-func (a *Assembly) DAG() *DAG {
-	a.dagOnce.Do(func() { a.dag = NewDAG(a.Circ) })
-	return a.dag
-}
-
-// Reversed returns the assembly of the reversed circuit (the SABRE
-// initial-layout backward pass), built on first use.
-func (a *Assembly) Reversed() *Assembly {
-	a.revOnce.Do(func() { a.rev = Assemble(a.Circ.Reversed()) })
-	return a.rev
 }
 
 // Checked reports whether the circuit is valid and lowered to the base

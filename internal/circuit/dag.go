@@ -1,149 +1,81 @@
 package circuit
 
-// DAG is the gate dependency graph of a circuit: gate j depends on gate i
-// (i < j in program order) when they share a qubit and i is the most recent
-// earlier gate on that qubit. This is the standard structure used by SABRE
-// (Li et al., ASPLOS'19); it deliberately ignores commutation so that the
-// baseline matches its published form. CODAR uses the commutative front
-// instead (see commute.go).
+// DAG is the gate dependency graph of a circuit in compressed rows: gate j
+// precedes gate k when j is the last earlier gate on one of k's qubits.
+// This is the standard structure used by SABRE (Li et al., ASPLOS'19); it
+// deliberately ignores commutation so that the baseline matches its
+// published form. CODAR uses the commutative front instead (see
+// commute.go). Each gate's successors are listed once, in ascending order.
+//
+// Load rebuilds every array in place, so one SABRE mapper reuses their
+// memory across its passes and stream epochs.
 type DAG struct {
-	circ *Circuit
-	// Preds[k] and Succs[k] list the immediate dependency neighbours of
-	// gate k, deduplicated, in ascending index order.
-	Preds [][]int
-	Succs [][]int
+	// Off has one entry per gate plus one: gate k's successors are
+	// Succ[Off[k]:Off[k+1]].
+	Off  []int32
+	Succ []int32
+	// InDeg[k] counts gate k's predecessors.
+	InDeg []int32
+	// last[q] is the latest gate on qubit q during a Load.
+	last []int32
 }
 
-// NewDAG builds the dependency DAG of c. The per-gate neighbour lists are
-// sub-slices of two shared flat arrays, so construction costs a handful of
-// allocations instead of two per gate — NewDAG runs three times per
-// benchmark pair in the SABRE reverse-traversal pipeline and showed up
-// accordingly in the Fig 8 allocation profile.
-func NewDAG(c *Circuit) *DAG {
-	n := len(c.Gates)
-	d := &DAG{
-		circ:  c,
-		Preds: make([][]int, n),
-		Succs: make([][]int, n),
+// Load rebuilds the graph over the gates of s, whose operands address
+// numQubits qubits.
+func (d *DAG) Load(s *SoA, numQubits int) {
+	n := s.Len()
+	d.Off = Reuse(d.Off, n+1)
+	d.InDeg = Reuse(d.InDeg, n)
+	d.edges(s, numQubits, false)
+	for k := 0; k < n; k++ {
+		d.Off[k+1] += d.Off[k]
 	}
-	last := make([]int, c.NumQubits) // qubit -> index of last gate seen on it
-	for q := range last {
-		last[q] = -1
+	d.Succ = Reuse(d.Succ, int(d.Off[n]))
+	d.edges(s, numQubits, true)
+	// Filling advanced each row's start to the next row's; shift back.
+	copy(d.Off[1:], d.Off[:n])
+	d.Off[0] = 0
+}
+
+// edges walks every edge j → k in ascending k. The counting walk tallies
+// row j's length into Off[j+1] and k's in-degree; the filling walk writes
+// k at row j's cursor Off[j], so each row comes out ascending.
+func (d *DAG) edges(s *SoA, numQubits int, fill bool) {
+	d.last = Reuse(d.last, numQubits)
+	for q := range d.last {
+		d.last[q] = -1
 	}
-	// Pass 1: collect each gate's deduplicated predecessors (in qubit
-	// order, matching the historical append order) into one flat array.
-	predsFlat := make([]int, 0, n)
-	predOff := make([]int32, n+1)
-	succCnt := make([]int32, n)
-	for k, g := range c.Gates {
-		predOff[k] = int32(len(predsFlat))
-		for _, q := range g.Qubits {
-			j := last[q]
-			last[q] = k
-			if j < 0 {
+	for k := int32(0); k < int32(s.Len()); k++ {
+		ops := s.Operands(int(k))
+		for i, q := range ops {
+			j := d.last[q]
+			if j < 0 || d.seen(ops[:i], j) {
 				continue
 			}
-			dup := false
-			for _, p := range predsFlat[predOff[k]:] {
-				if p == j {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				predsFlat = append(predsFlat, j)
-				succCnt[j]++
+			if fill {
+				d.Succ[d.Off[j]] = k
+				d.Off[j]++
+			} else {
+				d.Off[j+1]++
+				d.InDeg[k]++
 			}
 		}
-	}
-	predOff[n] = int32(len(predsFlat))
-	// Pass 2: invert into successor lists, ascending in k by construction.
-	succsFlat := make([]int, len(predsFlat))
-	succOff := make([]int32, n+1)
-	off := int32(0)
-	for k := 0; k < n; k++ {
-		succOff[k] = off
-		off += succCnt[k]
-		succCnt[k] = 0 // reuse as fill cursor
-	}
-	succOff[n] = off
-	for k := 0; k < n; k++ {
-		for _, j := range predsFlat[predOff[k]:predOff[k+1]] {
-			succsFlat[succOff[j]+succCnt[j]] = k
-			succCnt[j]++
+		for _, q := range ops {
+			d.last[q] = k
 		}
 	}
-	for k := 0; k < n; k++ {
-		// Full three-index slices: an append by a caller reallocates
-		// instead of overwriting the next gate's list in the shared array.
-		if a, b := predOff[k], predOff[k+1]; b > a {
-			d.Preds[k] = predsFlat[a:b:b]
-		}
-		if a, b := succOff[k], succOff[k+1]; b > a {
-			d.Succs[k] = succsFlat[a:b:b]
-		}
-	}
-	return d
 }
 
-// Circuit returns the circuit the DAG was built from.
-func (d *DAG) Circuit() *Circuit { return d.circ }
-
-// Len returns the number of gates (nodes).
-func (d *DAG) Len() int { return len(d.Preds) }
-
-// Gate returns the gate at node k.
-func (d *DAG) Gate(k int) Gate { return d.circ.Gates[k] }
-
-// InDegrees returns a fresh in-degree array, suitable for topological
-// front-layer traversal.
-func (d *DAG) InDegrees() []int {
-	deg := make([]int, d.Len())
-	for k := range d.Preds {
-		deg[k] = len(d.Preds[k])
-	}
-	return deg
-}
-
-// FrontLayer returns the indices of all gates with no predecessors.
-func (d *DAG) FrontLayer() []int {
-	var front []int
-	for k := range d.Preds {
-		if len(d.Preds[k]) == 0 {
-			front = append(front, k)
+// seen reports whether gate j is already the last gate on one of qs, so
+// that a gate sharing several qubits with j depends on it once.
+func (d *DAG) seen(qs []int32, j int32) bool {
+	for _, q := range qs {
+		if d.last[q] == j {
+			return true
 		}
 	}
-	return front
+	return false
 }
 
-// TopologicalOrder returns one valid topological ordering of the gates.
-// Program order is itself topological, so the identity permutation is
-// returned; the method exists to make intent explicit at call sites.
-func (d *DAG) TopologicalOrder() []int {
-	order := make([]int, d.Len())
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// LongestPath returns the number of gates on the longest dependency chain,
-// which equals the circuit depth when all gates count 1.
-func (d *DAG) LongestPath() int {
-	n := d.Len()
-	dist := make([]int, n)
-	best := 0
-	for k := 0; k < n; k++ { // program order is topological
-		dk := 1
-		for _, p := range d.Preds[k] {
-			if dist[p]+1 > dk {
-				dk = dist[p] + 1
-			}
-		}
-		dist[k] = dk
-		if dk > best {
-			best = dk
-		}
-	}
-	return best
-}
+// Succs returns gate k's successors, ascending.
+func (d *DAG) Succs(k int) []int32 { return d.Succ[d.Off[k]:d.Off[k+1]] }

@@ -72,6 +72,31 @@ func (s *SoA) Load(gates []Gate) {
 	s.QOff[n] = int32(len(s.Qubits))
 }
 
+// LoadReversed rebuilds the layout in place as src's gates in reverse
+// order: what NewSoA builds for the reversed circuit, without reversing the
+// gate slice. SABRE's backward placement pass reads it.
+func (s *SoA) LoadReversed(src *SoA) {
+	n, total := src.Len(), len(src.Qubits)
+	s.Ops = Reuse(s.Ops, n)
+	s.Is2Q = Reuse(s.Is2Q, n)
+	s.QOff = Reuse(s.QOff, n+1)
+	s.Qubits = Reuse(s.Qubits, total)[:0]
+	s.SlotGate = Reuse(s.SlotGate, total)
+	s.Basis = Reuse(s.Basis, total)[:0]
+	for i := 0; i < n; i++ {
+		j := n - 1 - i
+		s.Ops[i], s.Is2Q[i] = src.Ops[j], src.Is2Q[j]
+		s.QOff[i] = int32(len(s.Qubits))
+		lo, hi := src.QOff[j], src.QOff[j+1]
+		for slot := len(s.Qubits); slot < len(s.Qubits)+int(hi-lo); slot++ {
+			s.SlotGate[slot] = int32(i)
+		}
+		s.Qubits = append(s.Qubits, src.Qubits[lo:hi]...)
+		s.Basis = append(s.Basis, src.Basis[lo:hi]...)
+	}
+	s.QOff[n] = int32(total)
+}
+
 // Len returns the number of gates.
 func (s *SoA) Len() int { return len(s.Ops) }
 

@@ -210,10 +210,6 @@ func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
-	// Read before the run: this frame must not keep the assembly, whose DAG
-	// and reversed circuit CODAR never uses, reachable while the run
-	// allocates.
-	clbits := a.Circ.NumClbits
 	r := newRemapper(a, dev, initial, opts)
 	r.run(&cursor{})
 	if r.ctxErr != nil {
@@ -222,7 +218,7 @@ func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 	if r.exceeded {
 		return nil, ErrDepthBound
 	}
-	return r.result(clbits), nil
+	return r.result(a.Circ.NumClbits), nil
 }
 
 // remapper holds the mutable state of one CODAR run.

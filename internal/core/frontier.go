@@ -22,9 +22,10 @@ import "codar/internal/circuit"
 // from cached membership bits with a window walk that does no commutation
 // work at all. A per-gate first-blocker cache short-circuits step 1 — a
 // blocked gate is re-scanned only when the specific gate blocking it
-// retires — and a pair-verdict memo keyed by gate indices (gates are
-// immutable, so verdicts never expire) absorbs the repeated CX/CX checks
-// that survive the op-pair classification table in circuit.CommuteClass.
+// retires — and the position-dependent checks that survive the op-pair
+// classification table in circuit.CommuteClass (CX/CX and friends) compare
+// two commutation-basis bytes of the SoA per shared qubit (commute)
+// instead of walking Gate values.
 type frontier struct {
 	r      *remapper
 	window int

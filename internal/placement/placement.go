@@ -140,8 +140,8 @@ func (m Method) Seeded() bool {
 // logical qubit i to physical qubit i, random picks a seeded random subset
 // of physical qubits, dense is Dense, and sabre-reverse is SABRE's
 // reverse traversal (sabre.InitialLayoutAssembled, two full SABRE passes
-// that reuse the assembly's DAG and reversed circuit). Only sabre-reverse
-// runs under opts: Cost places under a calibration-weighted metric (the
+// on one mapper over the assembly's SoA). Only sabre-reverse runs under
+// opts: Cost places under a calibration-weighted metric (the
 // placement-heavy win in DESIGN.md §8) and Ctx aborts its passes.
 func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options) (*arch.Layout, error) {
 	n := a.Circ.NumQubits

@@ -298,11 +298,11 @@ func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 }
 
 // RunAssembled is Run over a pre-built assembly. All candidates share the
-// assembly's derived structures (SoA gate layout, DAG, reversed circuit,
-// validity verdict), and the initial layouts are computed once per
-// distinct (placement, seed) pair and shared across algorithms — a
-// sabre-reverse placement is two full SABRE passes, so scoring both
-// mappers from it for the price of one halves the grid's dominant cost.
+// assembly's SoA gate layout and validity verdict, and the initial layouts
+// are computed once per distinct (placement, seed) pair and shared across
+// algorithms — a sabre-reverse placement is two full SABRE passes, so
+// scoring both mappers from it for the price of one halves the grid's
+// dominant cost.
 // Output is byte-identical to Run: layouts are read-only to the mappers
 // (each clones before mutating) and the selection order is unchanged.
 func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, error) {

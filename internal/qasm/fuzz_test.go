@@ -49,7 +49,8 @@ func FuzzParseQASM(f *testing.F) {
 		if d := c.Depth(); d < 0 || d > len(c.Gates) {
 			t.Fatalf("depth %d out of range for %d gates", d, len(c.Gates))
 		}
-		_ = circuit.NewDAG(c)
+		var rev circuit.SoA
+		rev.LoadReversed(circuit.NewSoA(c))
 		out := Write(c)
 		back, err := Parse(out)
 		if err != nil {

@@ -143,6 +143,9 @@ func TestLexLongLineBoundedByBuffer(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race perturbs allocation counts")
 	}
+	// TotalAlloc is process-wide: with more than one P, the scheduler may
+	// start an OS thread inside the window, and its bookkeeping counts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const size = 32 << 20
 	r := &repeatReader{pattern: "h q[0];", n: size}
 	var before, after runtime.MemStats

@@ -59,6 +59,8 @@ type parser struct {
 	cregs []reg
 	defs  map[string]*gateDef
 	circ  *circuit.Circuit
+	// gates is the gate capacity the circuit reserves when it is created.
+	gates int
 
 	// Scratch reused by every statement: the applied gate's name (kept past
 	// its token), operands, qubits, evaluated parameters (a stack: gate
@@ -86,6 +88,10 @@ func Parse(src string) (*circuit.Circuit, error) {
 	// A source shorter than the stream buffer is read whole; one spare byte
 	// lets the lexer see the end of input.
 	p := newParser(strings.NewReader(src), min(len(src)+1, lexBufSize))
+	// Reserve the gate slice once: about one gate per statement, and never
+	// more than one per 8 bytes ("x q[0];\n"), so input that fails to parse
+	// reserves no more than a valid input of its length fills.
+	p.gates = min(strings.Count(src, ";"), len(src)/8)
 	if err := p.parseProgram(); err != nil {
 		return nil, err
 	}
@@ -225,6 +231,7 @@ func (p *parser) ensureCircuit() error {
 		return fmt.Errorf("qasm: statement before any qreg declaration")
 	}
 	p.circ = circuit.New(total)
+	p.circ.Gates = make([]circuit.Gate, 0, p.gates)
 	for _, r := range p.cregs {
 		p.circ.NumClbits += r.size
 	}

@@ -3,11 +3,13 @@ package qasm
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"codar/internal/circuit"
+	"codar/internal/testutil"
 	"codar/internal/workloads"
 )
 
@@ -562,4 +564,43 @@ func TestEvalErrorsCarryOnePrefix(t *testing.T) {
 			t.Errorf("Parse(%q) error %v, want %q", src, err, want)
 		}
 	}
+}
+
+// parseAlloc parses src and reports the bytes that allocated, with one P
+// so that no OS thread starts inside the window.
+func parseAlloc(src string) (uint64, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(src)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestParseReservesGatesOnce: Parse sizes its gate slice once from the
+// statement count instead of growing it by doubling, and junk that is
+// nothing but statement ends never makes it reserve more than a valid body
+// of the same length fills.
+func TestParseReservesGatesOnce(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race perturbs allocation counts")
+	}
+	const size = 1 << 20
+	valid := "qreg q[1];\n" + strings.Repeat("x q[0];\n", size/8)
+	got, err := parseAlloc(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(got) / float64(len(valid)); per > 12 {
+		t.Fatalf("a valid %d-byte body allocated %.1f B per input byte, want <= 12", len(valid), per)
+	}
+	junk := "qreg q[1]; x q[0];" + strings.Repeat(";", size)
+	junkGot, err := parseAlloc(junk)
+	if err == nil {
+		t.Fatal("a body of bare statement ends parsed")
+	}
+	if junkGot > got {
+		t.Fatalf("the rejected %d-byte body allocated %d bytes, more than the valid body's %d", len(junk), junkGot, got)
+	}
+	t.Logf("valid %.1f B/byte, rejected %.1f B/byte", float64(got)/float64(len(valid)), float64(junkGot)/float64(len(junk)))
 }

@@ -15,6 +15,9 @@ import (
 func Write(c *circuit.Circuit) string {
 	var b strings.Builder
 	line := appendHeader(nil, c.Name, c.NumQubits, c.NumClbits)
+	// Reserve once: a typical mapped gate line ("cx q[3],q[14];\n") is
+	// about 15 bytes.
+	b.Grow(len(line) + 16*len(c.Gates))
 	b.Write(line)
 	for _, g := range c.Gates {
 		line = AppendGate(line[:0], g)

@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"codar/internal/arch"
@@ -82,5 +83,54 @@ func TestDepthBoundExactTieCompletes(t *testing.T) {
 	tight.Tighten(wd - 1)
 	if _, err := Remap(b.Circuit(), dev, nil, Options{DepthBound: &tight}); !errors.Is(err, ErrDepthBound) {
 		t.Fatalf("bound wd-1: err = %v, want ErrDepthBound", err)
+	}
+}
+
+// TestInitialLayoutUnderDepthBound: a bound turns layout-only mode off, so
+// both placement passes emit and are tracked. A bound equal to the larger
+// pass's weighted depth lets both finish on the unbounded layout; one
+// below the smaller abandons placement.
+func TestInitialLayoutUnderDepthBound(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	c := workloads.Random(12, 400, 50, 3)
+	const seed = 1
+	plain, err := InitialLayout(c, dev, seed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two passes InitialLayout runs, as full runs.
+	perm := rand.New(rand.NewSource(seed)).Perm(dev.NumQubits)
+	start, err := arch.NewLayout(perm[:c.NumQubits], dev.NumQubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := Remap(c, dev, start, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bwd, err := Remap(c.Reversed(), dev, fwd.FinalLayout, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bwd.FinalLayout.Equal(plain) {
+		t.Fatal("the backward full run does not land on InitialLayout's layout")
+	}
+	fwdWD := schedule.WeightedDepth(fwd.Circuit, dev.Durations)
+	bwdWD := schedule.WeightedDepth(bwd.Circuit, dev.Durations)
+	t.Logf("pass weighted depths: forward %d, backward %d", fwdWD, bwdWD)
+
+	var loose arch.DepthBound
+	loose.Tighten(max(fwdWD, bwdWD))
+	got, err := InitialLayout(c, dev, seed, Options{DepthBound: &loose})
+	if err != nil {
+		t.Fatalf("bound %d: %v", max(fwdWD, bwdWD), err)
+	}
+	if !got.Equal(plain) {
+		t.Fatalf("bound %d changed the layout: %v vs %v", max(fwdWD, bwdWD), got, plain)
+	}
+	var tight arch.DepthBound
+	tight.Tighten(min(fwdWD, bwdWD) - 1)
+	if _, err := InitialLayout(c, dev, seed, Options{DepthBound: &tight}); !errors.Is(err, ErrDepthBound) {
+		t.Fatalf("bound %d: err = %v, want ErrDepthBound", min(fwdWD, bwdWD)-1, err)
 	}
 }

@@ -136,40 +136,27 @@ func Remap(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Opti
 }
 
 // RemapAssembled is Remap over a pre-built assembly. Callers running the
-// same circuit several times (the initial-layout forward/backward passes,
-// the portfolio candidates) share one assembly so the DAG, the SoA gate
-// layout and the validity walk are paid once; the output is byte-identical
-// to Remap.
+// same circuit several times (placement, the portfolio candidates) share
+// one assembly so the SoA gate layout and the validity walk are paid once;
+// the output is byte-identical to Remap.
 func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
 	return remapAssembled(a, dev, initial, opts, false)
 }
 
-// remapAssembled optionally runs in layout-only mode (discard): the output
-// circuit is never materialised — no presized gate buffer, no arena, no
-// per-gate physical images — because the caller (the InitialLayout
-// forward/backward passes) only reads FinalLayout. Every routing decision
-// is a function of the layout and the DAG, never of the emitted output, so
-// the resulting layout is byte-identical to a full run. Discard is ignored
-// when a DepthBound is attached: the bound tracks emitted gates.
+// remapAssembled optionally runs in layout-only mode (discard), the mode of
+// the InitialLayout passes, whose callers read only the final layout: the
+// output circuit is never materialised — no presized gate buffer, no arena,
+// no per-gate physical images. Every routing decision is a function of the
+// layout and the DAG, never of the emitted output, so the resulting layout
+// is byte-identical to a full run. Discard is ignored when a DepthBound is
+// attached: the bound tracks emitted gates.
 func remapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (*Result, error) {
-	if err := a.Checked(); err != nil {
-		return nil, fmt.Errorf("sabre: %w", err)
-	}
-	initial, err := arch.StartLayout(a.Circ.NumQubits, dev, initial, opts.Cost)
+	m, err := prepare(a, dev, initial, opts, discard)
 	if err != nil {
-		return nil, fmt.Errorf("sabre: %w", err)
+		return nil, err
 	}
-	if err := interrupt.Classify(opts.Ctx); err != nil {
-		return nil, fmt.Errorf("sabre: %w", err)
-	}
-	m := newMapper(dev, initial, opts, discard)
-	m.load(a, false)
-	m.run(&cursor{})
-	if m.ctxErr != nil {
-		return nil, fmt.Errorf("sabre: %w", m.ctxErr)
-	}
-	if m.exceeded {
-		return nil, ErrDepthBound
+	if err := m.pass(a.Circ, a.SoA); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Circuit:       m.out,
@@ -179,15 +166,49 @@ func remapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 	}, nil
 }
 
+// prepare runs the input checks of a batch run over a and builds its
+// mapper.
+func prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (mapper, error) {
+	if err := a.Checked(); err != nil {
+		return mapper{}, fmt.Errorf("sabre: %w", err)
+	}
+	initial, err := arch.StartLayout(a.Circ.NumQubits, dev, initial, opts.Cost)
+	if err != nil {
+		return mapper{}, fmt.Errorf("sabre: %w", err)
+	}
+	if err := interrupt.Classify(opts.Ctx); err != nil {
+		return mapper{}, fmt.Errorf("sabre: %w", err)
+	}
+	return newMapper(dev, initial, opts, discard), nil
+}
+
+// pass loads the gates of c, laid out in soa, and runs them to completion
+// from the mapper's current layout.
+func (m *mapper) pass(c *circuit.Circuit, soa *circuit.SoA) error {
+	m.load(c, soa, false)
+	m.run(&cursor{})
+	if m.ctxErr != nil {
+		return fmt.Errorf("sabre: %w", m.ctxErr)
+	}
+	if m.exceeded {
+		return ErrDepthBound
+	}
+	return nil
+}
+
 type mapper struct {
 	opts Options
 	dev  *arch.Device
-	dag  *circuit.DAG
+	// dag is the loaded gates' dependency graph, rebuilt in place by
+	// every load; indeg is run's working copy of its in-degrees.
+	dag   circuit.DAG
+	indeg []int32
 	// soa is the shared struct-of-arrays view of the input gates; the hot
 	// loops (executability, extended-set BFS, candidate enumeration, the
 	// incidence index) read ops and operands from its dense arrays instead
-	// of copying 64-byte Gate values out of the DAG. gates backs the
-	// emission path, which needs full Gate values (params, cbits).
+	// of copying 64-byte Gate values. gates backs the emission path, which
+	// needs full Gate values (params, cbits); a layout-only pass never
+	// reads it.
 	soa   *circuit.SoA
 	gates []circuit.Gate
 	// discard marks a layout-only pass: no gate is ever appended to out.
@@ -332,18 +353,18 @@ func newMapper(dev *arch.Device, initial *arch.Layout, opts Options, discard boo
 	return m
 }
 
-// load points the mapper at an assembly and resets the gate-indexed state:
-// the DAG and gate views, the output gates and their qubit arena, and the
-// extended-set and incidence memos. The output declares the assembly's
-// classical bits. sourceOpen marks the assembly as a prefix of a longer
-// stream (see run); only then are the chain tails and the executed marks
-// tracked. Everything else — layout, decay, swap count, ASAP tracker,
+// load points the mapper at the gates of c, laid out in soa, and resets
+// the gate-indexed state: the DAG and gate views, the output gates and
+// their qubit arena, and the extended-set and incidence memos. The output
+// declares c's classical bits. sourceOpen marks the gates as a prefix of a
+// longer stream (see run); only then are the chain tails and the executed
+// marks tracked. Everything else — layout, decay, swap count, ASAP tracker,
 // context checker — carries over, so the stream driver reloads one mapper
 // each epoch without changing any decision.
-func (m *mapper) load(a *circuit.Assembly, sourceOpen bool) {
-	c := a.Circ
-	n := len(c.Gates)
-	m.dag, m.soa, m.gates = a.DAG(), a.SoA, c.Gates
+func (m *mapper) load(c *circuit.Circuit, soa *circuit.SoA, sourceOpen bool) {
+	n := soa.Len()
+	m.soa, m.gates = soa, c.Gates
+	m.dag.Load(soa, c.NumQubits)
 	m.visitStamp = circuit.Reuse(m.visitStamp, n)
 	m.extValid, m.idxValid = false, false
 	m.out.NumClbits = c.NumClbits
@@ -410,7 +431,8 @@ func (m *mapper) run(cur *cursor) {
 			}
 		}
 	}
-	indeg := m.dag.InDegrees()
+	m.indeg = append(m.indeg[:0], m.dag.InDeg...)
+	indeg := m.indeg
 	front := cur.front
 	if !cur.started {
 		front = cur.front[:0]
@@ -459,10 +481,10 @@ func (m *mapper) run(cur *cursor) {
 					m.executedMark[k] = true
 				}
 				executed = true
-				for _, s := range m.dag.Succs[k] {
+				for _, s := range m.dag.Succs(k) {
 					indeg[s]--
 					if indeg[s] == 0 {
-						next = append(next, s)
+						next = append(next, int(s))
 					}
 				}
 			} else {
@@ -575,18 +597,18 @@ func (m *mapper) extendedSet(front []int) []int {
 			m.queue = queue[:0]
 			return nil
 		}
-		for _, s := range m.dag.Succs[k] {
+		for _, s := range m.dag.Succs(k) {
 			if m.visitStamp[s] == m.visitEpoch {
 				continue
 			}
 			m.visitStamp[s] = m.visitEpoch
 			if m.soa.Is2Q[s] {
-				ext = append(ext, s)
+				ext = append(ext, int(s))
 				if len(ext) >= limit {
 					break
 				}
 			}
-			queue = append(queue, s)
+			queue = append(queue, int(s))
 		}
 	}
 	m.extBuf = ext
@@ -801,12 +823,12 @@ func (m *mapper) score(c swapCand, front, ext []int) float64 {
 	sumOver := func(set []int) (float64, int) {
 		sum, n := 0.0, 0
 		for _, k := range set {
-			g := m.dag.Gate(k)
-			if !g.Op.TwoQubit() {
+			if !m.soa.Is2Q[k] {
 				continue
 			}
-			p1 := sw(m.layout.Phys(g.Qubits[0]))
-			p2 := sw(m.layout.Phys(g.Qubits[1]))
+			q1, q2 := m.soa.Pair(k)
+			p1 := sw(m.layout.Phys(q1))
+			p2 := sw(m.layout.Phys(q2))
 			sum += float64(m.distance(p1, p2))
 			n++
 		}
@@ -919,10 +941,10 @@ func InitialLayout(c *circuit.Circuit, dev *arch.Device, seed int64, opts Option
 	return InitialLayoutAssembled(circuit.Assemble(c), dev, seed, opts)
 }
 
-// InitialLayoutAssembled is InitialLayout over a pre-built assembly: the
-// backward pass runs on the assembly's cached reversed circuit, so callers
-// computing several seeded layouts of one circuit (the portfolio grid)
-// reverse and re-index it once instead of once per seed.
+// InitialLayoutAssembled is InitialLayout over a pre-built assembly. Both
+// passes run on one layout-only mapper: the backward pass reads a reversed
+// view of the assembly's SoA, built in that mapper's own memory, so no
+// reversed circuit is copied.
 func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
 	// A circuit that does not fit gets a start with one logical qubit per
 	// physical one, which the forward pass's input check then rejects.
@@ -932,13 +954,33 @@ func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, o
 	if err != nil {
 		return nil, err
 	}
-	fwd, err := remapAssembled(a, dev, start, opts, true)
+	m, err := prepare(a, dev, start, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	bwd, err := remapAssembled(a.Reversed(), dev, fwd.FinalLayout, opts, true)
-	if err != nil {
+	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
 	}
-	return bwd.FinalLayout, nil
+
+	// The backward pass starts from the forward pass's final layout with
+	// everything else a fresh mapper would have.
+	if err := interrupt.Classify(opts.Ctx); err != nil {
+		return nil, fmt.Errorf("sabre: %w", err)
+	}
+	m.resetDecay()
+	m.swaps = 0
+	m.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
+	rev := &circuit.Circuit{NumQubits: a.Circ.NumQubits, NumClbits: a.Circ.NumClbits}
+	if opts.DepthBound != nil {
+		// A bound turns layout-only mode off, so this pass emits, and
+		// emission reads gate values.
+		m.asap = arch.NewASAPTracker(dev.NumQubits)
+		rev = a.Circ.Reversed()
+	}
+	var revSoA circuit.SoA
+	revSoA.LoadReversed(a.SoA)
+	if err := m.pass(rev, &revSoA); err != nil {
+		return nil, err
+	}
+	return m.layout, nil
 }

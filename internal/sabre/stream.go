@@ -70,11 +70,13 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
 
-	// One mapper serves the whole stream; each epoch loads the window's
-	// gates. The window owns the gate slice and the mapper indexes into it
-	// positionally, so eviction requires a reload.
+	// One mapper serves the whole stream; each epoch re-indexes the
+	// window's gates into one SoA and reloads the mapper over it. The window
+	// owns the gate slice and both index into it positionally, so eviction
+	// requires a reload.
 	m := newMapper(dev, initial, opts, false)
 	var (
+		soa                       circuit.SoA
 		cur                       cursor
 		chunk                     []schedule.ScheduledGate
 		avail                     = make([]int, dev.NumQubits)
@@ -83,12 +85,12 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		makespan, flushed, chunks int
 	)
 	for {
-		m.load(circuit.Assemble(&circuit.Circuit{
-			Name:      "stream",
+		soa.Load(win.Gates())
+		m.load(&circuit.Circuit{
 			NumQubits: win.NumQubits(),
 			NumClbits: win.NumClbits(),
 			Gates:     win.Gates(),
-		}), win.Open())
+		}, &soa, win.Open())
 		m.run(&cur)
 		if m.ctxErr != nil {
 			return nil, fmt.Errorf("sabre: %w", m.ctxErr)
