@@ -32,7 +32,7 @@
 // items whose outcomes are decoded individually (an item carrying an error
 // envelope is counted by its code, never as a success), and -portfolio
 // turns every request into a multi-start portfolio search — the heavy
-// workload for router scale-out runs (BENCH_5.json).
+// workload for router scale-out runs.
 package main
 
 import (

@@ -81,11 +81,11 @@ func (r PortfolioStudyResult) MeanDepthRatio() float64 {
 	return metrics.Mean(ratios)
 }
 
-// PortfolioCompareOn runs one benchmark of the portfolio study: the
+// portfolioCompareOn runs one benchmark of the portfolio study: the
 // single-shot pipeline (SABRE reverse-traversal placement at the fixed
 // seed, then CODAR under spec.Codar) against the full candidate grid of
 // spec. snap may be nil (ESP columns read 0).
-func PortfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Snapshot, spec portfolio.Spec) (PortfolioStudyRow, *portfolio.Result, error) {
+func portfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Snapshot, spec portfolio.Spec) (PortfolioStudyRow, error) {
 	c := b.Circuit()
 	row := PortfolioStudyRow{Benchmark: b.Name, Qubits: b.Qubits, Gates: c.Len()}
 	spec.Snapshot = snap
@@ -94,13 +94,13 @@ func PortfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Sna
 	single.Cost, single.Snapshot = spec.Codar.Cost, snap
 	res, err := compile.Run(c, dev, single)
 	if err != nil {
-		return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
+		return row, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
 	row.SingleWD = res.WeightedDepth
 
 	pres, err := portfolio.Run(c, dev, spec)
 	if err != nil {
-		return row, nil, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
+		return row, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
 	row.PortWD = pres.Winner.Depth
 	row.Winner = pres.WinnerReport().Candidate
@@ -110,7 +110,7 @@ func PortfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Sna
 	if snap != nil {
 		row.SingleESP, row.PortESP = *res.ESP, pres.Winner.ESP
 	}
-	return row, pres, nil
+	return row, nil
 }
 
 // RunPortfolioStudy measures the portfolio against the single-shot pipeline
@@ -132,7 +132,7 @@ func RunPortfolioStudy(dev *arch.Device, snap *calib.Snapshot, opts core.Options
 	eligible := EligibleSuite(dev)
 	rows := make([]PortfolioStudyRow, len(eligible))
 	err := RunBatch(len(eligible), workers, func(i int) error {
-		row, _, jerr := PortfolioCompareOn(eligible[i], dev, snap, spec)
+		row, jerr := portfolioCompareOn(eligible[i], dev, snap, spec)
 		if jerr != nil {
 			return jerr
 		}

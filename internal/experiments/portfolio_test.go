@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"codar/internal/arch"
 	"codar/internal/calib"
 	"codar/internal/core"
+	"codar/internal/portfolio"
+	"codar/internal/workloads"
 )
 
 // TestPortfolioStudyDominates pins the study's structural guarantee: the
@@ -77,5 +80,35 @@ func TestPortfolioStudyDeterministicAcrossWorkers(t *testing.T) {
 		if s.PortWD != p.PortWD || s.SingleWD != p.SingleWD || s.Winner != p.Winner {
 			t.Errorf("%s: serial %+v vs parallel %+v", s.Benchmark, s.Winner, p.Winner)
 		}
+	}
+}
+
+// TestPortfolioTokyoSubsetPins pins the portfolio study on a 9-circuit
+// slice of the Tokyo suite (min-depth objective, early abandon, one
+// worker): 4 depth wins and a mean depth ratio of 0.976559. The study is
+// deterministic, so any drift means a mapper, a placement or the
+// portfolio's selection changed.
+func TestPortfolioTokyoSubsetPins(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	spec := portfolio.Spec{Objective: portfolio.ObjectiveMinDepth, EarlyAbandon: true, Workers: 1}
+	res := PortfolioStudyResult{Device: dev, Spec: spec}
+	for _, name := range []string{
+		"qft_10", "qft_16", "rand_10_g300", "rand_16_g1000",
+		"qv_12_d12", "revnet_12_s1", "ising_12_6", "adder_6", "grover_5",
+	} {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := portfolioCompareOn(b, dev, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	ratio := math.Round(res.MeanDepthRatio()*1e6) / 1e6
+	if len(res.Rows) != 9 || res.DepthWins() != 4 || ratio != 0.976559 {
+		t.Fatalf("%d rows, %d depth wins, mean depth ratio %.6f; want 9, 4, 0.976559",
+			len(res.Rows), res.DepthWins(), ratio)
 	}
 }

@@ -174,6 +174,9 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/v1/jobs/", rt.handleJobByID)
 	rt.mux.HandleFunc("/v1/devices", rt.handleDevices)
 	rt.mux.HandleFunc("/v1/devices/", rt.handleDevices)
+	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		rt.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown path %q", r.URL.Path))
+	})
 	rt.probes.Add(1)
 	go rt.probeLoop()
 	return rt, nil

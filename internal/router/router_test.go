@@ -359,6 +359,24 @@ func TestRouterNoBackendsIs503(t *testing.T) {
 	}
 }
 
+// TestRouterUnknownPathsNotFoundEnvelope: a path no route claims answers
+// 404 with the not_found envelope, not the mux's plain-text page.
+func TestRouterUnknownPathsNotFoundEnvelope(t *testing.T) {
+	rt, _ := newFleet(t, 1, Config{})
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/"},
+		{http.MethodPost, "/v2/map"},
+	} {
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(c.method, c.path, nil))
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); w.Code != http.StatusNotFound || err != nil ||
+			env.Error.Code != api.CodeNotFound {
+			t.Errorf("%s %s: %d %q, want 404 and a not_found envelope", c.method, c.path, w.Code, w.Body.String())
+		}
+	}
+}
+
 func TestRouterDeviceWritesFanOut(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	rt, backends := newFleet(t, 2, Config{})

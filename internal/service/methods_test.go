@@ -65,6 +65,27 @@ func TestWrongMethodsUniform405(t *testing.T) {
 	}
 }
 
+// TestUnknownPathsNotFoundEnvelope: a path no route claims answers 404
+// with the not_found envelope, as docs/API.md promises, not the mux's
+// plain-text page.
+func TestUnknownPathsNotFoundEnvelope(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/"},
+		{http.MethodPost, "/v2/map"},
+		{http.MethodPost, "/v1/mapx"},
+		{http.MethodGet, "/healthz/x"},
+		{http.MethodGet, "/v1"},
+	} {
+		w := do(t, s, c.method, c.path, nil)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); w.Code != http.StatusNotFound || err != nil ||
+			env.Error.Code != "not_found" || env.Error.RequestID == "" {
+			t.Errorf("%s %s: %d %q, want 404 and a not_found envelope", c.method, c.path, w.Code, w.Body.String())
+		}
+	}
+}
+
 func splitAllow(allow string) []string {
 	var out []string
 	start := 0

@@ -289,6 +289,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/devices", s.handleDevices)
 	s.mux.HandleFunc("/v1/devices/", s.handleDeviceCalibration)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		s.writeError(w, errNotFound("unknown path %q", r.URL.Path))
+	})
 	return s
 }
 

@@ -108,8 +108,3 @@ func (s *stats) latencies() LatencySummary {
 	sum.P99 = metrics.Percentile(window, 0.99)
 	return sum
 }
-
-// Percentile reads the nearest-rank percentile from an ascending-sorted
-// slice. Kept as a forwarder to metrics.Percentile (the shared
-// implementation) for existing importers.
-func Percentile(sorted []float64, p float64) float64 { return metrics.Percentile(sorted, p) }
