@@ -59,7 +59,6 @@ import (
 	"codar/internal/placement"
 	"codar/internal/portfolio"
 	"codar/internal/qasm"
-	"codar/internal/sabre"
 	"codar/internal/schedule"
 	"codar/internal/verify"
 )
@@ -260,8 +259,8 @@ func run(cfg *config) error {
 		if err != nil {
 			return err
 		}
-		w, wr := pres.Winner, pres.WinnerReport()
-		res = &compile.Result{Circuit: w.Circuit, InitialLayout: w.InitialLayout, FinalLayout: w.FinalLayout, Swaps: w.SwapCount}
+		wr := pres.WinnerReport()
+		res = pres.Winner
 		algoLabel = fmt.Sprintf("portfolio(%s) → seed %d / %s / %s", pres.Objective, wr.Seed, wr.Placement, wr.Algorithm)
 	} else if res, err = compile.Run(c, dev, compile.Spec{
 		Algorithm: compile.Algorithm(cfg.algo),
@@ -483,8 +482,8 @@ func runPortfolio(cfg *config, c *circuit.Circuit, dev *arch.Device, snap *calib
 		Workers:      cfg.workers,
 		EarlyAbandon: true,
 		Snapshot:     snap,
-		Codar:        core.Options{Window: cfg.window, Lookahead: cfg.lookahead, Cost: cost},
-		Sabre:        sabre.Options{Cost: cost},
+		Cost:         cost,
+		Codar:        core.Options{Window: cfg.window, Lookahead: cfg.lookahead},
 	}
 	res, err := portfolio.Run(c, dev, spec)
 	if err != nil {

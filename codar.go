@@ -80,7 +80,7 @@ type (
 	// per-qubit 1Q/readout error and T1/T2.
 	Calibration = calib.Snapshot
 	// CostModel is a calibration-weighted routing metric accepted by both
-	// mappers' Options.Cost.
+	// mappers' Options.Cost and by PortfolioOptions.Cost.
 	CostModel = arch.CostModel
 )
 
@@ -190,10 +190,13 @@ func SABREInitialLayoutOptions(c *Circuit, dev *Device, seed int64, opts SabreOp
 
 // PortfolioOptions configures a multi-start portfolio run (see
 // internal/portfolio): seeds × placement methods × algorithms, scored by a
-// pluggable objective with deterministic selection.
+// pluggable objective with deterministic selection. Cost places and routes
+// every candidate under a calibration metric; Codar tunes the CODAR
+// candidates.
 type PortfolioOptions = portfolio.Spec
 
-// PortfolioResult is a portfolio run outcome: the winner plus a
+// PortfolioResult is a portfolio run outcome: the winner's mapping and
+// metrics (WeightedDepth, Swaps, and ESP under a snapshot) plus a
 // per-candidate report.
 type PortfolioResult = portfolio.Result
 
@@ -213,10 +216,11 @@ const (
 
 // MapPortfolio runs the multi-start portfolio search: K candidate pipelines
 // (seeds × placement methods × {codar, sabre}) race over a bounded worker
-// pool, every completed schedule is scored by the objective, and the winner
-// is selected by a total order (objective, depth, swaps, candidate index) —
-// deterministic regardless of goroutine timing. The zero options select
-// seeds {1, 2}, all placements, both algorithms and min-depth.
+// pool, each placed and routed by the same pipeline as a single mapping,
+// every completed output is scored by the objective, and the winner is
+// selected by a total order (objective, weighted depth, swaps, candidate
+// index) — deterministic regardless of goroutine timing. The zero options
+// select seeds {1, 2}, all placements, both algorithms and min-depth.
 func MapPortfolio(c *Circuit, dev *Device, opts PortfolioOptions) (*PortfolioResult, error) {
 	return portfolio.Run(c, dev, opts)
 }

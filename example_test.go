@@ -60,7 +60,7 @@ func ExampleMapPortfolio() {
 	w := res.WinnerReport()
 	fmt.Printf("%d candidates, winner: seed %d / %s / %s\n",
 		len(res.Candidates), w.Seed, w.Placement, w.Algorithm)
-	fmt.Printf("weighted depth %d cycles, %d swaps\n", res.Winner.Depth, res.Winner.SwapCount)
+	fmt.Printf("weighted depth %d cycles, %d swaps\n", res.Winner.WeightedDepth, res.Winner.Swaps)
 	// Output:
 	// 16 candidates, winner: seed 1 / dense / codar
 	// weighted depth 9 cycles, 0 swaps

@@ -1,6 +1,14 @@
 package arch
 
-import "sync/atomic"
+import (
+	"errors"
+	"sync/atomic"
+)
+
+// ErrDepthBound is the one sentinel both mappers return when a run is
+// abandoned because its weighted-depth lower bound strictly exceeded the
+// DepthBound: it could no longer beat the portfolio incumbent.
+var ErrDepthBound = errors.New("depth bound exceeded")
 
 // DepthBound is a shared, monotonically tightening makespan bound used by
 // the portfolio search (internal/portfolio) for early abandon: concurrent

@@ -1,9 +1,11 @@
 // Package compile is the one mapping pipeline behind every front door: the
-// service, the codar command and the experiment drivers. It takes a parsed
-// and lowered circuit, places it by the rule the caller names, routes it
-// with CODAR or SABRE (whole, or streamed through a schedule.Sink),
-// optionally routes the SABRE baseline from the same layout, and measures
-// what was emitted (DESIGN.md §15).
+// service, the codar command, the experiment drivers and the portfolio. It
+// takes a parsed and lowered circuit, places it by the rule the caller
+// names, routes it with CODAR or SABRE (whole, or streamed through a
+// schedule.Sink), optionally routes the SABRE baseline from the same
+// layout, and measures what was emitted (DESIGN.md §15). Run chains the two
+// stages, Place and Route; the portfolio calls them apart to share one
+// layout between both routers.
 package compile
 
 import (
@@ -28,6 +30,15 @@ const (
 	Codar Algorithm = "codar"
 	Sabre Algorithm = "sabre"
 )
+
+// ParseAlgorithm validates a router name.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch a := Algorithm(s); a {
+	case Codar, Sabre:
+		return a, nil
+	}
+	return "", fmt.Errorf("compile: unknown algorithm %q (want codar or sabre)", s)
+}
 
 // The stages an Error names besides the routers, which go by their
 // Algorithm.
@@ -59,7 +70,12 @@ type Spec struct {
 	// Ctx and Cost apply to placement and to both routers.
 	Ctx  context.Context
 	Cost *arch.CostModel
-	// Codar is CODAR's own tuning; its Ctx and Cost are the Spec's.
+	// DepthBound, when set, makes both routers (not placement) give up
+	// with arch.ErrDepthBound once their output can no longer beat it: the
+	// portfolio's early abandon (DESIGN.md §9).
+	DepthBound *arch.DepthBound
+	// Codar is CODAR's own tuning; its Ctx, Cost and DepthBound are the
+	// Spec's.
 	Codar core.Options
 	// Snapshot adds the estimated success probability to whole outputs.
 	Snapshot *calib.Snapshot
@@ -89,16 +105,32 @@ type Result struct {
 	Baseline *Result
 }
 
-// Run maps a whole lowered circuit that fits dev. Placement, the router
-// and the baseline share one circuit.Assembly.
+// Run maps a whole lowered circuit that fits dev: Place, then Route, over
+// one circuit.Assembly.
 func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 	a := circuit.Assemble(c)
+	initial, err := Place(a, dev, spec)
+	if err != nil {
+		return nil, err
+	}
+	return Route(a, dev, initial, spec)
+}
+
+// Place computes the initial layout of Spec.Placement at Spec.Seed, under
+// the Spec's Ctx and Cost.
+func Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
 	initial, err := placement.Generate(spec.Placement, a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
 	if err != nil {
 		return nil, &Error{StageLayout, err}
 	}
+	return initial, nil
+}
+
+// Route maps the assembly from initial with Spec.Algorithm, and the
+// baseline from the same layout. The layout is only read.
+func Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
 	if spec.Sink != nil {
-		return spec.route(spec.Algorithm, string(spec.Algorithm), nil, circuit.NewSliceSource(c), dev, initial)
+		return spec.route(spec.Algorithm, string(spec.Algorithm), nil, circuit.NewSliceSource(a.Circ), dev, initial)
 	}
 	res, err := spec.route(spec.Algorithm, string(spec.Algorithm), a, nil, dev, initial)
 	if err == nil && spec.Baseline {
@@ -124,8 +156,8 @@ func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
 // or src through a meter into the Spec's sink.
 func (s *Spec) route(algo Algorithm, stage string, a *circuit.Assembly, src circuit.Source, dev *arch.Device, initial *arch.Layout) (*Result, error) {
 	copts := s.Codar
-	copts.Ctx, copts.Cost = s.Ctx, s.Cost
-	sopts := sabre.Options{Ctx: s.Ctx, Cost: s.Cost}
+	copts.Ctx, copts.Cost, copts.DepthBound = s.Ctx, s.Cost, s.DepthBound
+	sopts := sabre.Options{Ctx: s.Ctx, Cost: s.Cost, DepthBound: s.DepthBound}
 	var m *meter
 	if a == nil {
 		m = newMeter(dev.NumQubits, dev.Durations, s.Sink)
@@ -154,7 +186,7 @@ func (s *Spec) route(algo Algorithm, stage string, a *circuit.Assembly, src circ
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	default:
-		err = fmt.Errorf("compile: unknown algorithm %q (want codar or sabre)", algo)
+		_, err = ParseAlgorithm(string(algo))
 	}
 	if err != nil {
 		return nil, &Error{stage, err}

@@ -20,7 +20,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -32,8 +31,9 @@ import (
 
 // ErrDepthBound is returned by Remap when Options.DepthBound is set and the
 // in-progress schedule's weighted-depth lower bound exceeded it: the run was
-// abandoned because it could no longer beat the portfolio incumbent.
-var ErrDepthBound = errors.New("codar: depth bound exceeded")
+// abandoned because it could no longer beat the portfolio incumbent. It is
+// the shared arch.ErrDepthBound, as SABRE's is.
+var ErrDepthBound = arch.ErrDepthBound
 
 // ErrCanceled and ErrDeadline are returned by Remap when Options.Ctx fires
 // mid-run: the mapping was abandoned because the caller no longer wants it
@@ -81,9 +81,6 @@ type Options struct {
 	// 0 means DefaultLookahead; negative disables the tie-breaker
 	// (paper-exact behaviour).
 	Lookahead int
-	// RankMode selects how the look-ahead term enters the priority
-	// comparison (experimentation/ablation; default RankLookFirst).
-	RankMode RankMode
 	// Cost, when non-nil, replaces the hop-count distance matrix in the
 	// SWAP-search heuristics (Hbasic, Hlook, deadlock routing) with a
 	// calibration-weighted metric, steering routes around unreliable
@@ -114,20 +111,6 @@ type Options struct {
 	// panicking on divergence. Test-only.
 	checkEvents bool
 }
-
-// RankMode enumerates candidate-ranking variants.
-type RankMode uint8
-
-const (
-	// RankLookFirst compares ⟨Hbasic, Hlook, Hfine⟩ lexicographically.
-	RankLookFirst RankMode = iota
-	// RankFineFirst compares ⟨Hbasic, Hfine, Hlook⟩ (paper order with the
-	// look-ahead appended last).
-	RankFineFirst
-	// RankMixed compares ⟨2*Hbasic + Hlook, Hfine⟩ — SABRE-style blending;
-	// insertion is still gated on Hbasic > 0.
-	RankMixed
-)
 
 // Defaults for Options.
 const (

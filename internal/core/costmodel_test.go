@@ -62,15 +62,13 @@ func TestRemapIdenticalWithZeroCalibrationFig8Matrix(t *testing.T) {
 }
 
 // TestRemapIdenticalWithZeroCalibrationProperty randomises circuits, devices
-// and option variants (every rank mode reads the scaled Hbasic differently).
+// and option variants.
 func TestRemapIdenticalWithZeroCalibrationProperty(t *testing.T) {
 	devices := propDevices()
 	optGrid := []Options{
 		{},
 		{naiveScore: true},
 		{naiveFront: true},
-		{RankMode: RankFineFirst},
-		{RankMode: RankMixed},
 		{Lookahead: -1},
 		{DisableHfine: true},
 		{DeadlockStreak: 1},
@@ -115,8 +113,6 @@ func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 	optGrid := []Options{
 		{},
 		{naiveFront: true},
-		{RankMode: RankFineFirst},
-		{RankMode: RankMixed},
 		{Lookahead: -1},
 		{DeadlockStreak: 1, checkEvents: true},
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // frontierOptions is the option grid the equivalence properties sweep:
-// default engine, ablations, small windows and every rank mode, since each
-// changes which fronts the engine is queried for.
+// default engine, ablations and small windows, since each changes which
+// fronts the engine is queried for.
 func frontierOptions() []Options {
 	return []Options{
 		{},
@@ -22,8 +22,6 @@ func frontierOptions() []Options {
 		{Lookahead: -1},
 		{Lookahead: 3},
 		{DisableHfine: true},
-		{RankMode: RankFineFirst},
-		{RankMode: RankMixed},
 		{DeadlockStreak: 1},
 	}
 }

@@ -153,8 +153,8 @@ func (r *remapper) hLook(c swapCand) int {
 }
 
 // pickBest returns the index into cands of the candidate with the highest
-// priority under the configured RankMode (default ⟨Hbasic, Hlook, Hfine⟩),
-// breaking remaining ties by the lowest edge index; -1 when cands is
+// priority ⟨Hbasic, Hlook, Hfine⟩ (compared lexicographically), breaking
+// remaining ties by the lowest edge index; -1 when cands is
 // empty. The returned Hbasic is the winner's hop-metric Eq. 1 value, which
 // still gates insertion (Hbasic > 0) exactly as in the paper — under a
 // calibrated metric ranking and gating deliberately split (DESIGN.md §8).
@@ -164,7 +164,7 @@ func (r *remapper) hLook(c swapCand) int {
 // candidate must lose to the best progress-making one, not veto the round.
 func (r *remapper) pickBest(cands []swapCand, front2q []int, requireProgress bool) (best, bestBasic, bestFine int) {
 	best = -1
-	var key, bestKey [3]int
+	var bestKey [3]int
 	for k, c := range cands {
 		hb := r.hBasic(c, front2q, r.distTab)
 		hbHop := hb
@@ -181,14 +181,7 @@ func (r *remapper) pickBest(cands []swapCand, front2q []int, requireProgress boo
 		if !r.opts.DisableHfine {
 			hf = r.hFine(c, front2q)
 		}
-		switch r.opts.RankMode {
-		case RankFineFirst:
-			key = [3]int{hb, hf, hl}
-		case RankMixed:
-			key = [3]int{2*hb + hl, hf, 0}
-		default:
-			key = [3]int{hb, hl, hf}
-		}
+		key := [3]int{hb, hl, hf}
 		better := best < 0
 		if !better {
 			for i := 0; i < 3; i++ {
@@ -229,11 +222,8 @@ func (r *remapper) insertSwaps(front []int, t int) bool {
 	// (requireProgress): a lateral fidelity move that outranks every real
 	// candidate must lose to the best progress-making one, not veto the
 	// round. Uncalibrated runs rank everything and gate on the winner — the
-	// paper-exact pinned behaviour — and so does RankMixed even when
-	// calibrated: its blended key 2·Hbasic+Hlook deliberately lets the
-	// look-ahead outvote front progress, so pre-filtering would change its
-	// zero-calibration output (the equivalence grids pin this).
-	req := r.weighted && r.opts.RankMode != RankMixed
+	// paper-exact pinned behaviour.
+	req := r.weighted
 	for len(cands) > 0 {
 		var best, hb int
 		if r.sc != nil {

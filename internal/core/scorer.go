@@ -17,10 +17,9 @@ import "codar/internal/circuit"
 //   - Hfine terms of non-incident gates are identical for every candidate
 //     (swapping (a, b) moves nothing else), so scoring only the incident
 //     terms shifts all candidates' Hfine by the same per-round constant,
-//     which cancels in every comparison — including RankMixed's
-//     2·Hbasic + Hlook blend. Hbasic and Hlook are exact (non-incident
-//     terms are exactly zero), so the Hbasic > 0 insertion gate is
-//     untouched.
+//     which cancels in every comparison. Hbasic and Hlook are exact
+//     (non-incident terms are exactly zero), so the Hbasic > 0 insertion
+//     gate is untouched.
 //   - A score is a pure function of the layout and the front/look-ahead
 //     sets — never of the clock or the locks — so a cached per-edge key
 //     stays valid across insertion rounds and simulated cycles until a
@@ -237,15 +236,7 @@ func (s *scorer) score(c swapCand) (key [3]int, hop int) {
 	if len(r.lookSet) > 0 {
 		hl, _, _ = s.deltas(c, s.incLook, false)
 	}
-	switch r.opts.RankMode {
-	case RankFineFirst:
-		key = [3]int{hb, hf, hl}
-	case RankMixed:
-		key = [3]int{2*hb + hl, hf, 0}
-	default:
-		key = [3]int{hb, hl, hf}
-	}
-	return key, hop
+	return [3]int{hb, hl, hf}, hop
 }
 
 // pick returns the index into cands of the highest-priority candidate and

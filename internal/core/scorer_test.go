@@ -24,11 +24,9 @@ func scorerOptions() []Options {
 		{Lookahead: 3},
 		{Window: 1},
 		{Window: 7},
-		{RankMode: RankFineFirst},
-		{RankMode: RankMixed},
 		{DeadlockStreak: 1},
 		{checkEvents: true},
-		{naiveFront: true, RankMode: RankMixed, checkEvents: true},
+		{naiveFront: true, checkEvents: true},
 	}
 }
 

@@ -75,7 +75,7 @@ func TestRemapStreamEqualsRemap(t *testing.T) {
 		checkStreamEqualsBatch(t, c, dev, Options{})
 		checkStreamEqualsBatch(t, c, dev, Options{naiveFront: true, naiveScore: true})
 		checkStreamEqualsBatch(t, c, dev, Options{Window: 16, Lookahead: 4})
-		checkStreamEqualsBatch(t, c, dev, Options{DisableCommutativity: true, RankMode: RankMixed})
+		checkStreamEqualsBatch(t, c, dev, Options{DisableCommutativity: true})
 	}
 }
 

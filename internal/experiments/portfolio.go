@@ -91,7 +91,7 @@ func portfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Sna
 	spec.Snapshot = snap
 
 	single := paperSpec(spec.Codar, false)
-	single.Cost, single.Snapshot = spec.Codar.Cost, snap
+	single.Cost, single.Snapshot = spec.Cost, snap
 	res, err := compile.Run(c, dev, single)
 	if err != nil {
 		return row, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
@@ -102,13 +102,13 @@ func portfolioCompareOn(b workloads.Benchmark, dev *arch.Device, snap *calib.Sna
 	if err != nil {
 		return row, fmt.Errorf("experiments: %s on %s: %w", b.Name, dev.Name, err)
 	}
-	row.PortWD = pres.Winner.Depth
+	row.PortWD = pres.Winner.WeightedDepth
 	row.Winner = pres.WinnerReport().Candidate
 	row.Candidates = len(pres.Candidates)
 	row.Completed = pres.Completed
 	row.Abandoned = pres.Abandoned
 	if snap != nil {
-		row.SingleESP, row.PortESP = *res.ESP, pres.Winner.ESP
+		row.SingleESP, row.PortESP = *res.ESP, *pres.Winner.ESP
 	}
 	return row, nil
 }

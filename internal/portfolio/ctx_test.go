@@ -89,25 +89,3 @@ func TestCtxBackgroundIsByteIdentical(t *testing.T) {
 		t.Fatalf("winner diverged: %d vs %d", plain.WinnerIndex, withCtx.WinnerIndex)
 	}
 }
-
-// TestCtxNormalizedPropagates: Spec.Ctx is copied into the per-mapper
-// options exactly when they have none of their own.
-func TestCtxNormalizedPropagates(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := Spec{Ctx: ctx}.Normalized()
-	if n.Codar.Ctx != ctx || n.Sabre.Ctx != ctx {
-		t.Fatal("Spec.Ctx not propagated into mapper options")
-	}
-	own, ownCancel := context.WithCancel(context.Background())
-	defer ownCancel()
-	s := Spec{Ctx: ctx}
-	s.Sabre.Ctx = own
-	got := s.Normalized()
-	if got.Sabre.Ctx != own {
-		t.Fatal("explicit Sabre.Ctx was overwritten")
-	}
-	if got.Codar.Ctx != ctx {
-		t.Fatal("Codar.Ctx not defaulted from Spec.Ctx")
-	}
-}

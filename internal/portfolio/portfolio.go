@@ -2,7 +2,8 @@
 // candidate pipelines — seeds × placement methods × mapping algorithms —
 // concurrently over a bounded worker pool, score every completed schedule
 // with a pluggable objective, and return the winner plus a per-candidate
-// report.
+// report. Every candidate is placed and routed by the one compile pipeline
+// (compile.Place, compile.Route) and scored on compile.Result's metrics.
 //
 // The paper adopts a single initial-mapping heuristic (SABRE's reverse
 // traversal, §V-A) because "initial mapping has been proved to be
@@ -30,18 +31,18 @@ package portfolio
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"codar/internal/arch"
 	"codar/internal/calib"
 	"codar/internal/circuit"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/interrupt"
 	"codar/internal/placement"
 	"codar/internal/pool"
-	"codar/internal/sabre"
-	"codar/internal/schedule"
 )
 
 // ErrCanceled and ErrDeadline are returned by Run when Spec.Ctx fires: the
@@ -86,27 +87,6 @@ func ParseObjective(s string) (Objective, error) {
 	return "", fmt.Errorf("portfolio: unknown objective %q (want min-depth, min-swaps or max-esp)", s)
 }
 
-// Algorithm names a mapper.
-type Algorithm string
-
-// The available mapping algorithms.
-const (
-	AlgoCodar Algorithm = "codar"
-	AlgoSabre Algorithm = "sabre"
-)
-
-// Algorithms lists the mappers in report order.
-func Algorithms() []Algorithm { return []Algorithm{AlgoCodar, AlgoSabre} }
-
-// ParseAlgorithm validates an algorithm name.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch Algorithm(s) {
-	case AlgoCodar, AlgoSabre:
-		return Algorithm(s), nil
-	}
-	return "", fmt.Errorf("portfolio: unknown algorithm %q (want codar or sabre)", s)
-}
-
 // Spec configures a portfolio run. The zero value selects the defaults:
 // seeds {1, 2}, every placement method, both algorithms, min-depth, no
 // early abandon.
@@ -115,8 +95,7 @@ type Spec struct {
 	// abandoning the request cancels every in-flight candidate (the
 	// mappers poll it at their amortized cadence), stops dispatching
 	// queued ones, and Run returns ErrCanceled / ErrDeadline instead of a
-	// result. It is copied into Codar.Ctx / Sabre.Ctx unless those are
-	// already set. nil leaves the run — and its output bytes — untouched.
+	// result. nil leaves the run — and its output bytes — untouched.
 	Ctx context.Context
 	// Seeds drive the seeded placement methods (random, sabre-reverse).
 	// Seed-insensitive methods still enumerate once per seed so the
@@ -127,8 +106,8 @@ type Spec struct {
 	// Placements are the initial-layout strategies to try. Empty selects
 	// placement.Methods() (all four).
 	Placements []placement.Method
-	// Algorithms are the mappers to try. Empty selects both.
-	Algorithms []Algorithm
+	// Algorithms are the routers to try. Empty selects both, CODAR first.
+	Algorithms []compile.Algorithm
 	// Objective scores completed candidates. Empty selects min-depth.
 	Objective Objective
 	// Workers bounds the candidate fan-out; <= 0 selects GOMAXPROCS.
@@ -141,11 +120,14 @@ type Spec struct {
 	// candidate's report gains an ESP estimate, and ObjectiveMaxESP becomes
 	// available. It must validate against the target device.
 	Snapshot *calib.Snapshot
-	// Codar and Sabre carry per-mapper options applied to every candidate
-	// of that algorithm (any DepthBound in them is overwritten by the
-	// portfolio's own bound handling).
+	// Cost, when non-nil, places and routes every candidate under a
+	// calibration-weighted metric, as compile.Spec.Cost does, so the grid
+	// point (seed 1, sabre-reverse, codar) is the calibrated single-shot
+	// pipeline.
+	Cost *arch.CostModel
+	// Codar is CODAR's own tuning for every codar candidate; its Ctx, Cost
+	// and DepthBound are the Spec's, as in compile.Spec.
 	Codar core.Options
-	Sabre sabre.Options
 }
 
 // DefaultSeeds is the seed set a zero Spec enumerates.
@@ -153,10 +135,7 @@ var DefaultSeeds = []int64{1, 2}
 
 // Normalized returns a copy of the spec with defaults applied — the exact
 // grid axes Run will enumerate (useful for reports).
-func (s Spec) Normalized() Spec { return s.normalized() }
-
-// normalized returns a copy of s with defaults applied.
-func (s Spec) normalized() Spec {
+func (s Spec) Normalized() Spec {
 	if len(s.Seeds) == 0 {
 		s.Seeds = DefaultSeeds
 	}
@@ -164,18 +143,10 @@ func (s Spec) normalized() Spec {
 		s.Placements = placement.Methods()
 	}
 	if len(s.Algorithms) == 0 {
-		s.Algorithms = Algorithms()
+		s.Algorithms = []compile.Algorithm{compile.Codar, compile.Sabre}
 	}
 	if s.Objective == "" {
 		s.Objective = ObjectiveMinDepth
-	}
-	if s.Ctx != nil {
-		if s.Codar.Ctx == nil {
-			s.Codar.Ctx = s.Ctx
-		}
-		if s.Sabre.Ctx == nil {
-			s.Sabre.Ctx = s.Ctx
-		}
 	}
 	return s
 }
@@ -184,10 +155,10 @@ func (s Spec) normalized() Spec {
 type Candidate struct {
 	// Index is the position in the fixed enumeration order (seed-major,
 	// then placement, then algorithm) — the final tie-break key.
-	Index     int              `json:"index"`
-	Seed      int64            `json:"seed"`
-	Placement placement.Method `json:"placement"`
-	Algorithm Algorithm        `json:"algorithm"`
+	Index     int               `json:"index"`
+	Seed      int64             `json:"seed"`
+	Placement placement.Method  `json:"placement"`
+	Algorithm compile.Algorithm `json:"algorithm"`
 }
 
 // Report is the outcome of one candidate.
@@ -212,31 +183,13 @@ type Report struct {
 	Err string `json:"error,omitempty"`
 }
 
-// Mapped is a completed candidate's full output, algorithm-independent.
-type Mapped struct {
-	// Circuit is the hardware-compliant physical gate sequence.
-	Circuit *circuit.Circuit
-	// Schedule is the ASAP schedule of Circuit under the device durations
-	// (its makespan is the reported depth).
-	Schedule *schedule.Schedule
-	// InitialLayout and FinalLayout bracket the run.
-	InitialLayout *arch.Layout
-	FinalLayout   *arch.Layout
-	// SwapCount is the number of SWAPs inserted.
-	SwapCount int
-	// Depth is Schedule.Makespan.
-	Depth int
-	// ESP is the calibration-estimated success probability (0 without a
-	// snapshot).
-	ESP float64
-}
-
 // Result is a portfolio run outcome.
 type Result struct {
 	// Objective the candidates were scored with.
 	Objective Objective
-	// Winner is the selected candidate's full output.
-	Winner *Mapped
+	// Winner is the selected candidate's mapping and metrics; its ESP is
+	// set when the Spec carried a snapshot.
+	Winner *compile.Result
 	// WinnerIndex is the winner's Candidate.Index.
 	WinnerIndex int
 	// Candidates reports every grid point in enumeration order.
@@ -253,7 +206,7 @@ func (r *Result) WinnerReport() Report { return r.Candidates[r.WinnerIndex] }
 // selection tie-breaks on: seed-major, then placement method, then
 // algorithm.
 func Enumerate(spec Spec) []Candidate {
-	spec = spec.normalized()
+	spec = spec.Normalized()
 	out := make([]Candidate, 0, len(spec.Seeds)*len(spec.Placements)*len(spec.Algorithms))
 	for _, seed := range spec.Seeds {
 		for _, m := range spec.Placements {
@@ -269,8 +222,8 @@ func Enumerate(spec Spec) []Candidate {
 // completed candidates) the full output, retained only while it is the
 // running best.
 type outcome struct {
-	rep    Report
-	mapped *Mapped
+	rep Report
+	res *compile.Result
 }
 
 // better reports whether a beats b under the total selection order:
@@ -291,27 +244,22 @@ func better(a, b *outcome) bool {
 
 // Run executes the portfolio search for circuit c on dev. The circuit must
 // be lowered (circuit.Decompose) and fit the device; requirements mirror
-// core.Remap. At least one candidate must complete, or the first failure is
-// returned.
-func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
-	return RunAssembled(circuit.Assemble(c), dev, spec)
-}
-
-// RunAssembled is Run over a pre-built assembly. All candidates share the
-// assembly's SoA gate layout and validity verdict, and the initial layouts
-// are computed once per distinct (placement, seed) pair and shared across
+// compile.Run. At least one candidate must complete, or the first failure
+// is returned.
+//
+// All candidates share one circuit.Assembly, and the initial layouts are
+// computed once per distinct (placement, seed) pair and shared across
 // algorithms — a sabre-reverse placement is two full SABRE passes, so
-// scoring both mappers from it for the price of one halves the grid's
-// dominant cost.
-// Output is byte-identical to Run: layouts are read-only to the mappers
-// (each clones before mutating) and the selection order is unchanged.
-func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, error) {
-	spec = spec.normalized()
+// scoring both routers from it for the price of one halves the grid's
+// dominant cost. Layouts are read-only to the routers (each clones before
+// mutating).
+func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
+	spec = spec.Normalized()
 	if _, err := ParseObjective(string(spec.Objective)); err != nil {
 		return nil, err
 	}
 	for _, a := range spec.Algorithms {
-		if _, err := ParseAlgorithm(string(a)); err != nil {
+		if _, err := compile.ParseAlgorithm(string(a)); err != nil {
 			return nil, err
 		}
 	}
@@ -333,9 +281,9 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 
 	// The shared bound is sound only under min-depth: other objectives can
 	// select a deeper schedule, so a depth cut could kill their winner.
-	var bound *arch.DepthBound
+	base := compile.Spec{Ctx: spec.Ctx, Cost: spec.Cost, Codar: spec.Codar, Snapshot: spec.Snapshot}
 	if spec.EarlyAbandon && spec.Objective == ObjectiveMinDepth {
-		bound = &arch.DepthBound{}
+		base.DepthBound = &arch.DepthBound{}
 	}
 
 	// Seed-insensitive placements (trivial, dense) yield identical layouts
@@ -365,23 +313,13 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 	// the expensive sabre-reverse placement would run once per algorithm.
 	// Seed-insensitive methods collapse further (their work entries above
 	// already dedupe per algorithm, but both algorithms' entries still
-	// name the same layout). Layouts are read-only downstream — every
-	// mapper clones before mutating — so sharing is race-free.
-	//
-	// Placement runs under the same calibration metric as routing (the
-	// sabre-reverse strategy consumes it, the structural ones ignore it),
-	// so the grid point (seed 1, sabre-reverse, codar) reproduces the
-	// calibrated single-shot pipeline exactly. Placement is SABRE-based,
-	// so Sabre.Cost is the natural source, but a caller who only set
-	// Codar.Cost still gets consistent calibrated placement.
-	pcost := spec.Sabre.Cost
-	if pcost == nil {
-		pcost = spec.Codar.Cost
-	}
+	// name the same layout). Placement runs under the same Cost as routing,
+	// as in compile.Run.
 	type placed struct {
 		layout *arch.Layout
 		err    error
 	}
+	a := circuit.Assemble(c)
 	layIdx := make([]int, len(work))
 	layKeys := make(map[[2]string]int)
 	var layJobs []Candidate
@@ -399,7 +337,6 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 		}
 		layIdx[k] = j
 	}
-	popts := sabre.Options{Cost: pcost, Ctx: spec.Ctx}
 	layouts := make([]placed, len(layJobs))
 	playErr := pool.RunCtx(spec.Ctx, len(layJobs), spec.Workers, func(j int) {
 		defer func() {
@@ -407,7 +344,9 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 				layouts[j] = placed{err: fmt.Errorf("candidate panicked: %v", r)}
 			}
 		}()
-		l, err := placement.Generate(layJobs[j].Placement, a, dev, layJobs[j].Seed, popts)
+		ps := base
+		ps.Placement, ps.Seed = layJobs[j].Placement, layJobs[j].Seed
+		l, err := compile.Place(a, dev, ps)
 		layouts[j] = placed{layout: l, err: err}
 	})
 	if playErr != nil {
@@ -421,7 +360,7 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 	)
 	runErr := pool.RunCtx(spec.Ctx, len(work), spec.Workers, func(k int) {
 		i := work[k]
-		o := runCandidate(a, dev, spec, cands[i], bound, layouts[layIdx[k]].layout, layouts[layIdx[k]].err)
+		o := runCandidate(a, dev, base, spec.Objective, cands[i], layouts[layIdx[k]].layout, layouts[layIdx[k]].err)
 		mu.Lock()
 		defer mu.Unlock()
 		res.Candidates[i] = o.rep
@@ -429,16 +368,14 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 		case o.rep.Err != "":
 		case o.rep.Abandoned:
 		default:
-			if bound != nil {
-				bound.Tighten(o.rep.Depth)
-			}
+			base.DepthBound.Tighten(o.rep.Depth)
 			// Keep only the running best's full output: the selection
 			// order is total (index last), so min over any arrival order
 			// is the same winner a sequential scan would pick.
 			if best == nil || better(o, best) {
 				best = o
 			} else {
-				o.mapped = nil
+				o.res = nil
 			}
 		}
 	})
@@ -473,89 +410,56 @@ func RunAssembled(a *circuit.Assembly, dev *arch.Device, spec Spec) (*Result, er
 		}
 		return nil, fmt.Errorf("portfolio: no candidate completed")
 	}
-	res.Winner = best.mapped
+	res.Winner = best.res
 	res.WinnerIndex = best.rep.Index
 	return res, nil
 }
 
-// runCandidate executes one grid point: map the shared initial layout with
-// the candidate's algorithm under the shared bound, schedule and score.
-// Placement happened in the caller's stage-1 pool (initial/layErr); its
-// errors surface here so the report rows match the pre-staged pipeline. A
+// runCandidate routes one grid point from its shared initial layout
+// through compile.Route under base (which carries the shared bound) and
+// scores its metrics. Placement happened in the caller's stage-1 pool
+// (initial/layErr); its errors surface here. A report's error is the
+// failing stage's own error text, without compile.Error's stage prefix. A
 // panic in any stage becomes the candidate's error instead of killing the
 // host process with pool workers mid-flight (the experiments.RunBatch
 // contract).
-func runCandidate(a *circuit.Assembly, dev *arch.Device, spec Spec, cand Candidate, bound *arch.DepthBound, initial *arch.Layout, layErr error) (o *outcome) {
+func runCandidate(a *circuit.Assembly, dev *arch.Device, base compile.Spec, obj Objective, cand Candidate, initial *arch.Layout, layErr error) (o *outcome) {
 	o = &outcome{rep: Report{Candidate: cand}}
 	defer func() {
 		if r := recover(); r != nil {
-			o.mapped = nil
+			o.res = nil
 			o.rep.Abandoned = false
 			o.rep.Err = fmt.Sprintf("candidate panicked: %v", r)
 		}
 	}()
-	fail := func(err error) *outcome {
+	err := layErr
+	if err == nil {
+		base.Algorithm = cand.Algorithm
+		o.res, err = compile.Route(a, dev, initial, base)
+	}
+	var ce *compile.Error
+	switch {
+	case errors.Is(err, arch.ErrDepthBound):
+		o.rep.Abandoned = true
+		return o
+	case errors.As(err, &ce):
+		o.rep.Err = ce.Err.Error()
+		return o
+	case err != nil:
 		o.rep.Err = err.Error()
 		return o
 	}
-	if layErr != nil {
-		return fail(layErr)
+	o.rep.Depth, o.rep.Swaps = o.res.WeightedDepth, o.res.Swaps
+	if o.res.ESP != nil {
+		o.rep.ESP = *o.res.ESP
 	}
-	m := &Mapped{}
-	switch cand.Algorithm {
-	case AlgoCodar:
-		opts := spec.Codar
-		opts.DepthBound = bound
-		res, err := core.RemapAssembled(a, dev, initial, opts)
-		if err == core.ErrDepthBound {
-			o.rep.Abandoned = true
-			return o
-		}
-		if err != nil {
-			return fail(err)
-		}
-		m.Circuit = res.Circuit
-		m.InitialLayout, m.FinalLayout = res.InitialLayout, res.FinalLayout
-		m.SwapCount = res.SwapCount
-	case AlgoSabre:
-		opts := spec.Sabre
-		opts.DepthBound = bound
-		res, err := sabre.RemapAssembled(a, dev, initial, opts)
-		if err == sabre.ErrDepthBound {
-			o.rep.Abandoned = true
-			return o
-		}
-		if err != nil {
-			return fail(err)
-		}
-		m.Circuit = res.Circuit
-		m.InitialLayout, m.FinalLayout = res.InitialLayout, res.FinalLayout
-		m.SwapCount = res.SwapCount
-	default:
-		return fail(fmt.Errorf("portfolio: unknown algorithm %q", cand.Algorithm))
-	}
-	// Both algorithms are scored on the same footing: the ASAP schedule of
-	// their output under the device durations (the paper's weighted depth).
-	m.Schedule = schedule.ASAP(m.Circuit, dev.Durations)
-	m.Depth = m.Schedule.Makespan
-	if spec.Snapshot != nil {
-		esp, err := spec.Snapshot.Success(m.Schedule, dev)
-		if err != nil {
-			return fail(err)
-		}
-		m.ESP = esp
-	}
-	o.mapped = m
-	o.rep.Depth = m.Depth
-	o.rep.Swaps = m.SwapCount
-	o.rep.ESP = m.ESP
-	switch spec.Objective {
+	switch obj {
 	case ObjectiveMinDepth:
-		o.rep.Score = float64(m.Depth)
+		o.rep.Score = float64(o.rep.Depth)
 	case ObjectiveMinSwaps:
-		o.rep.Score = float64(m.SwapCount)
+		o.rep.Score = float64(o.rep.Swaps)
 	case ObjectiveMaxESP:
-		o.rep.Score = -m.ESP
+		o.rep.Score = -o.rep.ESP
 	}
 	return o
 }

@@ -7,10 +7,12 @@ import (
 	"codar/internal/arch"
 	"codar/internal/calib"
 	"codar/internal/circuit"
+	"codar/internal/compile"
 	"codar/internal/core"
 	"codar/internal/placement"
 	"codar/internal/qasm"
 	"codar/internal/sabre"
+	"codar/internal/schedule"
 	"codar/internal/verify"
 	"codar/internal/workloads"
 )
@@ -105,9 +107,9 @@ func TestEarlyAbandonNeverChangesWinner(t *testing.T) {
 			if got, want := fingerprint(t, cut), fingerprint(t, full); got != want {
 				t.Fatal("early abandon changed the winner's output bytes")
 			}
-			if cut.Winner.Depth != full.Winner.Depth || cut.Winner.SwapCount != full.Winner.SwapCount {
+			if cut.Winner.WeightedDepth != full.Winner.WeightedDepth || cut.Winner.Swaps != full.Winner.Swaps {
 				t.Fatalf("winner stats diverged: depth %d/%d swaps %d/%d",
-					cut.Winner.Depth, full.Winner.Depth, cut.Winner.SwapCount, full.Winner.SwapCount)
+					cut.Winner.WeightedDepth, full.Winner.WeightedDepth, cut.Winner.Swaps, full.Winner.Swaps)
 			}
 		})
 	}
@@ -158,8 +160,8 @@ func TestWinnerVerifies(t *testing.T) {
 	if err := verify.Full(c, w.Circuit, dev, w.InitialLayout, w.FinalLayout); err != nil {
 		t.Fatalf("winner failed verification: %v", err)
 	}
-	if w.Depth != w.Schedule.Makespan {
-		t.Fatalf("winner depth %d != schedule makespan %d", w.Depth, w.Schedule.Makespan)
+	if wd := schedule.WeightedDepth(w.Circuit, dev.Durations); w.WeightedDepth != wd || res.WinnerReport().Depth != wd {
+		t.Fatalf("winner weighted depth %d, report %d, schedule makespan %d", w.WeightedDepth, res.WinnerReport().Depth, wd)
 	}
 }
 
@@ -179,7 +181,7 @@ func TestReportShape(t *testing.T) {
 	if cands[0].Seed != 7 || cands[8].Seed != 9 || cands[16].Seed != 11 {
 		t.Fatal("enumeration is not seed-major")
 	}
-	if cands[0].Algorithm != AlgoCodar || cands[1].Algorithm != AlgoSabre {
+	if cands[0].Algorithm != compile.Codar || cands[1].Algorithm != compile.Sabre {
 		t.Fatal("algorithm is not the innermost axis")
 	}
 
@@ -211,7 +213,7 @@ func TestSeedInsensitiveDuplicatesShareOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := func(seed int64, m placement.Method, a Algorithm) Report {
+	byKey := func(seed int64, m placement.Method, a compile.Algorithm) Report {
 		for _, r := range res.Candidates {
 			if r.Seed == seed && r.Placement == m && r.Algorithm == a {
 				return r
@@ -221,7 +223,7 @@ func TestSeedInsensitiveDuplicatesShareOutcome(t *testing.T) {
 		return Report{}
 	}
 	for _, m := range []placement.Method{placement.MethodTrivial, placement.MethodDense} {
-		for _, a := range Algorithms() {
+		for _, a := range []compile.Algorithm{compile.Codar, compile.Sabre} {
 			p, d := byKey(1, m, a), byKey(2, m, a)
 			if d.Depth != p.Depth || d.Swaps != p.Swaps || d.Abandoned != p.Abandoned || d.Err != p.Err {
 				t.Errorf("%s/%s: seed-2 row %+v diverged from seed-1 primary %+v", m, a, d, p)
@@ -251,12 +253,12 @@ func TestMaxESP(t *testing.T) {
 		if r.Err != "" || r.Abandoned {
 			continue
 		}
-		if r.ESP > res.Winner.ESP {
-			t.Fatalf("candidate %d has ESP %v > winner's %v", r.Index, r.ESP, res.Winner.ESP)
+		if r.ESP > *res.Winner.ESP {
+			t.Fatalf("candidate %d has ESP %v > winner's %v", r.Index, r.ESP, *res.Winner.ESP)
 		}
 	}
-	if res.Winner.ESP <= 0 {
-		t.Fatalf("winner ESP %v, want > 0", res.Winner.ESP)
+	if *res.Winner.ESP <= 0 {
+		t.Fatalf("winner ESP %v, want > 0", *res.Winner.ESP)
 	}
 }
 
@@ -284,11 +286,10 @@ func TestCalibratedPlacementMatchesSingleShot(t *testing.T) {
 	res, err := Run(c, dev, Spec{
 		Seeds:      []int64{1},
 		Placements: []placement.Method{placement.MethodSabreReverse},
-		Algorithms: []Algorithm{AlgoCodar},
+		Algorithms: []compile.Algorithm{compile.Codar},
 		Objective:  ObjectiveMaxESP,
 		Snapshot:   snap,
-		Codar:      core.Options{Cost: cost},
-		Sabre:      sabre.Options{Cost: cost},
+		Cost:       cost,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,13 +304,13 @@ func TestCalibratedPlacementMatchesSingleShot(t *testing.T) {
 // that candidate's error report instead of crashing the host process.
 func TestCandidatePanicBecomesError(t *testing.T) {
 	c := benchCircuit(t, "adder_6").Circuit()
-	cand := Candidate{Index: 0, Seed: 1, Placement: placement.MethodTrivial, Algorithm: AlgoCodar}
+	cand := Candidate{Index: 0, Seed: 1, Placement: placement.MethodTrivial, Algorithm: compile.Codar}
 	initial := arch.NewTrivialLayout(c.NumQubits, c.NumQubits)
-	o := runCandidate(circuit.Assemble(c), nil, Spec{}.normalized(), cand, nil, initial, nil)
+	o := runCandidate(circuit.Assemble(c), nil, compile.Spec{}, ObjectiveMinDepth, cand, initial, nil)
 	if o.rep.Err == "" || !strings.Contains(o.rep.Err, "panicked") {
 		t.Fatalf("panicking candidate reported %+v, want a panicked error", o.rep)
 	}
-	if o.mapped != nil {
+	if o.res != nil {
 		t.Fatal("panicking candidate retained a mapped output")
 	}
 }
@@ -321,14 +322,11 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := Run(c, dev, Spec{Objective: "fastest"}); err == nil {
 		t.Error("unknown objective accepted")
 	}
-	if _, err := Run(c, dev, Spec{Algorithms: []Algorithm{"astar"}}); err == nil {
+	if _, err := Run(c, dev, Spec{Algorithms: []compile.Algorithm{"astar"}}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	if _, err := ParseObjective("min-depth"); err != nil {
 		t.Error(err)
-	}
-	if _, err := ParseAlgorithm("tabu"); err == nil {
-		t.Error("unknown algorithm parsed")
 	}
 	// A placement that rejects the circuit on every candidate surfaces the
 	// first failure: a 6-qubit device cannot host the 10-qubit circuit.

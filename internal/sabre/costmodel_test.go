@@ -21,8 +21,8 @@ func zeroCost(t testing.TB, dev *arch.Device) *arch.CostModel {
 }
 
 // TestRemapIdenticalWithZeroCalibration randomises circuits, devices and
-// option variants; Remap with the zero-weight metric must reproduce plain
-// Remap exactly, under both scoring engines.
+// the scoring engine; Remap with the zero-weight metric must reproduce
+// plain Remap exactly, under both scoring engines.
 func TestRemapIdenticalWithZeroCalibration(t *testing.T) {
 	devices := []*arch.Device{
 		arch.Linear(6), arch.Ring(7), arch.Grid("g33", 3, 3),
@@ -31,9 +31,6 @@ func TestRemapIdenticalWithZeroCalibration(t *testing.T) {
 	variants := []Options{
 		{},
 		{naiveScore: true},
-		{ExtendedSize: 1},
-		{ExtendedSize: 50, ExtendedWeight: 0.9},
-		{DecayDelta: 0.1, DecayReset: 1},
 	}
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]

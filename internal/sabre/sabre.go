@@ -10,7 +10,6 @@ package sabre
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -22,8 +21,9 @@ import (
 
 // ErrDepthBound is returned by Remap when Options.DepthBound is set and the
 // emitted prefix's ASAP makespan exceeded it: the run was abandoned because
-// it could no longer beat the portfolio incumbent (DESIGN.md §9).
-var ErrDepthBound = errors.New("sabre: depth bound exceeded")
+// it could no longer beat the portfolio incumbent (DESIGN.md §9). It is the
+// shared arch.ErrDepthBound, as CODAR's is.
+var ErrDepthBound = arch.ErrDepthBound
 
 // ErrCanceled and ErrDeadline are returned by Remap and InitialLayout when
 // Options.Ctx fires mid-run. They are the shared pipeline sentinels —
@@ -47,16 +47,6 @@ type Options struct {
 	// discarding all partial output. nil (or a never-done context) leaves
 	// the run — and its output bytes — untouched.
 	Ctx context.Context
-	// ExtendedSize caps the extended set E. 0 means DefaultExtendedSize.
-	ExtendedSize int
-	// ExtendedWeight is W in H = H_F + W*H_E. 0 means DefaultExtendedWeight.
-	ExtendedWeight float64
-	// DecayDelta is added to a qubit's decay on each swap using it.
-	// 0 means DefaultDecayDelta.
-	DecayDelta float64
-	// DecayReset is the number of swap rounds between decay resets.
-	// 0 means DefaultDecayReset.
-	DecayReset int
 	// Cost, when non-nil, replaces the hop-count distance matrix in the
 	// H = H_F + W·H_E scoring with a calibration-weighted metric
 	// (DESIGN.md §8). It must be built for the target device. nil — and a
@@ -80,41 +70,17 @@ type Options struct {
 	naiveScore bool
 }
 
-// Published SABRE hyper-parameters.
+// Published SABRE hyper-parameters, fixed so that every speedup is
+// measured against the baseline as published: the extended set E holds at
+// most DefaultExtendedSize gates and weighs DefaultExtendedWeight (W in
+// H = H_F + W·H_E); each swap adds DefaultDecayDelta to its qubits' decay,
+// which resets every DefaultDecayReset swap rounds.
 const (
 	DefaultExtendedSize   = 20
 	DefaultExtendedWeight = 0.5
 	DefaultDecayDelta     = 0.001
 	DefaultDecayReset     = 5
 )
-
-func (o Options) extendedSize() int {
-	if o.ExtendedSize <= 0 {
-		return DefaultExtendedSize
-	}
-	return o.ExtendedSize
-}
-
-func (o Options) extendedWeight() float64 {
-	if o.ExtendedWeight <= 0 {
-		return DefaultExtendedWeight
-	}
-	return o.ExtendedWeight
-}
-
-func (o Options) decayDelta() float64 {
-	if o.DecayDelta <= 0 {
-		return DefaultDecayDelta
-	}
-	return o.DecayDelta
-}
-
-func (o Options) decayReset() int {
-	if o.DecayReset <= 0 {
-		return DefaultDecayReset
-	}
-	return o.DecayReset
-}
 
 // Result is the outcome of a SABRE mapping run.
 type Result struct {
@@ -525,7 +491,7 @@ func (m *mapper) run(cur *cursor) {
 		m.applySwap(cand)
 		cur.stuck++
 		cur.sinceReset++
-		if cur.sinceReset >= m.opts.decayReset() {
+		if cur.sinceReset >= DefaultDecayReset {
 			m.resetDecay()
 			cur.sinceReset = 0
 		}
@@ -575,17 +541,16 @@ func (m *mapper) note(op circuit.Op, qs []int) {
 	}
 }
 
-// extendedSet collects up to ExtendedSize two-qubit gates reachable from
-// the front layer through the DAG (the look-ahead window E). The BFS
+// extendedSet collects up to DefaultExtendedSize two-qubit gates reachable
+// from the front layer through the DAG (the look-ahead window E). The BFS
 // queue, result buffer and visited stamps live on the mapper; a node is
 // visited this round when its stamp matches the round's epoch.
 func (m *mapper) extendedSet(front []int) []int {
 	m.starved = false
-	limit := m.opts.extendedSize()
 	m.visitEpoch++
 	ext := m.extBuf[:0]
 	queue := append(m.queue[:0], front...)
-	for pop := 0; pop < len(queue) && len(ext) < limit; pop++ {
+	for pop := 0; pop < len(queue) && len(ext) < DefaultExtendedSize; pop++ {
 		k := queue[pop]
 		if m.sourceOpen && m.chainTail(k) {
 			// Streaming: the BFS is about to expand a chain tail, whose
@@ -604,7 +569,7 @@ func (m *mapper) extendedSet(front []int) []int {
 			m.visitStamp[s] = m.visitEpoch
 			if m.soa.Is2Q[s] {
 				ext = append(ext, int(s))
-				if len(ext) >= limit {
+				if len(ext) >= DefaultExtendedSize {
 					break
 				}
 			}
@@ -765,7 +730,7 @@ func (m *mapper) scoreDelta(c swapCand, ext []int) float64 {
 		h = float64(m.baseF+dF) / float64(m.nF)
 	}
 	if len(ext) > 0 && m.nE > 0 {
-		h += m.opts.extendedWeight() * float64(m.baseE+dE) / float64(m.nE)
+		h += DefaultExtendedWeight * float64(m.baseE+dE) / float64(m.nE)
 	}
 	d := m.decay[c.a]
 	if m.decay[c.b] > d {
@@ -841,7 +806,7 @@ func (m *mapper) score(c swapCand, front, ext []int) float64 {
 	if len(ext) > 0 {
 		he, ne := sumOver(ext)
 		if ne > 0 {
-			h += m.opts.extendedWeight() * he / float64(ne)
+			h += DefaultExtendedWeight * he / float64(ne)
 		}
 	}
 	d := m.decay[c.a]
@@ -895,8 +860,8 @@ func (m *mapper) applySwap(c swapCand) {
 		}
 	}
 	m.layout.SwapPhysical(c.a, c.b)
-	m.decay[c.a] += m.opts.decayDelta()
-	m.decay[c.b] += m.opts.decayDelta()
+	m.decay[c.a] += DefaultDecayDelta
+	m.decay[c.b] += DefaultDecayDelta
 	m.swaps++
 }
 

@@ -34,9 +34,9 @@ type StreamResult struct {
 }
 
 // streamBatchSize is the window refill granularity. SABRE's per-round
-// context is the DAG front plus the ≤ExtendedSize look-ahead — tiny — but
-// the starvation rules (run) also pause on chain tails, so a roomy batch
-// keeps refills rare.
+// context is the DAG front plus the ≤DefaultExtendedSize look-ahead — tiny
+// — but the starvation rules (run) also pause on chain tails, so a roomy
+// batch keeps refills rare.
 const streamBatchSize = 1024
 
 // RemapStream runs SABRE over a gate stream, holding only a bounded buffer

@@ -80,7 +80,6 @@ func TestRemapStreamEqualsRemap(t *testing.T) {
 		c := randCircuit(seed, dev.NumQubits, 3000)
 		checkStreamEqualsBatch(t, c, dev, nil, Options{})
 		checkStreamEqualsBatch(t, c, dev, nil, Options{naiveScore: true})
-		checkStreamEqualsBatch(t, c, dev, nil, Options{ExtendedSize: 4, DecayReset: 2})
 	}
 }
 
@@ -208,7 +207,6 @@ func TestRemapStreamWindowBoundaries(t *testing.T) {
 		c := c
 		t.Run(name, func(t *testing.T) {
 			checkStreamEqualsBatch(t, c, dev, nil, Options{})
-			checkStreamEqualsBatch(t, c, dev, nil, Options{ExtendedSize: 4, DecayReset: 2})
 		})
 	}
 }

@@ -68,7 +68,7 @@ func specOf(p *PortfolioSpec) (portfolio.Spec, *svcError) {
 		s.Placements = append(s.Placements, m)
 	}
 	for _, name := range p.Algorithms {
-		a, err := portfolio.ParseAlgorithm(name)
+		a, err := compile.ParseAlgorithm(name)
 		if err != nil {
 			return s, errBadRequest("%v", err)
 		}
@@ -215,8 +215,8 @@ func (s *Server) mapOne(ctx context.Context, req *MapRequest, pspec *portfolio.S
 	if serr != nil {
 		return nil, serr
 	}
-	// The portfolio generates its own placements per candidate, so it
-	// branches off before the single-shot pipeline.
+	// The portfolio places and routes each candidate through the same
+	// pipeline, so it branches off before the single-shot spec.
 	if pspec != nil {
 		return s.mapPortfolio(ctx, pspec, dev, cal, c, resp)
 	}
@@ -315,27 +315,17 @@ func (s *Server) mapPortfolio(ctx context.Context, pspec *portfolio.Spec, dev *a
 	spec.Workers = 1
 	spec.EarlyAbandon = false
 	if cal != nil {
-		spec.Snapshot = cal.Snap
-		spec.Codar.Cost = cal.Cost
-		spec.Sabre.Cost = cal.Cost
+		spec.Snapshot, spec.Cost = cal.Snap, cal.Cost
 	}
 	pres, err := portfolio.Run(c, dev, spec)
 	if err != nil {
 		return nil, mapSvcError("portfolio", err)
 	}
-	w := pres.Winner
 	wr := pres.WinnerReport()
 	resp.Algo = string(wr.Algorithm)
 	resp.Seed = wr.Seed
-	resp.MappedQASM = qasm.Write(w.Circuit)
-	resp.OutputGates = w.Circuit.Len()
-	resp.Depth = w.Circuit.Depth()
-	resp.Swaps = w.SwapCount
-	resp.WeightedDepth = w.Depth
-	if cal != nil {
-		esp := w.ESP
-		resp.EstSuccess = &esp
-	}
+	resp.MappedQASM = qasm.Write(pres.Winner.Circuit)
+	summarize(resp, pres.Winner)
 	resp.Portfolio = &PortfolioStats{
 		Objective:   string(pres.Objective),
 		WinnerIndex: pres.WinnerIndex,

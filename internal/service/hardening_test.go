@@ -415,6 +415,43 @@ func TestDeviceOverCapRejectedCheaply(t *testing.T) {
 	}
 }
 
+// TestBuiltinMemoBoundedByQubitsSquared: sixteen distinct 1,009–1,024-qubit
+// parametric names leave the builtin memo within its Σ qubits² budget, so
+// the live heap grows by the budget's worth of tables (about 67 MB), not by
+// 8 MB per name resolved; Tokyo still resolves to one shared device.
+func TestBuiltinMemoBoundedByQubitsSquared(t *testing.T) {
+	r := NewRegistry()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for n := 1024; n > 1008; n-- {
+		if _, err := r.Resolve(fmt.Sprintf("linear%d", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	sq := 0
+	for _, dev := range r.builtins {
+		sq += dev.NumQubits * dev.NumQubits
+	}
+	if sq != r.builtinSq || sq > builtinMemoQubitsSq || len(r.builtins) >= 16 {
+		t.Fatalf("memo holds %d of 16 devices, Σ qubits² %d (tracked %d), budget %d", len(r.builtins), sq, r.builtinSq, builtinMemoQubitsSq)
+	}
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("memo holds %d of 16 devices, Σ qubits² %d, live heap %+.1f MB", len(r.builtins), sq, float64(live)/1e6)
+	if !testutil.RaceEnabled && live > 80<<20 {
+		t.Errorf("live heap grew %.1f MB, want at most the budget's tables (about 67 MB)", float64(live)/1e6)
+	}
+	a, err := r.Resolve("tokyo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := r.Resolve("tokyo"); a != b {
+		t.Fatal("tokyo resolved to two devices after the memo filled")
+	}
+}
+
 // TestCustomDeviceStoreCapped: uploads are never evicted, so the store
 // answers 409 once it holds customCap devices.
 func TestCustomDeviceStoreCapped(t *testing.T) {

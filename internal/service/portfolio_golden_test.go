@@ -11,11 +11,9 @@ import (
 
 	"codar/internal/arch"
 	"codar/internal/calib"
-	"codar/internal/core"
 	"codar/internal/placement"
 	"codar/internal/portfolio"
 	"codar/internal/qasm"
-	"codar/internal/sabre"
 	"codar/internal/workloads"
 )
 
@@ -76,8 +74,7 @@ func TestPortfolioGoldenBytes(t *testing.T) {
 		{"max-esp", portfolio.Spec{
 			Objective: portfolio.ObjectiveMaxESP,
 			Snapshot:  snap,
-			Codar:     core.Options{Cost: cost},
-			Sabre:     sabre.Options{Cost: cost},
+			Cost:      cost,
 		}, PortfolioSpec{Objective: "max-esp"}},
 		{"bad-placement", portfolio.Spec{
 			Placements: []placement.Method{placement.MethodTrivial, "bogus", placement.MethodSabreReverse},

@@ -26,14 +26,22 @@ type Registry struct {
 	// builtins memoizes arch.ByName results by request alias, so the hot
 	// serving path (and especially the cache-hit path, which resolves only
 	// to canonicalize the cache key) skips rebuilding the all-pairs
-	// distance matrix per request. Bounded: beyond builtinMemoCap distinct
-	// aliases (hostile parametric names like grid30x30) resolution falls
-	// back to per-request construction instead of growing the memo.
-	builtins map[string]*arch.Device
+	// distance matrix per request. Bounded by count and by builtinSq, the
+	// Σ qubits² its devices hold: a device that would pass either cap
+	// (hostile parametric names like grid32x32) is built per request
+	// instead of growing the memo.
+	builtins  map[string]*arch.Device
+	builtinSq int
 }
 
-// builtinMemoCap bounds the resolved-builtin memo (see Registry.builtins).
-const builtinMemoCap = 64
+// builtinMemoCap bounds the resolved-builtin memo's entries and
+// builtinMemoQubitsSq the Σ qubits² of its devices (see
+// Registry.builtins). A device keeps about 8 bytes per qubit² live, so the
+// memo's devices hold at most about 67 MB, eight 1,024-qubit devices' worth.
+const (
+	builtinMemoCap      = 64
+	builtinMemoQubitsSq = 1 << 23
+)
 
 // customCap bounds the custom-device store the way calibCap bounds the
 // calibration store: each device keeps its n² tables live, up to about
@@ -97,9 +105,11 @@ func (r *Registry) Resolve(name string) (*arch.Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	sq := dev.NumQubits * dev.NumQubits
 	r.mu.Lock()
-	if len(r.builtins) < builtinMemoCap {
+	if _, ok := r.builtins[key]; !ok && len(r.builtins) < builtinMemoCap && r.builtinSq+sq <= builtinMemoQubitsSq {
 		r.builtins[key] = dev
+		r.builtinSq += sq
 	}
 	r.mu.Unlock()
 	return dev, nil
