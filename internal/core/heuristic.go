@@ -154,8 +154,8 @@ func (r *remapper) hLook(c swapCand) int {
 
 // pickBest returns the index into cands of the candidate with the highest
 // priority ⟨Hbasic, Hlook, Hfine⟩ (compared lexicographically), breaking
-// remaining ties by the lowest edge index; -1 when cands is
-// empty. The returned Hbasic is the winner's hop-metric Eq. 1 value, which
+// remaining ties by the lowest edge index; -1 when cands is empty. The
+// returned Hbasic is the winner's hop-metric Eq. 1 value, which
 // still gates insertion (Hbasic > 0) exactly as in the paper — under a
 // calibrated metric ranking and gating deliberately split (DESIGN.md §8).
 // requireProgress (insertSwaps on calibrated runs only, so the uncalibrated

@@ -279,7 +279,8 @@ func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("portfolio: %w", err)
 	}
 
-	// The shared bound is sound only under min-depth: other objectives can
+	// base is what every candidate's placement and routing share. The
+	// depth bound is sound only under min-depth: other objectives can
 	// select a deeper schedule, so a depth cut could kill their winner.
 	base := compile.Spec{Ctx: spec.Ctx, Cost: spec.Cost, Codar: spec.Codar, Snapshot: spec.Snapshot}
 	if spec.EarlyAbandon && spec.Objective == ObjectiveMinDepth {
