@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -416,7 +417,8 @@ func TestDeviceOverCapRejectedCheaply(t *testing.T) {
 }
 
 // TestBuiltinMemoBoundedByQubitsSquared: sixteen distinct 1,009–1,024-qubit
-// parametric names leave the builtin memo within its Σ qubits² budget, so
+// parametric names, each resolved by two goroutines at once, leave the
+// builtin memo within its Σ qubits² budget with its running sum exact, so
 // the live heap grows by the budget's worth of tables (about 67 MB), not by
 // 8 MB per name resolved; Tokyo still resolves to one shared device.
 func TestBuiltinMemoBoundedByQubitsSquared(t *testing.T) {
@@ -424,11 +426,19 @@ func TestBuiltinMemoBoundedByQubitsSquared(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for n := 1024; n > 1008; n-- {
-		if _, err := r.Resolve(fmt.Sprintf("linear%d", n)); err != nil {
-			t.Fatal(err)
-		}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1024; n > 1008; n-- {
+				if _, err := r.Resolve(fmt.Sprintf("linear%d", n)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	sq := 0
