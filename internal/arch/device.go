@@ -8,10 +8,11 @@
 package arch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"codar/internal/circuit"
 )
@@ -55,6 +56,11 @@ type Device struct {
 	Durations Durations
 
 	adj [][]int
+	// couplers holds each qubit's coupler row: couplers[q][k] is the edge
+	// index of (q, adj[q][k]). The rows share one backing array, so the
+	// SWAP-candidate loops walk a qubit's couplers without an n×n table
+	// lookup per neighbour.
+	couplers [][]int32
 	// edgeIdx is the dense coupler-index table: edgeIdx[a*NumQubits+b] is
 	// the stable index of edge (a, b) in both orientations, or -1 when the
 	// pair is uncoupled. A flat array instead of a map keeps Adjacent and
@@ -63,8 +69,11 @@ type Device struct {
 	// dist is the all-pairs distance matrix D, stored row-major in one
 	// contiguous allocation (dist[a*NumQubits+b]) so the heuristics' inner
 	// loops index one backing array instead of chasing per-row pointers.
-	dist   []int32
-	coords []Coord
+	dist []int32
+	// diameter is the largest finite entry of dist, recorded by
+	// computeDistances.
+	diameter int
+	coords   []Coord
 	// cxDir, when non-nil, restricts native CX orientation: cxDir[[2]int{a,b}]
 	// is true iff CX with control a and target b is directly implementable.
 	// Routing treats couplers as undirected (a reversed CX costs four extra
@@ -91,13 +100,14 @@ func NewDevice(name string, numQubits int, edges [][2]int) (*Device, error) {
 		Name:      name,
 		NumQubits: numQubits,
 		Durations: SuperconductingDurations(),
-		adj:       make([][]int, numQubits),
 		edgeIdx:   make([]int32, numQubits*numQubits),
 	}
 	for i := range d.edgeIdx {
 		d.edgeIdx[i] = -1
 	}
-	seen := make(map[[2]int]bool)
+	if len(edges) > 0 {
+		d.Edges = make([][2]int, 0, len(edges))
+	}
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a > b {
@@ -109,27 +119,42 @@ func NewDevice(name string, numQubits int, edges [][2]int) (*Device, error) {
 		if a < 0 || b >= numQubits {
 			return nil, fmt.Errorf("arch: device %q: edge (%d,%d) out of range [0,%d)", name, a, b, numQubits)
 		}
-		key := [2]int{a, b}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		d.Edges = append(d.Edges, key)
+		d.Edges = append(d.Edges, [2]int{a, b})
 	}
-	sort.Slice(d.Edges, func(i, j int) bool {
-		if d.Edges[i][0] != d.Edges[j][0] {
-			return d.Edges[i][0] < d.Edges[j][0]
+	slices.SortFunc(d.Edges, func(x, y [2]int) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return d.Edges[i][1] < d.Edges[j][1]
+		return cmp.Compare(x[1], y[1])
 	})
-	for id, e := range d.Edges {
-		d.adj[e[0]] = append(d.adj[e[0]], e[1])
-		d.adj[e[1]] = append(d.adj[e[1]], e[0])
-		d.edgeIdx[e[0]*numQubits+e[1]] = int32(id)
-		d.edgeIdx[e[1]*numQubits+e[0]] = int32(id)
+	d.Edges = slices.Compact(d.Edges)
+	// The adjacency lists and coupler rows are views into two flat arrays.
+	// Filling them in sorted edge order leaves every list ascending: q's
+	// lower neighbours a (edges (a, q)) come first, by a, then its higher
+	// ones.
+	deg := make([]int, numQubits)
+	for _, e := range d.Edges {
+		deg[e[0]]++
+		deg[e[1]]++
 	}
-	for q := range d.adj {
-		sort.Ints(d.adj[q])
+	nbrs := make([]int, 2*len(d.Edges))
+	ids := make([]int32, 2*len(d.Edges))
+	d.adj = make([][]int, numQubits)
+	d.couplers = make([][]int32, numQubits)
+	off := 0
+	for q, k := range deg {
+		d.adj[q] = nbrs[off : off : off+k]
+		d.couplers[q] = ids[off : off : off+k]
+		off += k
+	}
+	for id, e := range d.Edges {
+		a, b := e[0], e[1]
+		d.adj[a] = append(d.adj[a], b)
+		d.adj[b] = append(d.adj[b], a)
+		d.couplers[a] = append(d.couplers[a], int32(id))
+		d.couplers[b] = append(d.couplers[b], int32(id))
+		d.edgeIdx[a*numQubits+b] = int32(id)
+		d.edgeIdx[b*numQubits+a] = int32(id)
 	}
 	d.computeDistances()
 	return d, nil
@@ -146,7 +171,7 @@ func MustNewDevice(name string, numQubits int, edges [][2]int) *Device {
 }
 
 // computeDistances fills the all-pairs shortest-path matrix D by BFS from
-// every qubit (unit edge weights).
+// every qubit (unit edge weights) and records the diameter on the way.
 func (d *Device) computeDistances() {
 	n := d.NumQubits
 	d.dist = make([]int32, n*n)
@@ -165,6 +190,7 @@ func (d *Device) computeDistances() {
 			for _, v := range d.adj[u] {
 				if row[v] == Infinity {
 					row[v] = row[u] + 1
+					d.diameter = max(d.diameter, int(row[v]))
 					queue = append(queue, v)
 				}
 			}
@@ -228,6 +254,11 @@ func (d *Device) Adjacent(a, b int) bool {
 // slice is shared; callers must not modify it.
 func (d *Device) Neighbors(q int) []int { return d.adj[q] }
 
+// Couplers returns the edge indices of qubit q's couplers, aligned with
+// Neighbors: Couplers(q)[k] is EdgeIndex(q, Neighbors(q)[k]). The returned
+// slice is shared; callers must not modify it.
+func (d *Device) Couplers(q int) []int32 { return d.couplers[q] }
+
 // Degree returns the number of couplers attached to qubit q.
 func (d *Device) Degree(q int) int { return len(d.adj[q]) }
 
@@ -264,18 +295,7 @@ func (d *Device) Connected() bool {
 }
 
 // Diameter returns the maximum finite pairwise distance.
-func (d *Device) Diameter() int {
-	max := 0
-	n := d.NumQubits
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if dd := int(d.dist[a*n+b]); dd < Infinity && dd > max {
-				max = dd
-			}
-		}
-	}
-	return max
-}
+func (d *Device) Diameter() int { return d.diameter }
 
 // ShortestPath returns one BFS shortest path from a to b, inclusive of both
 // endpoints, or nil when disconnected. Ties are broken toward the

@@ -233,3 +233,87 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// builtinDevices is every named device plus one of each parametric family.
+func builtinDevices() []*Device {
+	return []*Device{
+		IBMQ5(), IBMQX4(), IBMQ16Melbourne(), IBMQ20Tokyo(), Enfield6x6(), SycamoreQ54(),
+		Grid("g34", 3, 4), Linear(7), Ring(8),
+	}
+}
+
+// TestDistanceTablesSymmetric: both mappers score a candidate SWAP (a, b)
+// from rows a and b of their distance table alone, reading D(o, a) as
+// D(a, o). That holds for the hop table of every builtin device and for a
+// non-uniform calibration-weighted table on each.
+func TestDistanceTablesSymmetric(t *testing.T) {
+	for _, dev := range builtinDevices() {
+		weights := make([]float64, len(dev.Edges))
+		for i := range weights {
+			weights[i] = float64(i*37%11) / 4
+		}
+		cm, err := NewCostModel(dev, weights)
+		if err != nil {
+			t.Fatalf("%s: %v", dev.Name, err)
+		}
+		n := dev.NumQubits
+		for _, tab := range []struct {
+			name string
+			d    []int32
+		}{{"hop", dev.DistTable()}, {"weighted", cm.Table()}} {
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
+					if tab.d[a*n+b] != tab.d[b*n+a] {
+						t.Fatalf("%s %s table: D(%d,%d) = %d but D(%d,%d) = %d",
+							dev.Name, tab.name, a, b, tab.d[a*n+b], b, a, tab.d[b*n+a])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCouplerRowsMatchEdgeIndex: Couplers(q)[k] is the edge index of
+// (q, Neighbors(q)[k]) on every builtin device.
+func TestCouplerRowsMatchEdgeIndex(t *testing.T) {
+	for _, dev := range builtinDevices() {
+		for q := 0; q < dev.NumQubits; q++ {
+			nbs, ids := dev.Neighbors(q), dev.Couplers(q)
+			if len(ids) != len(nbs) {
+				t.Fatalf("%s: qubit %d has %d couplers for %d neighbours", dev.Name, q, len(ids), len(nbs))
+			}
+			for k, nb := range nbs {
+				if id, ok := dev.EdgeIndex(q, nb); !ok || int(ids[k]) != id {
+					t.Fatalf("%s: Couplers(%d)[%d] = %d, EdgeIndex(%d,%d) = %d", dev.Name, q, k, ids[k], q, nb, id)
+				}
+			}
+		}
+	}
+}
+
+// TestDiameterIsLargestFiniteDistance: the diameter recorded at
+// construction equals a scan of the distance table, on every builtin
+// device and on a disconnected graph, where it ignores the Infinity
+// entries.
+func TestDiameterIsLargestFiniteDistance(t *testing.T) {
+	split, err := NewDevice("split", 6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range append(builtinDevices(), split) {
+		want := 0
+		for a := 0; a < dev.NumQubits; a++ {
+			for b := 0; b < dev.NumQubits; b++ {
+				if d := dev.Distance(a, b); d < Infinity && d > want {
+					want = d
+				}
+			}
+		}
+		if got := dev.Diameter(); got != want {
+			t.Errorf("%s: Diameter() = %d, scan says %d", dev.Name, got, want)
+		}
+	}
+	if got := split.Diameter(); got != 3 {
+		t.Errorf("split: Diameter() = %d, want 3", got)
+	}
+}

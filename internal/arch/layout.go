@@ -2,6 +2,8 @@ package arch
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 )
 
 // Layout is the dynamic mapping π: QP -> QH from logical to physical qubits
@@ -137,6 +139,59 @@ func (l *Layout) Validate() error {
 // String renders the assignment compactly.
 func (l *Layout) String() string {
 	return fmt.Sprintf("layout%v", l.log2phys)
+}
+
+// RandomLayout maps logical qubit i to entry i of the seeded random
+// permutation rand.New(rand.NewSource(seed)).Perm(physical): the random
+// placement method and the start of SABRE's reverse traversal. Seeding
+// math/rand's source costs more than a small compile's routing, so the
+// permutations are memoized per (seed, physical) in a bounded table; every
+// call still gets a layout of its own.
+func RandomLayout(seed int64, logical, physical int) (*Layout, error) {
+	if logical > physical {
+		return nil, fmt.Errorf("arch: %d logical qubits exceed %d physical", logical, physical)
+	}
+	return NewLayout(seededPerm(seed, physical)[:logical], physical)
+}
+
+// permMemo is RandomLayout's table, shared by the whole process: a
+// permutation depends only on its key, so sharing it changes no result. It
+// holds at most len(ring) permutations, evicting the oldest first, so a
+// service whose requests choose the seed keeps its memory bounded. A
+// stored permutation is never written again.
+var permMemo struct {
+	sync.Mutex
+	perms map[permKey][]int
+	ring  [64]permKey // insertion order; next is the oldest once full
+	next  int
+}
+
+type permKey struct {
+	seed int64
+	n    int
+}
+
+// seededPerm returns the memoized permutation of n for seed. The slice is
+// shared and must not be modified.
+func seededPerm(seed int64, n int) []int {
+	m := &permMemo
+	k := permKey{seed, n}
+	m.Lock()
+	defer m.Unlock()
+	if p, ok := m.perms[k]; ok {
+		return p
+	}
+	if m.perms == nil {
+		m.perms = make(map[permKey][]int, len(m.ring))
+	}
+	if len(m.perms) == len(m.ring) {
+		delete(m.perms, m.ring[m.next])
+	}
+	p := rand.New(rand.NewSource(seed)).Perm(n)
+	m.perms[k] = p
+	m.ring[m.next] = k
+	m.next = (m.next + 1) % len(m.ring)
+	return p
 }
 
 // StartLayout is the input check every mapper entry point shares: it

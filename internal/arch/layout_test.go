@@ -1,6 +1,9 @@
 package arch
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -131,4 +134,72 @@ func TestLayoutAssignmentCopy(t *testing.T) {
 	if l.Phys(0) != 0 {
 		t.Error("Assignment must return a copy")
 	}
+}
+
+// TestRandomLayoutIsSeededPerm: RandomLayout maps logical i to entry i of
+// rand.New(rand.NewSource(seed)).Perm(physical), on the call that fills
+// the memo and on the calls it serves; a caller mutating its layout does
+// not reach the next caller; and the memo stays bounded.
+func TestRandomLayoutIsSeededPerm(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -3} {
+		for _, n := range []int{5, 20, 54} {
+			want := rand.New(rand.NewSource(seed)).Perm(n)[:n/2]
+			for call := 0; call < 2; call++ {
+				l, err := RandomLayout(seed, n/2, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := l.Assignment(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %d qubits, call %d: %v, want %v", seed, n, call, got, want)
+				}
+				l.SwapPhysical(want[0], want[1])
+			}
+		}
+	}
+	if _, err := RandomLayout(1, 6, 5); err == nil {
+		t.Error("6 logical qubits on 5 physical accepted")
+	}
+	for seed := int64(0); seed < 3*int64(len(permMemo.ring)); seed++ {
+		if _, err := RandomLayout(seed, 2, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	permMemo.Lock()
+	size := len(permMemo.perms)
+	permMemo.Unlock()
+	if size > len(permMemo.ring) {
+		t.Errorf("memo holds %d permutations, bound is %d", size, len(permMemo.ring))
+	}
+}
+
+// TestRandomLayoutConcurrent: codard's workers and the batch driver place
+// circuits from several goroutines at once, through one memo. Each
+// goroutine sweeps more seeds than the memo holds, so lookups, fills and
+// evictions interleave; every layout must still be its seed's.
+func TestRandomLayoutConcurrent(t *testing.T) {
+	const seeds, n = 100, 20
+	want := make([][]int, seeds)
+	for s := range want {
+		want[s] = rand.New(rand.NewSource(int64(s))).Perm(n)[:n/2]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*seeds; k++ {
+				s := (k*7 + w*13) % seeds
+				l, err := RandomLayout(int64(s), n/2, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := l.Assignment(); !reflect.DeepEqual(got, want[s]) {
+					t.Errorf("seed %d: %v, want %v", s, got, want[s])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

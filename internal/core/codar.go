@@ -287,6 +287,9 @@ type remapper struct {
 	// frontCheck, when set (equivalence property tests), observes every
 	// front the engine returns before the remapper acts on it.
 	frontCheck func(front []int)
+	// pickCheck, when set (equivalence property tests), observes every
+	// scorer pick: the candidates, the winner and the progress filter.
+	pickCheck func(cands []swapCand, best int, progress bool)
 
 	// arena backs the physical-qubit slices of emitted gates. The
 	// streaming driver rewinds it after every flush (settle), staging the

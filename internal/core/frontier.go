@@ -12,20 +12,19 @@ import "codar/internal/circuit"
 //   - Gates are only ever removed from the remaining sequence, never
 //     reordered or inserted, so a gate's predecessor set only shrinks and
 //     CF membership can flip false→true but never true→false.
-//   - Removing a gate can only change the membership of gates sharing one
-//     of its qubits, so after a launch only the launched gate's qubits need
-//     re-examination (dirty-qubit tracking).
+//   - A blocked gate stays blocked while the gate blocking it is live, so
+//     only the retirement of that one gate can change its membership.
 //
-// Each query therefore: (1) re-evaluates the cached-blocked gates on dirty
-// qubit chains, (2) admits gates that slid into the scan window, computing
-// their membership once, and (3) assembles the front (and look-ahead set)
-// from cached membership bits with a window walk that does no commutation
-// work at all. A per-gate first-blocker cache short-circuits step 1 — a
-// blocked gate is re-scanned only when the specific gate blocking it
-// retires — and the position-dependent checks that survive the op-pair
-// classification table in circuit.CommuteClass (CX/CX and friends) compare
-// two commutation-basis bytes of the SoA per shared qubit (commute)
-// instead of walking Gate values.
+// Each query therefore: (1) re-evaluates the gates whose recorded blocker
+// retired since the last query, (2) admits gates that slid into the scan
+// window, computing their membership once, and (3) assembles the front
+// (and look-ahead set) from cached membership bits with a window walk that
+// does no commutation work at all. Step 1 reads wait lists: every blocked
+// gate waits on the first blocker its membership check found, and removing
+// a gate queues exactly its waiters. The position-dependent checks that
+// survive the op-pair classification table in circuit.CommuteClass (CX/CX
+// and friends) compare two commutation-basis bytes of the SoA per shared
+// qubit (commute) instead of walking Gate values.
 type frontier struct {
 	r      *remapper
 	window int
@@ -53,16 +52,17 @@ type frontier struct {
 	winCount int
 	cfCount  int
 
-	// Cached membership. blocker[i] is a gate currently known not to
-	// commute with i (-1 when i is in the CF); while it stays live, i
-	// stays blocked and needs no re-scan.
-	inCF    []bool
-	blocker []int32
-	removed []bool
+	// Cached membership, and the wait lists of the blocked gates: a gate
+	// outside the CF waits on one live gate that does not commute with it,
+	// and needs no re-scan until that gate retires. waitHead[j] is the
+	// first gate waiting on j (-1 when none), waitNext[i] the gate after i
+	// in the list i waits in. Each gate waits in at most one list.
+	inCF     []bool
+	waitHead []int32
+	waitNext []int32
 
-	// Dirty-qubit queue between queries.
-	qDirty bitset
-	dirtyQ []int32
+	// recheck queues the waiters of the gates removed since the last query.
+	recheck []int32
 
 	// frontValid marks the assembled r.front/r.lookSet as current: only a
 	// removal (or first use) invalidates it — SWAPs change the layout, not
@@ -70,18 +70,12 @@ type frontier struct {
 	frontValid bool
 }
 
-// bitset marks qubits; paired with an explicit position list (dirtyQ) so
-// clearing costs O(set bits), not O(qubits).
-type bitset []bool
-
 func newFrontier(r *remapper, numQubits int) *frontier {
 	return &frontier{
 		r:      r,
 		window: r.opts.window(),
 		qhead:  make([]int32, numQubits),
 		qtail:  make([]int32, numQubits),
-		qDirty: make(bitset, numQubits),
-		dirtyQ: make([]int32, 0, numQubits),
 	}
 }
 
@@ -95,19 +89,16 @@ func (f *frontier) load() {
 	f.chainPrev = circuit.Reuse(f.chainPrev, len(soa.SlotGate))
 	f.inWindow = circuit.Reuse(f.inWindow, n)
 	f.inCF = circuit.Reuse(f.inCF, n)
-	f.removed = circuit.Reuse(f.removed, n)
-	f.blocker = circuit.Reuse(f.blocker, n)
-	for i := range f.blocker {
-		f.blocker[i] = -1
+	f.waitHead = circuit.Reuse(f.waitHead, n)
+	f.waitNext = circuit.Reuse(f.waitNext, n)
+	for i := range f.waitHead {
+		f.waitHead[i] = -1
 	}
 	for q := range f.qhead {
 		f.qhead[q] = -1
 		f.qtail[q] = -1
 	}
-	for _, q := range f.dirtyQ {
-		f.qDirty[q] = false
-	}
-	f.dirtyQ = f.dirtyQ[:0]
+	f.recheck = f.recheck[:0]
 	f.winTail, f.winCount, f.cfCount = -1, 0, 0
 	f.frontValid = false
 }
@@ -141,29 +132,34 @@ func (f *frontier) commute(j, i int32) bool {
 }
 
 // membership computes gate i's CF membership from its current in-window
-// predecessors, recording the first blocker found.
+// predecessors; a blocked gate joins the wait list of the first blocker
+// found.
 func (f *frontier) membership(i int) bool {
 	if f.r.opts.DisableCommutativity {
 		// Dependency front: any in-window predecessor on any qubit blocks.
 		for s := f.slotOff[i]; s < f.slotOff[i+1]; s++ {
 			if p := f.chainPrev[s]; p >= 0 {
-				f.blocker[i] = f.slotGate[p]
+				f.wait(int32(i), f.slotGate[p])
 				return false
 			}
 		}
-		f.blocker[i] = -1
 		return true
 	}
 	for s := f.slotOff[i]; s < f.slotOff[i+1]; s++ {
 		for p := f.chainPrev[s]; p >= 0; p = f.chainPrev[p] {
 			if j := f.slotGate[p]; !f.commute(j, int32(i)) {
-				f.blocker[i] = j
+				f.wait(int32(i), j)
 				return false
 			}
 		}
 	}
-	f.blocker[i] = -1
 	return true
+}
+
+// wait puts gate i on blocker j's wait list.
+func (f *frontier) wait(i, j int32) {
+	f.waitNext[i] = f.waitHead[j]
+	f.waitHead[j] = i
 }
 
 // admit appends gate i at the window tail: links its slots onto the qubit
@@ -192,11 +188,14 @@ func (f *frontier) admit(i int) {
 
 // remove unlinks gate i from the engine. It must run before the remapper
 // splices i out of the remaining-sequence list (it reads r.prev to retreat
-// the window tail). Removal marks i's qubits dirty; blocked gates on those
-// chains are re-examined at the next query.
+// the window tail). The gates waiting on i are re-examined at the next
+// query.
 func (f *frontier) remove(i int) {
-	f.removed[i] = true
 	f.frontValid = false
+	for w := f.waitHead[i]; w >= 0; w = f.waitNext[w] {
+		f.recheck = append(f.recheck, w)
+	}
+	f.waitHead[i] = -1
 	if !f.inWindow[i] {
 		return
 	}
@@ -213,10 +212,6 @@ func (f *frontier) remove(i int) {
 		} else {
 			f.qtail[q] = p
 		}
-		if !f.qDirty[q] {
-			f.qDirty[q] = true
-			f.dirtyQ = append(f.dirtyQ, int32(q))
-		}
 	}
 	f.inWindow[i] = false
 	f.winCount--
@@ -228,36 +223,27 @@ func (f *frontier) remove(i int) {
 	}
 }
 
-// flushDirty re-evaluates the blocked gates on every dirty qubit chain.
-// In-CF gates are skipped outright (membership is monotone), and a blocked
-// gate whose recorded blocker is still live is skipped without any
-// commutation work.
-func (f *frontier) flushDirty() {
-	for _, q := range f.dirtyQ {
-		f.qDirty[q] = false
-		for s := f.qhead[q]; s >= 0; s = f.chainNext[s] {
-			i := f.slotGate[s]
-			if f.inCF[i] {
-				continue
-			}
-			if b := f.blocker[i]; b >= 0 && !f.removed[b] {
-				continue
-			}
-			if f.membership(int(i)) {
-				f.inCF[i] = true
-				f.cfCount++
-				f.frontValid = false
-			}
+// flushRecheck re-evaluates the gates whose blocker retired. Every gate
+// outside the CF waits on a live blocker, and a retired blocker shared a
+// qubit with each of its waiters, so these are exactly the gates whose
+// membership a removal can have changed. Membership reads only the chains,
+// so the order of re-examination does not matter.
+func (f *frontier) flushRecheck() {
+	for _, i := range f.recheck {
+		if f.membership(int(i)) {
+			f.inCF[i] = true
+			f.cfCount++
+			f.frontValid = false
 		}
 	}
-	f.dirtyQ = f.dirtyQ[:0]
+	f.recheck = f.recheck[:0]
 }
 
 // computeFront returns the commutative front of the remaining sequence,
 // writing the front and look-ahead buffers on the remapper (shared with the
 // naive path so the heuristics and tests are implementation-agnostic).
 func (f *frontier) computeFront() []int {
-	f.flushDirty()
+	f.flushRecheck()
 	for f.winCount < f.window {
 		next := f.r.head
 		if f.winTail >= 0 {

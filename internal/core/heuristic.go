@@ -54,36 +54,24 @@ func (r *remapper) collectCandidates(front []int, t int) []swapCand {
 			if r.locks[side] > t {
 				continue
 			}
-			for _, nb := range r.dev.Neighbors(side) {
-				if r.locks[nb] > t {
+			ids := r.dev.Couplers(side)
+			for k, nb := range r.dev.Neighbors(side) {
+				id := ids[k]
+				if r.locks[nb] > t || r.edgeStamp[id] == epoch {
 					continue
 				}
+				r.edgeStamp[id] = epoch
 				a, b := side, nb
 				if a > b {
 					a, b = b, a
 				}
-				id, _ := r.dev.EdgeIndex(a, b)
-				if r.edgeStamp[id] == epoch {
-					continue
-				}
-				r.edgeStamp[id] = epoch
-				cands = append(cands, swapCand{a: a, b: b, edge: id})
+				cands = append(cands, swapCand{a: a, b: b, edge: int(id)})
 			}
 		}
 	}
 	r.cands = cands
 	return cands
 }
-
-// distance is the metric the SWAP heuristics rank candidates with: hop
-// distance by default, the calibration-weighted metric under Options.Cost.
-// Structural blocked/adjacent checks keep using dev.Distance/dev.Adjacent —
-// the metric only changes which routes look cheap, never what is executable.
-func (r *remapper) distance(a, b int) int { return int(r.distTab[a*r.nq+b]) }
-
-// hopDistance is the unweighted coupling-graph distance, the metric of the
-// Hbasic > 0 insertion gate (see remapper.hopTab).
-func (r *remapper) hopDistance(a, b int) int { return int(r.hopTab[a*r.nq+b]) }
 
 // swappedPhys returns where physical qubit p ends up under a SWAP of (a, b).
 func swappedPhys(p, a, b int) int {
@@ -222,16 +210,19 @@ func (r *remapper) insertSwaps(front []int, t int) bool {
 	// (requireProgress): a lateral fidelity move that outranks every real
 	// candidate must lose to the best progress-making one, not veto the
 	// round. Uncalibrated runs rank everything and gate on the winner — the
-	// paper-exact pinned behaviour.
+	// paper-exact pinned behaviour. The scorer restricts both: with hop
+	// equal to Hbasic, the unrestricted winner carries the largest Hbasic,
+	// so it passes the gate exactly when a positive candidate exists, and
+	// then it is also the restricted winner.
 	req := r.weighted
 	for len(cands) > 0 {
-		var best, hb int
+		best := -1
 		if r.sc != nil {
-			best, hb = r.sc.pick(cands, req)
-		} else {
-			best, hb, _ = r.pickBest(cands, front2q, req)
+			best = r.sc.pick(cands, true)
+		} else if b, hb, _ := r.pickBest(cands, front2q, req); hb > 0 {
+			best = b
 		}
-		if best < 0 || hb <= 0 {
+		if best < 0 {
 			break
 		}
 		c := cands[best]
@@ -257,7 +248,7 @@ func (r *remapper) forceSwap(front []int, t int) {
 	var best int
 	if r.sc != nil {
 		r.sc.sync()
-		best, _ = r.sc.pick(cands, false)
+		best = r.sc.pick(cands, false)
 	} else {
 		best, _, _ = r.pickBest(cands, front2q, false)
 	}

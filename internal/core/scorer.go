@@ -21,14 +21,14 @@ import "codar/internal/circuit"
 //     (non-incident terms are exactly zero), so the Hbasic > 0 insertion
 //     gate is untouched.
 //   - A score is a pure function of the layout and the front/look-ahead
-//     sets — never of the clock or the locks — so a cached per-edge key
+//     sets — never of the clock or the locks — so a cached per-edge part
 //     stays valid across insertion rounds and simulated cycles until a
-//     gate incident to that edge enters or leaves a set, or a launched
+//     gate incident to that edge enters or leaves its set, or a launched
 //     SWAP moves one of its incident gates' operands.
 //
 // The remapper reports set changes through sync (diffing the freshly
 // computed front2q/lookSet against the scorer's mirror) and layout changes
-// through noteSwap; both dirty exactly the edges whose incident terms
+// through noteSwap; both dirty exactly the parts whose incident terms
 // changed. Selection order and tie-breaking are byte-compatible with
 // pickBest, which the scorer-equivalence property tests enforce.
 type scorer struct {
@@ -48,11 +48,34 @@ type scorer struct {
 	seen      []int32
 	seenEpoch int32
 
-	// Cached per-edge candidate keys, invalidated by dirtyAround.
-	keyValid []bool
-	keys     [][3]int
-	hbs      []int
+	// Cached per-edge score parts, each with its own validity bit in valid
+	// (cleared by dirtyAround), so a look-ahead change leaves Hbasic cached.
+	parts []edgeScore
+	valid []uint8
+	// wantFine is whether Hfine ranks at all (coordinates present, not
+	// ablated).
+	wantFine bool
+	// ties is pick's scratch: the candidates still tied on the key prefix.
+	ties []int32
 }
+
+// edgeScore holds one candidate's key parts: Hbasic under the ranking
+// metric (hb) and the hop metric (hop), Hfine (hf) and Hlook (hl).
+type edgeScore struct {
+	hb, hop, hf, hl int
+}
+
+// Validity bits of an edge's cached parts. The front parts fall together
+// (a front or layout change moves all three); the look-ahead part falls
+// alone when only the look-ahead set changes.
+const (
+	basicValid uint8 = 1 << iota // hb, hop
+	fineValid                    // hf
+	lookValid                    // hl
+
+	frontParts = basicValid | fineValid
+	allParts   = frontParts | lookValid
+)
 
 func newScorer(r *remapper) *scorer {
 	nq := r.dev.NumQubits
@@ -60,13 +83,13 @@ func newScorer(r *remapper) *scorer {
 		r:        r,
 		inc2q:    make([][]int32, nq),
 		incLook:  make([][]int32, nq),
-		keyValid: make([]bool, len(r.dev.Edges)),
-		keys:     make([][3]int, len(r.dev.Edges)),
-		hbs:      make([]int, len(r.dev.Edges)),
+		parts:    make([]edgeScore, len(r.dev.Edges)),
+		valid:    make([]uint8, len(r.dev.Edges)),
+		wantFine: !r.opts.DisableHfine && r.dev.HasCoords(),
 	}
 }
 
-// load empties the mirrored sets and the key cache for the remapper's
+// load empties the mirrored sets and the score cache for the remapper's
 // current gates, reusing the memory of the previous load.
 func (s *scorer) load() {
 	n := len(s.r.gates)
@@ -80,7 +103,7 @@ func (s *scorer) load() {
 	}
 	s.mir2q = s.mir2q[:0]
 	s.mirLook = s.mirLook[:0]
-	clear(s.keyValid)
+	clear(s.valid)
 }
 
 // phys returns the current physical operands of two-qubit gate i.
@@ -89,30 +112,28 @@ func (s *scorer) phys(i int32) (int, int) {
 	return s.r.layout.Phys(q1), s.r.layout.Phys(q2)
 }
 
-// dirtyAround invalidates the cached key of every edge incident to
+// dirtyAround invalidates the given parts of every edge incident to
 // physical qubit p.
-func (s *scorer) dirtyAround(p int) {
-	dev := s.r.dev
-	for _, nb := range dev.Neighbors(p) {
-		id, _ := dev.EdgeIndex(p, nb)
-		s.keyValid[id] = false
+func (s *scorer) dirtyAround(p int, parts uint8) {
+	for _, id := range s.r.dev.Couplers(p) {
+		s.valid[id] &^= parts
 	}
 }
 
 // link adds gate i to the incidence lists at its current endpoints and
-// dirties the edges whose scores now include it.
-func (s *scorer) link(i int32, inc [][]int32) {
+// dirties the parts whose scores now include it.
+func (s *scorer) link(i int32, inc [][]int32, parts uint8) {
 	p1, p2 := s.phys(i)
 	inc[p1] = append(inc[p1], i)
 	inc[p2] = append(inc[p2], i)
-	s.dirtyAround(p1)
-	s.dirtyAround(p2)
+	s.dirtyAround(p1, parts)
+	s.dirtyAround(p2, parts)
 }
 
 // unlink removes gate i from the incidence lists. The lists are keyed by
 // current physical endpoints: every layout change flows through noteSwap,
 // which keeps them consistent, so the gate is found at phys(i).
-func (s *scorer) unlink(i int32, inc [][]int32) {
+func (s *scorer) unlink(i int32, inc [][]int32, parts uint8) {
 	p1, p2 := s.phys(i)
 	for _, p := range [2]int{p1, p2} {
 		l := inc[p]
@@ -123,27 +144,27 @@ func (s *scorer) unlink(i int32, inc [][]int32) {
 				break
 			}
 		}
-		s.dirtyAround(p)
+		s.dirtyAround(p, parts)
 	}
 }
 
 // sync diffs the remapper's freshly computed front2q and lookSet buffers
 // against the mirror, linking entrants, unlinking leavers and dirtying the
-// affected edges. Cost is O(|front2q| + |lookSet|) per cycle — the same as
+// affected parts. Cost is O(|front2q| + |lookSet|) per cycle — the same as
 // scoring a single candidate naively.
 func (s *scorer) sync() {
-	s.syncSet(s.r.front2q, &s.mir2q, s.in2q, s.inc2q)
-	s.syncSet(s.r.lookSet, &s.mirLook, s.inLook, s.incLook)
+	s.syncSet(s.r.front2q, &s.mir2q, s.in2q, s.inc2q, frontParts)
+	s.syncSet(s.r.lookSet, &s.mirLook, s.inLook, s.incLook, lookValid)
 }
 
-func (s *scorer) syncSet(cur []int, mirror *[]int32, in []bool, inc [][]int32) {
+func (s *scorer) syncSet(cur []int, mirror *[]int32, in []bool, inc [][]int32, parts uint8) {
 	s.seenEpoch++
 	e := s.seenEpoch
 	for _, i := range cur {
 		s.seen[i] = e
 		if !in[i] {
 			in[i] = true
-			s.link(int32(i), inc)
+			s.link(int32(i), inc, parts)
 			*mirror = append(*mirror, int32(i))
 		}
 	}
@@ -154,127 +175,163 @@ func (s *scorer) syncSet(cur []int, mirror *[]int32, in []bool, inc [][]int32) {
 			continue
 		}
 		in[i] = false
-		s.unlink(i, inc)
+		s.unlink(i, inc, parts)
 	}
 	*mirror = keep
 }
 
 // noteSwap records that physical qubits a and b swapped state. All gates
 // with an endpoint at a now have it at b and vice versa, so the two
-// incidence lists swap wholesale. Every edge whose incident-gate terms
-// changed — the edges at a, at b and at the other endpoints of the moved
-// gates — is dirtied. Must be called after the layout update.
+// incidence lists swap wholesale. Every part whose incident-gate terms
+// changed is dirtied: all parts of the edges at a and b, and at the other
+// end of each moved gate the parts of the set it belongs to. Must be
+// called after the layout update.
 func (s *scorer) noteSwap(a, b int) {
 	s.inc2q[a], s.inc2q[b] = s.inc2q[b], s.inc2q[a]
 	s.incLook[a], s.incLook[b] = s.incLook[b], s.incLook[a]
-	s.dirtyAround(a)
-	s.dirtyAround(b)
+	s.dirtyAround(a, allParts)
+	s.dirtyAround(b, allParts)
 	for _, p := range [2]int{a, b} {
 		for _, i := range s.inc2q[p] {
 			p1, p2 := s.phys(i)
-			s.dirtyAround(p1)
-			s.dirtyAround(p2)
+			s.dirtyAround(p1^p2^p, frontParts)
 		}
 		for _, i := range s.incLook[p] {
 			p1, p2 := s.phys(i)
-			s.dirtyAround(p1)
-			s.dirtyAround(p2)
+			s.dirtyAround(p1^p2^p, lookValid)
 		}
 	}
 }
 
-// deltas computes a candidate's Hbasic and Hfine contributions over the
-// gates incident to its qubits: hb is the exact Eq. 1 sum under the ranking
-// metric (non-incident gates contribute zero), hop is the same sum under
-// the hop metric — equal to hb on uncalibrated runs, computed separately
-// when a weighted metric is attached because the insertion gate stays a
-// hop-progress question (DESIGN.md §8) — and hf is the Eq. 2 sum shifted by
-// the per-round constant −Σ|VD−HD| of the unswapped layout
-// (selection-invariant). Gates touching both candidate qubits are visited
-// once via the c.a-side skip.
-func (s *scorer) deltas(c swapCand, inc [][]int32, wantFine bool) (hb, hop, hf int) {
-	r := s.r
-	dev := r.dev
-	for _, i := range inc[c.a] {
+// gain is the exact Eq. 1 sum Σ D(old) − D(new) over the gates of inc
+// incident to candidate (a, b), under distance table tab; non-incident
+// gates contribute zero. A gate at a whose other end sits at o ≠ b moves
+// from D(a, o) to D(b, o), mirror-wise at b, and a gate spanning a and b
+// keeps its distance. The table is symmetric, so every term reads the two
+// candidate rows at o.
+func (s *scorer) gain(inc [][]int32, a, b int, tab []int32) int {
+	n := s.r.nq
+	rowA, rowB := tab[a*n:(a+1)*n], tab[b*n:(b+1)*n]
+	return s.sideGain(inc[a], a, b, rowA, rowB) + s.sideGain(inc[b], b, a, rowB, rowA)
+}
+
+// sideGain sums from[o] − to[o] over the other ends o of the gates in
+// incidence list ents of qubit p, skipping gates whose other end is the
+// partner qubit.
+func (s *scorer) sideGain(ents []int32, p, partner int, from, to []int32) int {
+	sum := 0
+	for _, i := range ents {
 		p1, p2 := s.phys(i)
-		n1, n2 := swappedPhys(p1, c.a, c.b), swappedPhys(p2, c.a, c.b)
-		hb += r.distance(p1, p2) - r.distance(n1, n2)
-		if r.weighted {
-			hop += r.hopDistance(p1, p2) - r.hopDistance(n1, n2)
-		}
-		if wantFine {
-			hf += fineDiff(dev, p1, p2) - fineDiff(dev, n1, n2)
+		if o := p1 ^ p2 ^ p; o != partner {
+			sum += int(from[o] - to[o])
 		}
 	}
-	for _, i := range inc[c.b] {
+	return sum
+}
+
+// fine is the candidate's Eq. 2 sum over the incident front gates,
+// shifted by the per-round constant −Σ|VD−HD| of the unswapped layout
+// (selection-invariant): Σ |VD−HD|(old) − |VD−HD|(new).
+func (s *scorer) fine(a, b int) int {
+	return s.sideFine(s.inc2q[a], a, b) + s.sideFine(s.inc2q[b], b, a)
+}
+
+// sideFine is fine's sum over the incidence list ents of qubit p, as
+// sideGain is gain's.
+func (s *scorer) sideFine(ents []int32, p, partner int) int {
+	dev := s.r.dev
+	sum := 0
+	for _, i := range ents {
 		p1, p2 := s.phys(i)
-		if p1 == c.a || p2 == c.a {
-			continue // already counted from the c.a side
-		}
-		n1, n2 := swappedPhys(p1, c.a, c.b), swappedPhys(p2, c.a, c.b)
-		hb += r.distance(p1, p2) - r.distance(n1, n2)
-		if r.weighted {
-			hop += r.hopDistance(p1, p2) - r.hopDistance(n1, n2)
-		}
-		if wantFine {
-			hf += fineDiff(dev, p1, p2) - fineDiff(dev, n1, n2)
+		if o := p1 ^ p2 ^ p; o != partner {
+			sum += fineDiff(dev, p, o) - fineDiff(dev, partner, o)
 		}
 	}
-	if !r.weighted {
-		hop = hb
-	}
-	return hb, hop, hf
+	return sum
 }
 
-// score computes (or recomputes) the ranking key and hop-metric Hbasic of
-// candidate c from the incidence lists.
-func (s *scorer) score(c swapCand) (key [3]int, hop int) {
-	r := s.r
-	wantFine := !r.opts.DisableHfine && r.dev.HasCoords()
-	hb, hop, hf := s.deltas(c, s.inc2q, wantFine)
-	var hl int
-	if len(r.lookSet) > 0 {
-		hl, _, _ = s.deltas(c, s.incLook, false)
-	}
-	return [3]int{hb, hl, hf}, hop
-}
-
-// pick returns the index into cands of the highest-priority candidate and
-// its hop-metric Hbasic (the insertion-gate value), mirroring pickBest's
-// ordering, lowest-edge tie-break and requireProgress filter exactly; -1
-// when cands is empty (or, under requireProgress, none makes hop
-// progress). Clean cached keys are reused; dirty ones are rescored in
-// O(incident gates).
-func (s *scorer) pick(cands []swapCand, requireProgress bool) (best, bestBasic int) {
-	best = -1
-	var bestKey [3]int
-	for k, c := range cands {
-		var key [3]int
-		var hb int
-		if s.keyValid[c.edge] {
-			key, hb = s.keys[c.edge], s.hbs[c.edge]
+// part returns one cached key part of candidate c — fineValid selects
+// Hfine, lookValid Hlook — computing it first when dirty.
+func (s *scorer) part(c swapCand, which uint8) int {
+	sc := &s.parts[c.edge]
+	if s.valid[c.edge]&which == 0 {
+		if which == lookValid {
+			sc.hl = s.gain(s.incLook, c.a, c.b, s.r.distTab)
 		} else {
-			key, hb = s.score(c)
-			s.keys[c.edge], s.hbs[c.edge] = key, hb
-			s.keyValid[c.edge] = true
+			sc.hf = s.fine(c.a, c.b)
 		}
-		if requireProgress && hb <= 0 {
+		s.valid[c.edge] |= which
+	}
+	if which == lookValid {
+		return sc.hl
+	}
+	return sc.hf
+}
+
+// pick returns the index into cands of the highest-priority candidate,
+// -1 when none is eligible. The order is pickBest's: ⟨Hbasic, Hlook,
+// Hfine⟩ compared lexicographically, then the lowest edge. It is evaluated
+// in that order, one part at a time: Hbasic for every candidate, Hlook
+// only for those tied on the best Hbasic, Hfine only for those also tied
+// on Hlook. Under progress only candidates with positive hop-metric
+// Hbasic are eligible (pickBest's requireProgress), so a round with
+// nothing positive ends after the first pass. Clean cached parts are
+// reused; dirty ones are rescored over the incident gates only.
+func (s *scorer) pick(cands []swapCand, progress bool) int {
+	ties := s.ties[:0]
+	var best int
+	for k, c := range cands {
+		sc := &s.parts[c.edge]
+		if s.valid[c.edge]&basicValid == 0 {
+			r := s.r
+			hb := s.gain(s.inc2q, c.a, c.b, r.distTab)
+			hop := hb
+			if r.weighted {
+				hop = s.gain(s.inc2q, c.a, c.b, r.hopTab)
+			}
+			sc.hb, sc.hop = hb, hop
+			s.valid[c.edge] |= basicValid
+		}
+		if progress && sc.hop <= 0 {
 			continue
 		}
-		better := best < 0
-		if !better && key != bestKey {
-			for i := 0; i < 3; i++ {
-				if key[i] != bestKey[i] {
-					better = key[i] > bestKey[i]
-					break
-				}
-			}
-		} else if !better {
-			better = c.edge < cands[best].edge
-		}
-		if better {
-			best, bestBasic, bestKey = k, hb, key
+		if len(ties) == 0 || sc.hb > best {
+			ties, best = append(ties[:0], int32(k)), sc.hb
+		} else if sc.hb == best {
+			ties = append(ties, int32(k))
 		}
 	}
-	return best, bestBasic
+	if len(ties) > 1 && len(s.r.lookSet) > 0 {
+		ties = s.narrow(cands, ties, lookValid)
+	}
+	if len(ties) > 1 && s.wantFine {
+		ties = s.narrow(cands, ties, fineValid)
+	}
+	s.ties = ties
+	win := -1
+	for _, k := range ties {
+		if win < 0 || cands[k].edge < cands[win].edge {
+			win = int(k)
+		}
+	}
+	if s.r.pickCheck != nil {
+		s.r.pickCheck(cands, win, progress)
+	}
+	return win
+}
+
+// narrow keeps, in place, the candidates of ties with the largest value of
+// one key part.
+func (s *scorer) narrow(cands []swapCand, ties []int32, which uint8) []int32 {
+	keep := ties[:0]
+	var best int
+	for _, k := range ties {
+		v := s.part(cands[k], which)
+		if len(keep) == 0 || v > best {
+			keep, best = append(keep[:0], k), v
+		} else if v == best {
+			keep = append(keep, k)
+		}
+	}
+	return keep
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -212,4 +213,89 @@ func BenchmarkDirectRouteHeavyRing(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestScorerMatchesNaiveEveryPick cross-checks the delta scorer at every
+// pick of full remapping runs: the winner must be pickBest's, and every
+// cached part the scorer holds as valid, on every coupler and not only the
+// candidates, must equal the from-scratch value — Hbasic under both
+// metrics and Hlook exactly, Hfine up to the round's constant
+// Σ|VD−HD| of the unswapped front. A missed invalidation shows up here
+// even when it does not change the pick.
+func TestScorerMatchesNaiveEveryPick(t *testing.T) {
+	devices := append(propDevices(), arch.SycamoreQ54())
+	for oi, opts := range scorerOptions() {
+		if opts.naiveFront {
+			continue // the scorer is indifferent to the front engine
+		}
+		for seed := int64(0); seed < 8; seed++ {
+			dev := devices[int(seed)%len(devices)]
+			run := opts
+			if seed%2 == 1 {
+				weights := make([]float64, len(dev.Edges))
+				for i := range weights {
+					weights[i] = float64((i*7+int(seed))%13) / 5
+				}
+				cm, err := arch.NewCostModel(dev, weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run.Cost = cm
+			}
+			qubits := min(dev.NumQubits, 9)
+			c := randCircuit(seed*53+int64(oi), qubits, 300)
+			r := newRemapper(circuit.Assemble(c), dev, arch.NewTrivialLayout(qubits, dev.NumQubits), run)
+			var failure error
+			picks := 0
+			r.pickCheck = func(cands []swapCand, best int, progress bool) {
+				if failure != nil {
+					return
+				}
+				picks++
+				failure = checkPick(r, cands, best, progress)
+			}
+			r.run(&cursor{})
+			if failure != nil {
+				t.Fatalf("opts %+v seed %d on %s, pick %d: %v", run, seed, dev.Name, picks, failure)
+			}
+			if picks == 0 {
+				t.Fatalf("opts %+v seed %d on %s: the scorer never picked", run, seed, dev.Name)
+			}
+		}
+	}
+}
+
+// checkPick compares one scorer pick, and the scorer's whole cache, with
+// the reference heuristics.
+func checkPick(r *remapper, cands []swapCand, best int, progress bool) error {
+	if want, _, _ := r.pickBest(cands, r.front2q, progress); best != want {
+		return fmt.Errorf("scorer picked %d, pickBest %d of %v", best, want, cands)
+	}
+	shift := 0
+	if r.sc.wantFine {
+		for _, i := range r.front2q {
+			q1, q2 := r.soa.Pair(i)
+			shift += fineDiff(r.dev, r.layout.Phys(q1), r.layout.Phys(q2))
+		}
+	}
+	for id, e := range r.dev.Edges {
+		c := swapCand{a: e[0], b: e[1], edge: id}
+		got, valid := r.sc.parts[id], r.sc.valid[id]
+		if valid&basicValid != 0 {
+			if hb, hop := r.hBasic(c, r.front2q, r.distTab), r.hBasic(c, r.front2q, r.hopTab); got.hb != hb || got.hop != hop {
+				return fmt.Errorf("edge %v: cached Hbasic %d/%d, reference %d/%d", e, got.hb, got.hop, hb, hop)
+			}
+		}
+		if valid&lookValid != 0 {
+			if hl := r.hLook(c); got.hl != hl {
+				return fmt.Errorf("edge %v: cached Hlook %d, reference %d", e, got.hl, hl)
+			}
+		}
+		if valid&fineValid != 0 {
+			if hf := r.hFine(c, r.front2q) + shift; got.hf != hf {
+				return fmt.Errorf("edge %v: cached Hfine %d, reference %d", e, got.hf, hf)
+			}
+		}
+	}
+	return nil
 }

@@ -9,7 +9,6 @@ package placement
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"codar/internal/arch"
@@ -152,7 +151,7 @@ func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts 
 	case MethodTrivial:
 		return arch.NewTrivialLayout(n, dev.NumQubits), nil
 	case MethodRandom:
-		return arch.NewLayout(rand.New(rand.NewSource(seed)).Perm(dev.NumQubits)[:n], dev.NumQubits)
+		return arch.RandomLayout(seed, n, dev.NumQubits)
 	case MethodDense:
 		return Dense(a.Circ, dev)
 	case MethodSabreReverse:

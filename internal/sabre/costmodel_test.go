@@ -103,3 +103,82 @@ func TestRemapRejectsForeignCostModel(t *testing.T) {
 		t.Error("Remap accepted a cost model for a different device")
 	}
 }
+
+// weightedCost builds a deterministic non-uniform calibration metric for
+// dev, weights spread over [0, 2.55] hops the way core's calibrated
+// equivalence test builds them.
+func weightedCost(t testing.TB, dev *arch.Device, seed int64) *arch.CostModel {
+	t.Helper()
+	weights := make([]float64, len(dev.Edges))
+	ws := uint64(seed)*2654435761 + 12345
+	for i := range weights {
+		ws ^= ws << 13
+		ws ^= ws >> 7
+		ws ^= ws << 17
+		weights[i] = float64(ws%256) / 100
+	}
+	cm, err := arch.NewCostModel(dev, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm
+}
+
+// TestCalibratedRemapIdenticalToNaiveScore is the delta-scoring
+// equivalence under a non-uniform weighted metric: the delta path reads
+// each incident gate's term from the two candidate rows of the weighted
+// table, the reference score reads every distance in the gate's own
+// orientation, and the outputs must still be identical.
+func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
+	devices := []*arch.Device{
+		arch.Linear(6), arch.Ring(7), arch.Grid("g33", 3, 3),
+		arch.IBMQ16Melbourne(), arch.IBMQ20Tokyo(), arch.SycamoreQ54(),
+	}
+	f := func(seed int64) bool {
+		dev := devices[int(uint64(seed)%uint64(len(devices)))]
+		cm := weightedCost(t, dev, seed)
+		qubits := min(dev.NumQubits, 8)
+		c := randCircuit(seed, qubits, 70)
+		delta, err := Remap(c, dev, nil, Options{Cost: cm})
+		if err != nil {
+			t.Logf("delta: %v", err)
+			return false
+		}
+		ref, err := Remap(c, dev, nil, Options{Cost: cm, naiveScore: true})
+		if err != nil {
+			t.Logf("naive: %v", err)
+			return false
+		}
+		if !sabreEquivalent(delta, ref) {
+			t.Logf("%s: outputs differ (swaps %d vs %d)", dev.Name, delta.SwapCount, ref.SwapCount)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCalibratedInitialLayoutIdenticalToNaiveScore extends the calibrated
+// equivalence through the reverse-traversal pass, the placement-heavy
+// path calibrated compiles take.
+func TestCalibratedInitialLayoutIdenticalToNaiveScore(t *testing.T) {
+	for _, dev := range []*arch.Device{arch.IBMQ20Tokyo(), arch.SycamoreQ54()} {
+		for seed := int64(0); seed < 4; seed++ {
+			cm := weightedCost(t, dev, seed)
+			c := randCircuit(seed*97+5, 8, 120)
+			delta, err := InitialLayout(c, dev, seed, Options{Cost: cm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := InitialLayout(c, dev, seed, Options{Cost: cm, naiveScore: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !delta.Equal(ref) {
+				t.Fatalf("%s seed %d: initial layouts differ", dev.Name, seed)
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ package sabre
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"codar/internal/arch"
@@ -214,9 +213,9 @@ type mapper struct {
 	extValid bool
 
 	// Incidence index for the base+delta scoring: per-physical-qubit lists
-	// of the two-qubit front (incF) and extended-set (incE) gates — each
-	// entry the gate's packed logical pair (q1«16 | q2), immutable under
-	// swaps, so resolving current endpoints is two layout loads —
+	// of the two-qubit front (incF) and extended-set (incE) gates — the
+	// entry for gate (q1, q2) in p's list is the logical qubit at its other
+	// end, immutable under swaps, so resolving it is one layout load —
 	// epoch-stamped so clearing costs nothing, plus the integer distance
 	// sums of the unswapped layout. A candidate's score is then base +
 	// delta over only the gates touching its two qubits. The index is
@@ -601,17 +600,18 @@ func (m *mapper) candidates(front []int) []swapCand {
 		}
 		for _, q := range m.soa.Operands(k) {
 			p := m.layout.Phys(int(q))
-			for _, nb := range m.dev.Neighbors(p) {
-				a, b := p, nb
-				if a > b {
-					a, b = b, a
-				}
-				id, _ := m.dev.EdgeIndex(a, b)
+			ids := m.dev.Couplers(p)
+			for j, nb := range m.dev.Neighbors(p) {
+				id := ids[j]
 				if m.edgeStamp[id] == m.edgeEpoch {
 					continue
 				}
 				m.edgeStamp[id] = m.edgeEpoch
-				out = append(out, swapCand{a: a, b: b, edge: id})
+				a, b := p, nb
+				if a > b {
+					a, b = b, a
+				}
+				out = append(out, swapCand{a: a, b: b, edge: int(id)})
 			}
 		}
 	}
@@ -649,9 +649,8 @@ func (m *mapper) index(set []int, inc [][]int32) (base, n int) {
 		n++
 		m.bucket(p1)
 		m.bucket(p2)
-		ent := int32(q1)<<16 | int32(q2)
-		inc[p1] = append(inc[p1], ent)
-		inc[p2] = append(inc[p2], ent)
+		inc[p1] = append(inc[p1], int32(q2))
+		inc[p2] = append(inc[p2], int32(q1))
 	}
 	return base, n
 }
@@ -682,27 +681,35 @@ func swappedPhys(p, a, b int) int {
 	}
 }
 
-// deltaSum is the integer change of Σ D over one gate set under candidate
-// c, evaluated only on the gates incident to c's qubits — every other
-// gate's distance is untouched by the swap. Gates spanning both candidate
-// qubits are visited once via the c.a-side skip.
-func (m *mapper) deltaSum(c swapCand, inc [][]int32) int {
-	sum := 0
-	if m.incStamp[c.a] == m.incEpoch { // untouched buckets are stale, not empty
-		for _, ent := range inc[c.a] {
-			p1 := m.layout.Phys(int(ent >> 16))
-			p2 := m.layout.Phys(int(ent & 0xffff))
-			sum += m.distance(swappedPhys(p1, c.a, c.b), swappedPhys(p2, c.a, c.b)) - m.distance(p1, p2)
-		}
+// deltas is the integer change of Σ D over the front (dF) and the extended
+// set (dE) under candidate c, evaluated only on the gates incident to c's
+// qubits — every other gate's distance is untouched by the swap. A gate at
+// a whose other end sits at o ≠ b moves from D(a, o) to D(b, o), and
+// mirror-wise at b; a gate spanning a and b keeps its distance. The table
+// is symmetric, so every term reads the two candidate rows of the distance
+// table at o: one layout load per incident gate.
+func (m *mapper) deltas(c swapCand) (dF, dE int) {
+	a, b := c.a, c.b
+	rowA := m.distTab[a*m.nq : (a+1)*m.nq]
+	rowB := m.distTab[b*m.nq : (b+1)*m.nq]
+	if m.incStamp[a] == m.incEpoch { // untouched buckets are stale, not empty
+		dF += rowDelta(m.incF[a], m.layout, rowB, rowA, b)
+		dE += rowDelta(m.incE[a], m.layout, rowB, rowA, b)
 	}
-	if m.incStamp[c.b] == m.incEpoch {
-		for _, ent := range inc[c.b] {
-			p1 := m.layout.Phys(int(ent >> 16))
-			p2 := m.layout.Phys(int(ent & 0xffff))
-			if p1 == c.a || p2 == c.a {
-				continue // already counted from the c.a side
-			}
-			sum += m.distance(swappedPhys(p1, c.a, c.b), swappedPhys(p2, c.a, c.b)) - m.distance(p1, p2)
+	if m.incStamp[b] == m.incEpoch {
+		dF += rowDelta(m.incF[b], m.layout, rowA, rowB, a)
+		dE += rowDelta(m.incE[b], m.layout, rowA, rowB, a)
+	}
+	return dF, dE
+}
+
+// rowDelta sums to[o] − from[o] over the other ends o of the gates in one
+// incidence list, skipping the gate whose other end is the partner qubit.
+func rowDelta(ents []int32, l *arch.Layout, to, from []int32, partner int) int {
+	sum := 0
+	for _, q := range ents {
+		if o := l.Phys(int(q)); o != partner {
+			sum += int(to[o] - from[o])
 		}
 	}
 	return sum
@@ -718,10 +725,7 @@ func (m *mapper) scoreDelta(c swapCand, ext []int) float64 {
 	if m.hStamp[c.edge] == m.hEpoch {
 		dF, dE = int(m.dFCache[c.edge]), int(m.dECache[c.edge])
 	} else {
-		dF = m.deltaSum(c, m.incF)
-		if m.nE > 0 {
-			dE = m.deltaSum(c, m.incE)
-		}
+		dF, dE = m.deltas(c)
 		m.dFCache[c.edge], m.dECache[c.edge] = int32(dF), int32(dE)
 		m.hStamp[c.edge] = m.hEpoch
 	}
@@ -742,8 +746,7 @@ func (m *mapper) scoreDelta(c swapCand, ext []int) float64 {
 // dirtyAround drops the cached h of every edge incident to physical
 // qubit p.
 func (m *mapper) dirtyAround(p int) {
-	for _, nb := range m.dev.Neighbors(p) {
-		id, _ := m.dev.EdgeIndex(p, nb)
+	for _, id := range m.dev.Couplers(p) {
 		m.hStamp[id] = 0
 	}
 }
@@ -756,8 +759,9 @@ func (m *mapper) dirtyAround(p int) {
 // incident terms moved — at a, at b, or at the far endpoints of the moved
 // gates — loses its cached h.
 func (m *mapper) noteSwap(c swapCand) {
-	m.baseF += m.deltaSum(c, m.incF)
-	m.baseE += m.deltaSum(c, m.incE)
+	dF, dE := m.deltas(c)
+	m.baseF += dF
+	m.baseE += dE
 	a, b := c.a, c.b
 	m.incF[a], m.incF[b] = m.incF[b], m.incF[a]
 	m.incE[a], m.incE[b] = m.incE[b], m.incE[a]
@@ -768,13 +772,11 @@ func (m *mapper) noteSwap(c swapCand) {
 		if m.incStamp[p] != m.incEpoch {
 			continue
 		}
-		for _, ent := range m.incF[p] {
-			m.dirtyAround(m.layout.Phys(int(ent >> 16)))
-			m.dirtyAround(m.layout.Phys(int(ent & 0xffff)))
+		for _, q := range m.incF[p] {
+			m.dirtyAround(m.layout.Phys(int(q)))
 		}
-		for _, ent := range m.incE[p] {
-			m.dirtyAround(m.layout.Phys(int(ent >> 16)))
-			m.dirtyAround(m.layout.Phys(int(ent & 0xffff)))
+		for _, q := range m.incE[p] {
+			m.dirtyAround(m.layout.Phys(int(q)))
 		}
 	}
 }
@@ -913,9 +915,7 @@ func InitialLayout(c *circuit.Circuit, dev *arch.Device, seed int64, opts Option
 func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
 	// A circuit that does not fit gets a start with one logical qubit per
 	// physical one, which the forward pass's input check then rejects.
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(dev.NumQubits)
-	start, err := arch.NewLayout(perm[:min(a.Circ.NumQubits, len(perm))], dev.NumQubits)
+	start, err := arch.RandomLayout(seed, min(a.Circ.NumQubits, dev.NumQubits), dev.NumQubits)
 	if err != nil {
 		return nil, err
 	}
