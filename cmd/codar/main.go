@@ -167,7 +167,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 			}
 		}
 	}
-	if cfg.algo != "codar" && cfg.algo != "sabre" {
+	if _, err := compile.ParseAlgorithm(cfg.algo); err != nil {
 		return nil, fmt.Errorf("-algo must be codar or sabre, got %q", cfg.algo)
 	}
 	if _, ok := arch.DurationsByName(cfg.durations); !ok {

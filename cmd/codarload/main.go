@@ -48,6 +48,7 @@ import (
 
 	"codar/api"
 	"codar/client"
+	"codar/internal/compile"
 	"codar/internal/experiments"
 	"codar/internal/metrics"
 	"codar/internal/qasm"
@@ -139,7 +140,7 @@ func parseFlags(args []string, stderr io.Writer) (*loadConfig, error) {
 		fs.Usage()
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if cfg.algo != "codar" && cfg.algo != "sabre" {
+	if _, err := compile.ParseAlgorithm(cfg.algo); err != nil {
 		return nil, fmt.Errorf("-algo must be codar or sabre, got %q", cfg.algo)
 	}
 	if cfg.repeat < 1 {

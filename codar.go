@@ -183,7 +183,8 @@ func SABREInitialLayout(c *Circuit, dev *Device, seed int64) (*Layout, error) {
 
 // SABREInitialLayoutOptions is SABREInitialLayout with explicit SABRE
 // options — most usefully a calibration cost model, so placement also avoids
-// unreliable couplers.
+// unreliable couplers. Placement ignores opts.DepthBound, which only
+// abandons routing runs.
 func SABREInitialLayoutOptions(c *Circuit, dev *Device, seed int64, opts SabreOptions) (*Layout, error) {
 	return sabre.InitialLayout(c, dev, seed, opts)
 }

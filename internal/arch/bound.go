@@ -68,13 +68,15 @@ func (b *DepthBound) Exceeded(depth int) bool {
 	return ok && depth > d
 }
 
-// ASAPTracker incrementally computes the ASAP makespan of a gate sequence
-// as it is emitted: each Note is one gate on the given physical qubits.
-// Fed gates in an order that preserves each qubit's time order, its span
-// equals schedule.WeightedDepth of the final sequence, and the running
-// value is a monotone lower bound of it — the soundness invariant the
-// early-abandon protocol rests on (DESIGN.md §9). Both mappers share this
-// one implementation so the recurrence cannot drift between them.
+// ASAPTracker incrementally computes the ASAP schedule of a gate sequence
+// as it is emitted: each Place starts one gate on the given physical
+// qubits as soon as all of them are free. Fed gates in an order that
+// preserves each qubit's time order, its span equals
+// schedule.WeightedDepth of the final sequence, and the running value is a
+// monotone lower bound of it — the soundness invariant the early-abandon
+// protocol rests on (DESIGN.md §9). Both mappers, the schedule package and
+// the compile meter share this one implementation so the recurrence
+// cannot drift between them.
 type ASAPTracker struct {
 	free []int
 	span int
@@ -85,9 +87,9 @@ func NewASAPTracker(numQubits int) *ASAPTracker {
 	return &ASAPTracker{free: make([]int, numQubits)}
 }
 
-// Note advances the recurrence by one gate of the given duration on qs and
-// returns the updated running makespan.
-func (t *ASAPTracker) Note(qs []int, dur int) int {
+// Place schedules one gate of the given duration on qs and returns its
+// start: the latest time one of qs frees up.
+func (t *ASAPTracker) Place(qs []int, dur int) int {
 	start := 0
 	for _, q := range qs {
 		if t.free[q] > start {
@@ -101,6 +103,13 @@ func (t *ASAPTracker) Note(qs []int, dur int) int {
 	if end > t.span {
 		t.span = end
 	}
+	return start
+}
+
+// Note advances the recurrence by one gate of the given duration on qs and
+// returns the updated running makespan.
+func (t *ASAPTracker) Note(qs []int, dur int) int {
+	t.Place(qs, dur)
 	return t.span
 }
 

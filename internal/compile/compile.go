@@ -74,8 +74,9 @@ type Spec struct {
 	// with arch.ErrDepthBound once their output can no longer beat it: the
 	// portfolio's early abandon (DESIGN.md §9).
 	DepthBound *arch.DepthBound
-	// Codar is CODAR's own tuning; its Ctx, Cost and DepthBound are the
-	// Spec's.
+	// Codar is CODAR's own tuning. Its Ctx, Cost and DepthBound come from
+	// the Spec, so they must be left unset here: Run, Route and Stream
+	// reject a Spec that sets one.
 	Codar core.Options
 	// Snapshot adds the estimated success probability to whole outputs.
 	Snapshot *calib.Snapshot
@@ -108,6 +109,9 @@ type Result struct {
 // Run maps a whole lowered circuit that fits dev: Place, then Route, over
 // one circuit.Assembly.
 func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
 	a := circuit.Assemble(c)
 	initial, err := Place(a, dev, spec)
 	if err != nil {
@@ -129,6 +133,9 @@ func Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, erro
 // Route maps the assembly from initial with Spec.Algorithm, and the
 // baseline from the same layout. The layout is only read.
 func Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
 	if spec.Sink != nil {
 		return spec.route(spec.Algorithm, string(spec.Algorithm), nil, circuit.NewSliceSource(a.Circ), dev, initial)
 	}
@@ -149,7 +156,27 @@ func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
 	if spec.Placement != placement.MethodTrivial || spec.Sink == nil {
 		return nil, errors.New("compile: a stream takes the trivial placement and needs a sink")
 	}
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
 	return spec.route(spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
+}
+
+// checkCodar rejects a Spec that sets, in Codar, a field the pipeline
+// fills from the Spec itself: route would overwrite it without a word.
+func (s *Spec) checkCodar() error {
+	var field string
+	switch {
+	case s.Codar.Ctx != nil:
+		field = "Ctx"
+	case s.Codar.Cost != nil:
+		field = "Cost"
+	case s.Codar.DepthBound != nil:
+		field = "DepthBound"
+	default:
+		return nil
+	}
+	return fmt.Errorf("compile: Spec.Codar.%s is set; set Spec.%s instead", field, field)
 }
 
 // route maps from initial with algo, failing as stage: the assembly whole,
@@ -218,35 +245,36 @@ func Measure(c *circuit.Circuit, dev *arch.Device, snap *calib.Snapshot) (Metric
 
 // meter measures an output gate by gate in emission order: the count, the
 // depth (a barrier takes no layer, as in circuit.Circuit.Depth) and the
-// ASAP weighted depth (schedule.WeightedDepth's recurrence). As a sink it
-// measures each chunk and passes it on.
+// ASAP weighted depth (the arch.ASAPTracker recurrence
+// schedule.WeightedDepth runs). As a sink it measures each chunk and
+// passes it on.
 type meter struct {
 	Metrics
 	dur    arch.Durations
 	level  []int // per-qubit depth reached
-	free   []int // per-qubit ASAP finish time
+	asap   arch.ASAPTracker
 	sink   schedule.Sink
 	chunks int
 }
 
 func newMeter(qubits int, dur arch.Durations, sink schedule.Sink) *meter {
-	return &meter{dur: dur, level: make([]int, qubits), free: make([]int, qubits), sink: sink}
+	return &meter{dur: dur, level: make([]int, qubits), asap: *arch.NewASAPTracker(qubits), sink: sink}
 }
 
 func (m *meter) add(g circuit.Gate) {
 	m.Gates++
-	level, start := 0, 0
+	level := 0
 	for _, q := range g.Qubits {
-		level, start = max(level, m.level[q]), max(start, m.free[q])
+		level = max(level, m.level[q])
 	}
 	if g.Op != circuit.OpBarrier {
 		level++
 	}
-	end := start + m.dur.Of(g.Op)
 	for _, q := range g.Qubits {
-		m.level[q], m.free[q] = level, end
+		m.level[q] = level
 	}
-	m.Depth, m.WeightedDepth = max(m.Depth, level), max(m.WeightedDepth, end)
+	m.Depth = max(m.Depth, level)
+	m.WeightedDepth = m.asap.Note(g.Qubits, m.dur.Of(g.Op))
 }
 
 // Flush implements schedule.Sink.

@@ -10,6 +10,7 @@ import (
 	"codar/internal/calib"
 	"codar/internal/circuit"
 	"codar/internal/compile"
+	"codar/internal/core"
 	"codar/internal/experiments"
 	"codar/internal/interrupt"
 	"codar/internal/placement"
@@ -198,6 +199,33 @@ func TestErrorsNameTheStage(t *testing.T) {
 	} {
 		if err := run(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestSpecRejectsCodarOwnedFields: Ctx, Cost and DepthBound set in
+// Spec.Codar would be overwritten by the Spec's own, so Run and Stream
+// refuse each of them alone with an error that names the field to use.
+func TestSpecRejectsCodarOwnedFields(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	c := workloads.Random(6, 60, 45, 1)
+	cm, err := arch.NewCostModel(dev, make([]float64, len(dev.Edges)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, codar := range map[string]core.Options{
+		"Ctx":        {Ctx: context.Background()},
+		"Cost":       {Cost: cm},
+		"DepthBound": {DepthBound: &arch.DepthBound{}},
+	} {
+		spec := compile.Spec{Algorithm: compile.Codar, Placement: placement.MethodTrivial, Codar: codar}
+		want := "set Spec." + field + " instead"
+		if _, err := compile.Run(c, dev, spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run with Codar.%s: err = %v, want %q", field, err, want)
+		}
+		spec.Sink = &schedule.Collector{}
+		if _, err := compile.Stream(circuit.NewSliceSource(c), dev, spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Stream with Codar.%s: err = %v, want %q", field, err, want)
 		}
 	}
 }

@@ -64,12 +64,6 @@ type Options struct {
 	// sequence. 0 means DefaultWindow. Larger windows expose more
 	// look-ahead context at higher cost.
 	Window int
-	// DeadlockStreak is the number of consecutive forced-SWAP cycles
-	// (paper: "choose a SWAP with the highest priority ... even if its
-	// Hbasic may not be positive") tolerated before the engine escapes by
-	// routing the oldest blocked gate directly along a shortest path.
-	// 0 means DefaultDeadlockStreak. See DESIGN.md §4.
-	DeadlockStreak int
 	// DisableHfine drops the fine-priority tie-breaker (ablation).
 	DisableHfine bool
 	// DisableCommutativity replaces the commutative front with the plain
@@ -96,23 +90,13 @@ type Options struct {
 	// exceeds the published bound. nil leaves the run (and its output
 	// bytes) untouched.
 	DepthBound *arch.DepthBound
-
-	// naiveFront selects the from-scratch reference front scan instead of
-	// the incremental engine (frontier.go). Test-only: the equivalence
-	// property tests run both and require byte-identical results.
-	naiveFront bool
-	// naiveScore selects the from-scratch reference candidate scoring
-	// (pickBest) instead of the delta scorer (scorer.go). Test-only: the
-	// scorer-equivalence property tests run both and require byte-identical
-	// results.
-	naiveScore bool
-	// checkEvents cross-checks the lock-expiry event heap and the O(1)
-	// allFree shortcut against the O(Q) reference scans on every cycle,
-	// panicking on divergence. Test-only.
-	checkEvents bool
 }
 
-// Defaults for Options.
+// Defaults for Options, and the deadlock streak: the number of
+// consecutive forced-SWAP cycles (paper: "choose a SWAP with the highest
+// priority ... even if its Hbasic may not be positive") tolerated before
+// the engine escapes by routing the oldest blocked gate directly along a
+// shortest path (DESIGN.md §4).
 const (
 	DefaultWindow         = 256
 	DefaultDeadlockStreak = 3
@@ -124,13 +108,6 @@ func (o Options) window() int {
 		return DefaultWindow
 	}
 	return o.Window
-}
-
-func (o Options) deadlockStreak() int {
-	if o.DeadlockStreak <= 0 {
-		return DefaultDeadlockStreak
-	}
-	return o.DeadlockStreak
 }
 
 func (o Options) lookahead() int {
@@ -246,6 +223,9 @@ type remapper struct {
 	forced    int
 	routed    int
 	streak    int
+	// deadlockStreak is the forced-SWAP streak that triggers directRoute:
+	// DefaultDeadlockStreak, lowered only by package tests.
+	deadlockStreak int
 
 	// Early-abandon state (Options.DepthBound): the shared ASAP recurrence
 	// over the emitted prefix. Per-qubit emission order equals per-qubit
@@ -273,23 +253,26 @@ type remapper struct {
 	sourceOpen bool
 	starved    bool
 
-	// f is the incremental commutative-front engine; nil selects the naive
-	// reference scan (Options.naiveFront).
+	// f is the incremental commutative-front engine.
 	f *frontier
-	// sc is the delta-scoring engine for the SWAP search; nil selects the
-	// naive reference scoring (Options.naiveScore).
+	// sc is the delta-scoring engine for the SWAP search.
 	sc *scorer
 	// lockHeap is the lock-expiry event queue: a lazy binary min-heap of
 	// (end«20 | qubit) entries, one pushed per lock assignment. Entries
 	// whose end no longer matches the qubit's current lock are discarded on
 	// pop, so nextEvent costs O(log pending) instead of an O(Q) scan.
 	lockHeap []int64
-	// frontCheck, when set (equivalence property tests), observes every
-	// front the engine returns before the remapper acts on it.
+
+	// Observer hooks, set only by the package's equivalence tests, which
+	// compare each answer with a from-scratch reference on the engine's own
+	// state (DESIGN.md §5, §6). frontCheck sees every front the engine
+	// returns before the remapper acts on it; pickCheck every scorer pick:
+	// the candidates, the winner and the progress filter; eventCheck each
+	// answer of the event queue at time t, allFree's bool and then
+	// nextEvent's int.
 	frontCheck func(front []int)
-	// pickCheck, when set (equivalence property tests), observes every
-	// scorer pick: the candidates, the winner and the progress filter.
-	pickCheck func(cands []swapCand, best int, progress bool)
+	pickCheck  func(cands []swapCand, best int, progress bool)
+	eventCheck func(t int, answer any)
 
 	// arena backs the physical-qubit slices of emitted gates. The
 	// streaming driver rewinds it after every flush (settle), staging the
@@ -297,10 +280,8 @@ type remapper struct {
 	arena  circuit.IntArena
 	carryQ []int
 
-	// Scratch buffers for the front computation (shared by both front
-	// implementations) and the SWAP-candidate search.
-	seenStack [][]int
-	touched   []int
+	// Scratch buffers for the front computation and the SWAP-candidate
+	// search.
 	front     []int
 	front2q   []int
 	lookSet   []int
@@ -326,12 +307,12 @@ func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, op
 // the logical qubit count. The per-gate index structures come from load.
 func newEngine(numLogical int, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
 	r := &remapper{
-		opts:      opts,
-		dev:       dev,
-		layout:    initial.Clone(),
-		initial:   initial.Clone(),
-		locks:     make([]int, dev.NumQubits),
-		seenStack: make([][]int, numLogical),
+		opts:           opts,
+		dev:            dev,
+		layout:         initial.Clone(),
+		initial:        initial.Clone(),
+		locks:          make([]int, dev.NumQubits),
+		deadlockStreak: DefaultDeadlockStreak,
 	}
 	r.nq = dev.NumQubits
 	r.swapDur = dev.Durations.Of(circuit.OpSwap)
@@ -342,12 +323,8 @@ func newEngine(numLogical int, dev *arch.Device, initial *arch.Layout, opts Opti
 	} else {
 		r.distTab = r.hopTab
 	}
-	if !opts.naiveFront {
-		r.f = newFrontier(r, numLogical)
-	}
-	if !opts.naiveScore {
-		r.sc = newScorer(r)
-	}
+	r.f = newFrontier(r, numLogical)
+	r.sc = newScorer(r)
 	if opts.DepthBound != nil {
 		r.asap = arch.NewASAPTracker(dev.NumQubits)
 	}
@@ -377,20 +354,14 @@ func (r *remapper) load(gates []circuit.Gate, soa *circuit.SoA) {
 		r.next[n-1] = -1
 	}
 	r.live = n
-	if r.f != nil {
-		r.f.load()
-	}
-	if r.sc != nil {
-		r.sc.load()
-	}
+	r.f.load()
+	r.sc.load()
 }
 
 // unlink removes gate i from the remaining sequence. The frontier is
 // notified first: it reads the intact list pointers to retreat its window.
 func (r *remapper) unlink(i int) {
-	if r.f != nil {
-		r.f.remove(i)
-	}
+	r.f.remove(i)
 	if r.prev[i] >= 0 {
 		r.next[r.prev[i]] = r.next[i]
 	} else {
@@ -488,17 +459,15 @@ func (r *remapper) run(cur *cursor) {
 			r.streak = 0
 		}
 		free := r.allFree(t)
-		if r.opts.checkEvents {
-			if want := r.allFreeScan(t); free != want {
-				panic(fmt.Sprintf("codar: allFree(%d) = %v, scan says %v", t, free, want))
-			}
+		if r.eventCheck != nil {
+			r.eventCheck(t, free)
 		}
 		if !launchedAny && !inserted && free {
 			// Deadlock (§IV-D): no executable gate, no positive SWAP, all
 			// qubits free. Force the highest-priority SWAP; escape to
 			// direct routing after a bounded streak (DESIGN.md §4).
 			r.streak++
-			if r.streak >= r.opts.deadlockStreak() {
+			if r.streak >= r.deadlockStreak {
 				r.directRoute(front, t)
 				r.streak = 0
 			} else {
@@ -508,10 +477,8 @@ func (r *remapper) run(cur *cursor) {
 
 		// Advance the timeline to the next lock expiry.
 		nt := r.nextEvent(t)
-		if r.opts.checkEvents {
-			if want := r.nextEventScan(t); nt != want {
-				panic(fmt.Sprintf("codar: nextEvent(%d) = %d, scan says %d", t, nt, want))
-			}
+		if r.eventCheck != nil {
+			r.eventCheck(t, nt)
 		}
 		if nt > t {
 			t = nt
@@ -583,9 +550,7 @@ func (r *remapper) launchSwap(a, b, start int) {
 		r.makespan = end
 	}
 	r.layout.SwapPhysical(a, b)
-	if r.sc != nil {
-		r.sc.noteSwap(a, b)
-	}
+	r.sc.noteSwap(a, b)
 	r.swapCount++
 }
 
@@ -632,19 +597,9 @@ func (r *remapper) pushLock(q, end int) {
 // allFree reports whether every physical qubit is lock-free at t. Locks
 // are per-qubit non-decreasing and every assigned expiry also raises the
 // makespan, so max over locks equals the makespan at all times and the
-// per-qubit scan collapses to one comparison (cross-checked against
-// allFreeScan by the checkEvents property tests).
+// per-qubit scan collapses to one comparison (the event observer checks
+// it against the scan).
 func (r *remapper) allFree(t int) bool { return r.makespan <= t }
-
-// allFreeScan is the O(Q) reference implementation of allFree.
-func (r *remapper) allFreeScan(t int) bool {
-	for _, l := range r.locks {
-		if l > t {
-			return false
-		}
-	}
-	return true
-}
 
 // nextEvent returns the smallest lock expiry strictly after t, or t when no
 // lock is pending. Heap entries that expired or were superseded by a later
@@ -680,20 +635,6 @@ func (r *remapper) nextEvent(t int) int {
 	}
 	r.lockHeap = h
 	return t
-}
-
-// nextEventScan is the O(Q) reference implementation of nextEvent.
-func (r *remapper) nextEventScan(t int) int {
-	nt := -1
-	for _, l := range r.locks {
-		if l > t && (nt < 0 || l < nt) {
-			nt = l
-		}
-	}
-	if nt < 0 {
-		return t
-	}
-	return nt
 }
 
 // directRoute is the bounded deadlock escape: route the oldest blocked

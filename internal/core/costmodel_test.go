@@ -61,40 +61,38 @@ func TestRemapIdenticalWithZeroCalibrationFig8Matrix(t *testing.T) {
 	}
 }
 
-// TestRemapIdenticalWithZeroCalibrationProperty randomises circuits, devices
-// and option variants.
+// TestRemapIdenticalWithZeroCalibrationProperty randomises circuits,
+// devices and option rows, with every reference observing both runs.
 func TestRemapIdenticalWithZeroCalibrationProperty(t *testing.T) {
 	devices := propDevices()
-	optGrid := []Options{
-		{},
-		{naiveScore: true},
-		{naiveFront: true},
-		{Lookahead: -1},
-		{DisableHfine: true},
-		{DeadlockStreak: 1},
+	grid := []row{
+		{opts: Options{}},
+		{opts: Options{Lookahead: -1}},
+		{opts: Options{DisableHfine: true}},
+		{streak: 1},
 	}
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]
-		opts := optGrid[int(uint64(seed>>8)%uint64(len(optGrid)))]
+		rw := grid[int(uint64(seed>>8)%uint64(len(grid)))]
 		qubits := dev.NumQubits
 		if qubits > 6 {
 			qubits = 6
 		}
 		c := randCircuit(seed, qubits, 60)
-		plain, err := Remap(c, dev, nil, opts)
+		plain, err := remapObserved(c, dev, nil, rw.opts, rw.streak)
 		if err != nil {
 			t.Logf("plain: %v", err)
 			return false
 		}
-		withCost := opts
+		withCost := rw.opts
 		withCost.Cost = zeroCost(t, dev)
-		calibrated, err := Remap(c, dev, nil, withCost)
+		calibrated, err := remapObserved(c, dev, nil, withCost, rw.streak)
 		if err != nil {
 			t.Logf("calibrated: %v", err)
 			return false
 		}
 		if err := resultsIdentical(calibrated, plain); err != nil {
-			t.Logf("opts %+v on %s: %v", opts, dev.Name, err)
+			t.Logf("row %+v on %s: %v", rw, dev.Name, err)
 			return false
 		}
 		return true
@@ -107,18 +105,18 @@ func TestRemapIdenticalWithZeroCalibrationProperty(t *testing.T) {
 // TestCalibratedRemapIdenticalToNaiveScore extends the delta-scorer
 // equivalence property to genuinely weighted metrics: with a non-uniform
 // cost model attached, the scorer's cached keys, hop-gate values and
-// requireProgress filter must reproduce pickBest's selection exactly.
+// progress filter must reproduce the reference pickBest rule at every pick
+// of the run.
 func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 	devices := propDevices()
-	optGrid := []Options{
-		{},
-		{naiveFront: true},
-		{Lookahead: -1},
-		{DeadlockStreak: 1, checkEvents: true},
+	grid := []row{
+		{opts: Options{}},
+		{opts: Options{Lookahead: -1}},
+		{streak: 1},
 	}
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]
-		opts := optGrid[int(uint64(seed>>8)%uint64(len(optGrid)))]
+		rw := grid[int(uint64(seed>>8)%uint64(len(grid)))]
 		// Deterministic non-uniform weights spread over [0, 2.5] hops.
 		weights := make([]float64, len(dev.Edges))
 		ws := uint64(seed)*2654435761 + 12345
@@ -133,26 +131,15 @@ func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 			t.Logf("cost model: %v", err)
 			return false
 		}
+		opts := rw.opts
 		opts.Cost = cm
 		qubits := dev.NumQubits
 		if qubits > 6 {
 			qubits = 6
 		}
 		c := randCircuit(seed, qubits, 60)
-		delta, err := Remap(c, dev, nil, opts)
-		if err != nil {
-			t.Logf("delta: %v", err)
-			return false
-		}
-		naive := opts
-		naive.naiveScore = true
-		ref, err := Remap(c, dev, nil, naive)
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-		if err := resultsIdentical(delta, ref); err != nil {
-			t.Logf("opts %+v on %s: %v", opts, dev.Name, err)
+		if _, err := remapObserved(c, dev, nil, opts, rw.streak); err != nil {
+			t.Logf("row %+v on %s: %v", rw, dev.Name, err)
 			return false
 		}
 		return true

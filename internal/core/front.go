@@ -1,99 +1,21 @@
 package core
 
-import "codar/internal/circuit"
-
 // computeFront returns the commutative front (CF) of the remaining gate
 // sequence: the indices of gates that commute with every earlier remaining
 // gate (Definition 1). The scan is bounded by the options window; gates on
 // disjoint qubits commute trivially, so membership only involves earlier
-// gates sharing one of a candidate's qubits.
-//
-// The work is done by the incremental engine (frontier.go); the from-scratch
-// scan below is retained as the reference implementation, selected by the
-// naiveFront option and cross-checked against the engine by the equivalence
-// property tests.
+// gates sharing one of a candidate's qubits. The incremental engine
+// (frontier.go) does the work; frontCheck, when set, observes the result.
 //
 // With DisableCommutativity the front degrades to the plain dependency
 // front (first unexecuted gate per qubit chain), which is what SABRE uses.
 func (r *remapper) computeFront() []int {
 	r.starved = false
-	if r.f == nil {
-		return r.computeFrontNaive()
-	}
 	front := r.f.computeFront()
 	if r.frontCheck != nil && !r.starved {
 		r.frontCheck(front)
 	}
 	return front
-}
-
-// computeFrontNaive is the pre-incremental implementation: rescan the
-// window and re-run every pairwise commutation check. O(window × avg
-// per-qubit stack height) Commute calls per query.
-func (r *remapper) computeFrontNaive() []int {
-	window := r.opts.window()
-	r.front = r.front[:0]
-	// Reset per-qubit stacks touched by the previous call.
-	for _, q := range r.touched {
-		r.seenStack[q] = r.seenStack[q][:0]
-	}
-	r.touched = r.touched[:0]
-
-	look := r.opts.lookahead()
-	r.lookSet = r.lookSet[:0]
-	count := 0
-	i := r.head
-	for ; i >= 0 && count < window; i = r.next[i] {
-		g := r.gates[i]
-		ok := true
-	scan:
-		for _, q := range g.Qubits {
-			stack := r.seenStack[q]
-			if r.opts.DisableCommutativity {
-				if len(stack) > 0 {
-					ok = false
-					break scan
-				}
-				continue
-			}
-			for _, j := range stack {
-				if !circuit.Commute(r.gates[j], g) {
-					ok = false
-					break scan
-				}
-			}
-		}
-		if ok {
-			r.front = append(r.front, i)
-		} else if g.Op.TwoQubit() && len(r.lookSet) < look {
-			r.lookSet = append(r.lookSet, i)
-		}
-		for _, q := range g.Qubits {
-			if len(r.seenStack[q]) == 0 {
-				r.touched = append(r.touched, q)
-			}
-			r.seenStack[q] = append(r.seenStack[q], i)
-		}
-		count++
-	}
-	if count < window && r.sourceOpen {
-		// Streaming: ran out of buffered gates with the scan window
-		// underfull — same starvation rule as the incremental engine.
-		r.starved = true
-		return nil
-	}
-	// Top up the look-ahead set past the window: everything beyond is
-	// non-front by construction.
-	for ; i >= 0 && len(r.lookSet) < look; i = r.next[i] {
-		if r.gates[i].Op.TwoQubit() {
-			r.lookSet = append(r.lookSet, i)
-		}
-	}
-	if len(r.lookSet) < look && r.sourceOpen {
-		r.starved = true
-		return nil
-	}
-	return r.front
 }
 
 // frontTwoQubit filters the front down to two-qubit unitaries, the gates

@@ -3,7 +3,8 @@ package core
 import "codar/internal/circuit"
 
 // frontier is the incremental commutative-front engine. The naive approach
-// (front.go, kept as the reference implementation) rescans the first
+// (computeFrontNaive, the reference the equivalence tests compare every
+// front with, in reference_test.go) rescans the first
 // `window` remaining gates and re-runs every pairwise Commute check on each
 // query — three times per simulated cycle — which profiles at ~80% of a
 // Fig 8 sweep. The frontier instead owns the per-qubit seen-chains across
@@ -240,8 +241,7 @@ func (f *frontier) flushRecheck() {
 }
 
 // computeFront returns the commutative front of the remaining sequence,
-// writing the front and look-ahead buffers on the remapper (shared with the
-// naive path so the heuristics and tests are implementation-agnostic).
+// writing the front and look-ahead buffers on the remapper.
 func (f *frontier) computeFront() []int {
 	f.flushRecheck()
 	for f.winCount < f.window {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,44 +10,32 @@ import (
 	"codar/internal/circuit"
 )
 
-// frontierOptions is the option grid the equivalence properties sweep:
+// frontierRows is the option grid the front-equivalence properties sweep:
 // default engine, ablations and small windows, since each changes which
-// fronts the engine is queried for.
-func frontierOptions() []Options {
-	return []Options{
-		{},
-		{DisableCommutativity: true},
-		{Window: 1},
-		{Window: 7},
-		{Window: 64},
-		{Lookahead: -1},
-		{Lookahead: 3},
-		{DisableHfine: true},
-		{DeadlockStreak: 1},
+// fronts the engine is queried for, and a deadlock streak of 1.
+func frontierRows() []row {
+	return []row{
+		{opts: Options{}},
+		{opts: Options{DisableCommutativity: true}},
+		{opts: Options{Window: 1}},
+		{opts: Options{Window: 7}},
+		{opts: Options{Window: 64}},
+		{opts: Options{Lookahead: -1}},
+		{opts: Options{Lookahead: 3}},
+		{opts: Options{DisableHfine: true}},
+		{streak: 1},
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestIncrementalFrontMatchesNaiveEveryCycle drives full remapping runs on
-// randomized circuits and devices while cross-checking every front the
-// incremental engine returns against both (a) the retained from-scratch
-// scan over the live linked list and (b) the independent
-// circuit.CommutativeFront implementation applied to the materialised
-// remaining sequence. The look-ahead set must agree as well.
+// randomized circuits and devices with every reference observing, and
+// additionally checks every front the incremental engine returns against
+// the independent circuit.CommutativeFront implementation applied to the
+// materialised remaining sequence.
 func TestIncrementalFrontMatchesNaiveEveryCycle(t *testing.T) {
 	devices := propDevices()
-	for oi, opts := range frontierOptions() {
+	for oi, rw := range frontierRows() {
+		opts := rw.opts
 		for seed := int64(0); seed < 12; seed++ {
 			dev := devices[int(seed)%len(devices)]
 			qubits := dev.NumQubits
@@ -54,27 +43,15 @@ func TestIncrementalFrontMatchesNaiveEveryCycle(t *testing.T) {
 				qubits = 7
 			}
 			c := randCircuit(seed*31+int64(oi), qubits, 70)
-			r := newRemapper(circuit.Assemble(c), dev, arch.NewTrivialLayout(qubits, dev.NumQubits), opts)
-			var failure error
-			checks := 0
+			r, err := newStreakRemapper(c, dev, nil, opts, rw.streak)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := observe(r)
+			naiveCheck := r.frontCheck
 			r.frontCheck = func(front []int) {
-				if failure != nil {
-					return
-				}
-				checks++
-				gotFront := append([]int(nil), front...)
-				gotLook := append([]int(nil), r.lookSet...)
-				wantFront := append([]int(nil), r.computeFrontNaive()...)
-				wantLook := append([]int(nil), r.lookSet...)
-				if !intsEqual(gotFront, wantFront) {
-					failure = fmt.Errorf("front mismatch: incremental %v, naive %v", gotFront, wantFront)
-					return
-				}
-				if !intsEqual(gotLook, wantLook) {
-					failure = fmt.Errorf("lookSet mismatch: incremental %v, naive %v", gotLook, wantLook)
-					return
-				}
-				if opts.DisableCommutativity {
+				naiveCheck(front)
+				if o.err != nil || opts.DisableCommutativity {
 					return // circuit.CommutativeFront implements Definition 1 only
 				}
 				// Cross-package check: materialise the remaining sequence
@@ -90,16 +67,13 @@ func TestIncrementalFrontMatchesNaiveEveryCycle(t *testing.T) {
 				for k, pos := range ref {
 					mapped[k] = idx[pos]
 				}
-				if !intsEqual(gotFront, mapped) {
-					failure = fmt.Errorf("front mismatch vs circuit.CommutativeFront: %v vs %v", gotFront, mapped)
+				if !slices.Equal(front, mapped) {
+					o.fail("front mismatch vs circuit.CommutativeFront: %v vs %v", front, mapped)
 				}
 			}
 			r.run(&cursor{})
-			if failure != nil {
-				t.Fatalf("opts %+v seed %d on %s after %d checks: %v", opts, seed, dev.Name, checks, failure)
-			}
-			if checks == 0 {
-				t.Fatalf("opts %+v seed %d: front never queried", opts, seed)
+			if err := o.checked(r); err != nil {
+				t.Fatalf("row %+v seed %d on %s after %d fronts: %v", rw, seed, dev.Name, o.fronts, err)
 			}
 		}
 	}
@@ -135,35 +109,24 @@ func resultsIdentical(a, b *Result) error {
 	return nil
 }
 
-// TestRemapIdenticalToNaiveFront is the refactor-equivalence property: for
-// randomized circuits, devices and option sets, Remap with the incremental
-// engine produces byte-identical output (SwapCount, Makespan, full
-// schedule, layouts) to Remap with the from-scratch front scan.
+// TestRemapIdenticalToNaiveFront is the refactor-equivalence property:
+// for randomized circuits, devices and option rows, every front and
+// look-ahead set of a full Remap equals the from-scratch scan's over the
+// same remaining sequence. By induction over the run, the incremental
+// engine makes exactly the mapping the naive scan would.
 func TestRemapIdenticalToNaiveFront(t *testing.T) {
 	devices := propDevices()
-	optGrid := frontierOptions()
+	grid := frontierRows()
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]
-		opts := optGrid[int(uint64(seed>>8)%uint64(len(optGrid)))]
+		rw := grid[int(uint64(seed>>8)%uint64(len(grid)))]
 		qubits := dev.NumQubits
 		if qubits > 6 {
 			qubits = 6
 		}
 		c := randCircuit(seed, qubits, 60)
-		inc, err := Remap(c, dev, nil, opts)
-		if err != nil {
-			t.Logf("incremental: %v", err)
-			return false
-		}
-		naive := opts
-		naive.naiveFront = true
-		ref, err := Remap(c, dev, nil, naive)
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-		if err := resultsIdentical(inc, ref); err != nil {
-			t.Logf("opts %+v on %s: %v", opts, dev.Name, err)
+		if _, err := remapObserved(c, dev, nil, rw.opts, rw.streak); err != nil {
+			t.Logf("row %+v on %s: %v", rw, dev.Name, err)
 			return false
 		}
 		return true
@@ -184,15 +147,7 @@ func TestRemapIdenticalOnBenchmarks(t *testing.T) {
 	}
 	for _, dev := range devs {
 		for _, c := range circs {
-			inc, err := Remap(c, dev, nil, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := Remap(c, dev, nil, Options{naiveFront: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resultsIdentical(inc, ref); err != nil {
+			if _, err := remapObserved(c, dev, nil, Options{}, 0); err != nil {
 				t.Fatalf("%s / %s: %v", dev.Name, c.Name, err)
 			}
 		}
@@ -221,19 +176,6 @@ func BenchmarkIncrementalFrontQFT16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Remap(c, dev, nil, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNaiveFrontQFT16 is the retained reference implementation on the
-// same workload, for direct before/after comparison in one binary.
-func BenchmarkNaiveFrontQFT16(b *testing.B) {
-	dev := arch.IBMQ20Tokyo()
-	c := circuit.Decompose(qftLike(16))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Remap(c, dev, nil, Options{naiveFront: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,9 @@ import "codar/internal/arch"
 // The paper states Eq. 2 for a single gate g; we sum over the front, which
 // reduces to the paper's form when one gate is blocked and generalises
 // consistently otherwise (constant terms cancel when comparing candidates).
+// The delta scorer (scorer.go) evaluates both; their from-scratch forms,
+// hBasic and hFine, are the reference its equivalence tests compare with
+// (reference_test.go).
 
 // swapCand is a candidate SWAP on a physical coupler.
 type swapCand struct {
@@ -73,37 +76,6 @@ func (r *remapper) collectCandidates(front []int, t int) []swapCand {
 	return cands
 }
 
-// swappedPhys returns where physical qubit p ends up under a SWAP of (a, b).
-func swappedPhys(p, a, b int) int {
-	switch p {
-	case a:
-		return b
-	case b:
-		return a
-	default:
-		return p
-	}
-}
-
-// hBasic computes Eq. 1 for a candidate over the two-qubit front gates,
-// under the ranking metric (tab = r.distTab) or the hop metric
-// (tab = r.hopTab).
-func (r *remapper) hBasic(c swapCand, front2q []int, tab []int32) int {
-	sum := 0
-	for _, i := range front2q {
-		g := r.gates[i]
-		p1 := r.layout.Phys(g.Qubits[0])
-		p2 := r.layout.Phys(g.Qubits[1])
-		if p1 != c.a && p1 != c.b && p2 != c.a && p2 != c.b {
-			continue // distance unchanged
-		}
-		oldD := int(tab[p1*r.nq+p2])
-		n1, n2 := swappedPhys(p1, c.a, c.b), swappedPhys(p2, c.a, c.b)
-		sum += oldD - int(tab[n1*r.nq+n2])
-	}
-	return sum
-}
-
 // fineDiff is the per-gate Eq. 2 term |VD − HD| between two physical
 // qubits.
 func fineDiff(dev *arch.Device, p1, p2 int) int {
@@ -114,114 +86,35 @@ func fineDiff(dev *arch.Device, p1, p2 int) int {
 	return diff
 }
 
-// hFine computes Eq. 2 for a candidate over the two-qubit front gates.
-// Devices without lattice coordinates score 0 (ties then break by edge
-// index).
-func (r *remapper) hFine(c swapCand, front2q []int) int {
-	if r.opts.DisableHfine || !r.dev.HasCoords() {
-		return 0
-	}
-	sum := 0
-	for _, i := range front2q {
-		g := r.gates[i]
-		p1 := swappedPhys(r.layout.Phys(g.Qubits[0]), c.a, c.b)
-		p2 := swappedPhys(r.layout.Phys(g.Qubits[1]), c.a, c.b)
-		sum -= fineDiff(r.dev, p1, p2)
-	}
-	return sum
-}
-
-// hLook scores a candidate against the look-ahead set (the next
-// Options.Lookahead two-qubit gates beyond the front), the same
-// distance-reduction sum as Hbasic. It never influences whether a SWAP is
-// inserted — only which of several equal-Hbasic SWAPs wins — so the
-// paper's insertion policy is preserved exactly (see DESIGN.md §4).
-func (r *remapper) hLook(c swapCand) int {
-	return r.hBasic(c, r.lookSet, r.distTab)
-}
-
-// pickBest returns the index into cands of the candidate with the highest
-// priority ⟨Hbasic, Hlook, Hfine⟩ (compared lexicographically), breaking
-// remaining ties by the lowest edge index; -1 when cands is empty. The
-// returned Hbasic is the winner's hop-metric Eq. 1 value, which
-// still gates insertion (Hbasic > 0) exactly as in the paper — under a
-// calibrated metric ranking and gating deliberately split (DESIGN.md §8).
-// requireProgress (insertSwaps on calibrated runs only, so the uncalibrated
-// selection stays byte-identical) drops candidates without positive hop
-// progress before ranking: a "lateral" fidelity move outranking every real
-// candidate must lose to the best progress-making one, not veto the round.
-func (r *remapper) pickBest(cands []swapCand, front2q []int, requireProgress bool) (best, bestBasic, bestFine int) {
-	best = -1
-	var bestKey [3]int
-	for k, c := range cands {
-		hb := r.hBasic(c, front2q, r.distTab)
-		hbHop := hb
-		if r.weighted {
-			hbHop = r.hBasic(c, front2q, r.hopTab)
-		}
-		if requireProgress && hbHop <= 0 {
-			continue
-		}
-		var hl, hf int
-		if len(r.lookSet) > 0 {
-			hl = r.hLook(c)
-		}
-		if !r.opts.DisableHfine {
-			hf = r.hFine(c, front2q)
-		}
-		key := [3]int{hb, hl, hf}
-		better := best < 0
-		if !better {
-			for i := 0; i < 3; i++ {
-				if key[i] != bestKey[i] {
-					better = key[i] > bestKey[i]
-					goto decided
-				}
-			}
-			better = c.edge < cands[best].edge
-		decided:
-		}
-		if better {
-			best, bestBasic, bestFine, bestKey = k, hbHop, hf, key
-		}
-	}
-	return best, bestBasic, bestFine
-}
-
 // insertSwaps implements §IV-C step 3: repeatedly select the
 // highest-priority candidate SWAP and launch it at time t while a candidate
 // with positive Hbasic remains. Launching a SWAP locks its qubits, which
-// retires every candidate touching them; the scores of the survivors are
-// re-evaluated against the updated layout each round — by the delta scorer
-// (scorer.go) by default, which rescores only the candidates a launch
-// actually perturbed, or from scratch by pickBest under the test-only
-// naiveScore option. Reports whether any SWAP launched.
+// retires every candidate touching them; the delta scorer (scorer.go)
+// rescores only the survivors a launch actually perturbed. Reports whether
+// any SWAP launched.
+//
+// The priority is ⟨Hbasic, Hlook, Hfine⟩, compared lexicographically, with
+// remaining ties broken by the lowest edge index. Hbasic ranks under the
+// ranking metric (the calibration-weighted one under Options.Cost), but
+// the insertion gate Hbasic > 0 is always the hop-metric value, exactly as
+// in the paper — under a calibrated metric ranking and gating deliberately
+// split (DESIGN.md §8). On calibrated runs selection is restricted to
+// hop-progress candidates: a lateral fidelity move that outranks every real
+// candidate must lose to the best progress-making one, not veto the round.
+// Uncalibrated runs rank everything and gate on the winner, the
+// paper-exact pinned behaviour. The scorer restricts both: with hop equal
+// to Hbasic, the unrestricted winner carries the largest Hbasic, so it
+// passes the gate exactly when a positive candidate exists, and then it is
+// also the restricted winner.
 func (r *remapper) insertSwaps(front []int, t int) bool {
-	front2q := r.frontTwoQubit(front)
-	if len(front2q) == 0 {
+	if len(r.frontTwoQubit(front)) == 0 {
 		return false
 	}
 	cands := r.collectCandidates(front, t)
-	if r.sc != nil {
-		r.sc.sync()
-	}
+	r.sc.sync()
 	inserted := false
-	// On calibrated runs selection is restricted to hop-progress candidates
-	// (requireProgress): a lateral fidelity move that outranks every real
-	// candidate must lose to the best progress-making one, not veto the
-	// round. Uncalibrated runs rank everything and gate on the winner — the
-	// paper-exact pinned behaviour. The scorer restricts both: with hop
-	// equal to Hbasic, the unrestricted winner carries the largest Hbasic,
-	// so it passes the gate exactly when a positive candidate exists, and
-	// then it is also the restricted winner.
-	req := r.weighted
 	for len(cands) > 0 {
-		best := -1
-		if r.sc != nil {
-			best = r.sc.pick(cands, true)
-		} else if b, hb, _ := r.pickBest(cands, front2q, req); hb > 0 {
-			best = b
-		}
+		best := r.sc.pick(cands, true)
 		if best < 0 {
 			break
 		}
@@ -243,15 +136,10 @@ func (r *remapper) insertSwaps(front []int, t int) bool {
 // forceSwap is the paper's deadlock move: launch the single
 // highest-priority candidate regardless of Hbasic sign.
 func (r *remapper) forceSwap(front []int, t int) {
-	front2q := r.frontTwoQubit(front)
+	r.frontTwoQubit(front) // the scorer syncs off r.front2q
 	cands := r.collectCandidates(front, t)
-	var best int
-	if r.sc != nil {
-		r.sc.sync()
-		best = r.sc.pick(cands, false)
-	} else {
-		best, _, _ = r.pickBest(cands, front2q, false)
-	}
+	r.sc.sync()
+	best := r.sc.pick(cands, false)
 	if best < 0 {
 		return
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"codar/internal/arch"
@@ -14,19 +15,28 @@ func TestOptionDefaults(t *testing.T) {
 	if o.window() != DefaultWindow {
 		t.Errorf("window() = %d", o.window())
 	}
-	if o.deadlockStreak() != DefaultDeadlockStreak {
-		t.Errorf("deadlockStreak() = %d", o.deadlockStreak())
-	}
 	if o.lookahead() != DefaultLookahead {
 		t.Errorf("lookahead() = %d", o.lookahead())
 	}
-	o = Options{Window: 7, DeadlockStreak: 2, Lookahead: 11}
-	if o.window() != 7 || o.deadlockStreak() != 2 || o.lookahead() != 11 {
+	o = Options{Window: 7, Lookahead: 11}
+	if o.window() != 7 || o.lookahead() != 11 {
 		t.Error("explicit options ignored")
 	}
 	o = Options{Lookahead: -1}
 	if o.lookahead() != 0 {
 		t.Errorf("negative lookahead should disable: %d", o.lookahead())
+	}
+}
+
+// TestOptionsHoldOnlyProductionFields guards the rule that test oracles
+// live in _test.go files: every field of Options is a caller's knob, so
+// none is unexported.
+func TestOptionsHoldOnlyProductionFields(t *testing.T) {
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !f.IsExported() {
+			t.Errorf("Options.%s is unexported: a test seam belongs on the engine, not in Options", f.Name)
+		}
 	}
 }
 
@@ -36,20 +46,20 @@ func TestOptionDefaults(t *testing.T) {
 func TestAllOptionCombinationsStayCorrect(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := randCircuit(99, 8, 120)
-	variants := []Options{
-		{},
-		{DisableHfine: true},
-		{DisableCommutativity: true},
-		{Lookahead: -1},
-		{Lookahead: 5},
-		{Window: 4},
-		{Window: 1024},
-		{DeadlockStreak: 1},
-		{DisableHfine: true, DisableCommutativity: true, Lookahead: -1, Window: 2},
-		{Lookahead: 40, Window: 512},
+	variants := []row{
+		{opts: Options{}},
+		{opts: Options{DisableHfine: true}},
+		{opts: Options{DisableCommutativity: true}},
+		{opts: Options{Lookahead: -1}},
+		{opts: Options{Lookahead: 5}},
+		{opts: Options{Window: 4}},
+		{opts: Options{Window: 1024}},
+		{streak: 1},
+		{opts: Options{DisableHfine: true, DisableCommutativity: true, Lookahead: -1, Window: 2}},
+		{opts: Options{Lookahead: 40, Window: 512}},
 	}
-	for i, opts := range variants {
-		res, err := Remap(c, dev, nil, opts)
+	for i, rw := range variants {
+		res, err := remapObserved(c, dev, nil, rw.opts, rw.streak)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -164,18 +174,19 @@ func recoverLogical(res *Result, n int) []circuit.Gate {
 	return out
 }
 
-// TestDeadlockStreakEscape forces the direct-routing hatch by making the
-// streak threshold minimal on a topology prone to negative-Hbasic fronts.
+// TestDeadlockStreakEscape runs with the minimal streak threshold, so
+// every deadlock escapes at once by direct routing. The antipodal ring
+// pairs (every routing step for one gate drags another gate's qubits the
+// wrong way) must all execute; the random circuit on an 8-ring deadlocks,
+// so it must reach the direct-routing hatch instead of forcing a SWAP.
 func TestDeadlockStreakEscape(t *testing.T) {
 	dev := arch.Ring(8)
 	c := circuit.New(8)
-	// Antipodal pairs: every routing step for one gate drags another
-	// gate's qubits the wrong way.
 	c.CX(0, 4)
 	c.CX(1, 5)
 	c.CX(2, 6)
 	c.CX(3, 7)
-	res, err := Remap(c, dev, nil, Options{DeadlockStreak: 1})
+	res, err := remapObserved(c, dev, nil, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +198,17 @@ func TestDeadlockStreakEscape(t *testing.T) {
 	}
 	if nCX != 4 {
 		t.Errorf("CX out = %d, want 4", nCX)
+	}
+
+	res, err = remapObserved(randCircuit(44, 6, 120), dev, nil, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DirectRoutes == 0 || res.ForcedSwaps != 0 {
+		t.Errorf("streak 1: %d direct routes and %d forced SWAPs, want some and none", res.DirectRoutes, res.ForcedSwaps)
+	}
+	if err := res.Schedule.Validate(dev.Durations); err != nil {
+		t.Error(err)
 	}
 }
 

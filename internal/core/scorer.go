@@ -3,8 +3,8 @@ package core
 import "codar/internal/circuit"
 
 // scorer is the delta-scoring engine for the SWAP-candidate search
-// (DESIGN.md §6). The reference selection (pickBest in heuristic.go,
-// retained for the equivalence property tests) recomputes
+// (DESIGN.md §6). The reference selection (pickBest in reference_test.go,
+// which the equivalence tests compare every pick with) recomputes
 // ⟨Hbasic, Hlook, Hfine⟩ for every candidate against every front and
 // look-ahead gate on every insertion round — O(|cands| × (|front2q| +
 // |lookSet|)) distance lookups — even though a launched SWAP only perturbs
@@ -29,8 +29,8 @@ import "codar/internal/circuit"
 // The remapper reports set changes through sync (diffing the freshly
 // computed front2q/lookSet against the scorer's mirror) and layout changes
 // through noteSwap; both dirty exactly the parts whose incident terms
-// changed. Selection order and tie-breaking are byte-compatible with
-// pickBest, which the scorer-equivalence property tests enforce.
+// changed. Selection order and tie-breaking are pickBest's, which the pick
+// observer of the equivalence tests checks at every pick.
 type scorer struct {
 	r *remapper
 

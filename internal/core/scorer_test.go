@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,56 +10,42 @@ import (
 	"codar/internal/schedule"
 )
 
-// scorerOptions is the option grid the scoring-equivalence properties
+// scorerRows is the option grid the scoring-equivalence properties
 // sweep. Every ranking variant is included (each reads the key components
-// differently), both front engines (the scorer syncs off whichever front
-// buffers are live), the ablations, and the event-queue cross-check.
-func scorerOptions() []Options {
-	return []Options{
-		{},
-		{naiveFront: true},
-		{DisableCommutativity: true},
-		{DisableHfine: true},
-		{Lookahead: -1},
-		{Lookahead: 3},
-		{Window: 1},
-		{Window: 7},
-		{DeadlockStreak: 1},
-		{checkEvents: true},
-		{naiveFront: true, checkEvents: true},
+// differently), the ablations and a deadlock streak of 1, which drives the
+// forced picks.
+func scorerRows() []row {
+	return []row{
+		{opts: Options{}},
+		{opts: Options{DisableCommutativity: true}},
+		{opts: Options{DisableHfine: true}},
+		{opts: Options{Lookahead: -1}},
+		{opts: Options{Lookahead: 3}},
+		{opts: Options{Window: 1}},
+		{opts: Options{Window: 7}},
+		{streak: 1},
 	}
 }
 
 // TestRemapIdenticalToNaiveScore is the delta-scorer equivalence property:
-// for randomized circuits, devices and option sets, Remap with the delta
-// scorer produces byte-identical output (SwapCount, Makespan, full
-// schedule, layouts, cycle counts) to Remap with the from-scratch pickBest
-// scoring.
+// for randomized circuits, devices and option rows, every pick the delta
+// scorer makes in a full Remap is the one the from-scratch pickBest rule
+// makes on the same state, and every cached score part equals its
+// reference value. By induction over the run, the scorer makes exactly the
+// mapping the reference scoring would.
 func TestRemapIdenticalToNaiveScore(t *testing.T) {
 	devices := propDevices()
-	optGrid := scorerOptions()
+	grid := scorerRows()
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]
-		opts := optGrid[int(uint64(seed>>8)%uint64(len(optGrid)))]
+		rw := grid[int(uint64(seed>>8)%uint64(len(grid)))]
 		qubits := dev.NumQubits
 		if qubits > 6 {
 			qubits = 6
 		}
 		c := randCircuit(seed, qubits, 60)
-		delta, err := Remap(c, dev, nil, opts)
-		if err != nil {
-			t.Logf("delta: %v", err)
-			return false
-		}
-		naive := opts
-		naive.naiveScore = true
-		ref, err := Remap(c, dev, nil, naive)
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-		if err := resultsIdentical(delta, ref); err != nil {
-			t.Logf("opts %+v on %s: %v", opts, dev.Name, err)
+		if _, err := remapObserved(c, dev, nil, rw.opts, rw.streak); err != nil {
+			t.Logf("row %+v on %s: %v", rw, dev.Name, err)
 			return false
 		}
 		return true
@@ -76,7 +61,7 @@ func TestRemapIdenticalToNaiveScore(t *testing.T) {
 // tie-breaks dominate).
 func TestRemapIdenticalToNaiveScoreGrid(t *testing.T) {
 	devices := []*arch.Device{arch.Grid("g33", 3, 3), arch.Ring(7), arch.IBMQ20Tokyo()}
-	for _, opts := range scorerOptions() {
+	for _, rw := range scorerRows() {
 		for seed := int64(0); seed < 6; seed++ {
 			dev := devices[int(seed)%len(devices)]
 			qubits := dev.NumQubits
@@ -84,18 +69,8 @@ func TestRemapIdenticalToNaiveScoreGrid(t *testing.T) {
 				qubits = 7
 			}
 			c := randCircuit(seed*131+17, qubits, 80)
-			delta, err := Remap(c, dev, nil, opts)
-			if err != nil {
-				t.Fatalf("opts %+v seed %d: %v", opts, seed, err)
-			}
-			naive := opts
-			naive.naiveScore = true
-			ref, err := Remap(c, dev, nil, naive)
-			if err != nil {
-				t.Fatalf("opts %+v seed %d: %v", opts, seed, err)
-			}
-			if err := resultsIdentical(delta, ref); err != nil {
-				t.Fatalf("opts %+v seed %d on %s: %v", opts, seed, dev.Name, err)
+			if _, err := remapObserved(c, dev, nil, rw.opts, rw.streak); err != nil {
+				t.Fatalf("row %+v seed %d on %s: %v", rw, seed, dev.Name, err)
 			}
 		}
 	}
@@ -103,8 +78,8 @@ func TestRemapIdenticalToNaiveScoreGrid(t *testing.T) {
 
 // TestRemapIdenticalToNaiveScoreOnBenchmarks pins the scorer equivalence
 // on real workload shapes: deep commuting QFT chains (large fronts, the
-// shapes with the most candidate rescoring) and a deadlock-prone
-// antipodal-ring circuit (forceSwap and directRoute paths).
+// shapes with the most candidate rescoring) and an antipodal-ring circuit,
+// each at the default and the minimal deadlock streak.
 func TestRemapIdenticalToNaiveScoreOnBenchmarks(t *testing.T) {
 	type cse struct {
 		dev *arch.Device
@@ -122,19 +97,9 @@ func TestRemapIdenticalToNaiveScoreOnBenchmarks(t *testing.T) {
 		{arch.Ring(8), ring},
 	}
 	for _, cs := range cases {
-		for _, opts := range []Options{{}, {DeadlockStreak: 1, checkEvents: true}} {
-			delta, err := Remap(cs.c, cs.dev, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive := opts
-			naive.naiveScore = true
-			ref, err := Remap(cs.c, cs.dev, nil, naive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resultsIdentical(delta, ref); err != nil {
-				t.Fatalf("%s / %s opts %+v: %v", cs.dev.Name, cs.c.Name, opts, err)
+		for _, streak := range []int{0, 1} {
+			if _, err := remapObserved(cs.c, cs.dev, nil, Options{}, streak); err != nil {
+				t.Fatalf("%s / %s streak %d: %v", cs.dev.Name, cs.c.Name, streak, err)
 			}
 		}
 	}
@@ -170,27 +135,13 @@ func TestEmitMatchesStableSort(t *testing.T) {
 }
 
 // BenchmarkDeltaScoreQFT16 isolates the swap-search cost with the delta
-// scorer on the commutation-rich workload (compare against
-// BenchmarkNaiveScoreQFT16 in one binary).
+// scorer on the commutation-rich workload.
 func BenchmarkDeltaScoreQFT16(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	c := circuit.Decompose(qftLike(16))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Remap(c, dev, nil, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNaiveScoreQFT16 is the retained reference scoring on the same
-// workload.
-func BenchmarkNaiveScoreQFT16(b *testing.B) {
-	dev := arch.IBMQ20Tokyo()
-	c := circuit.Decompose(qftLike(16))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Remap(c, dev, nil, Options{naiveScore: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,28 +160,25 @@ func BenchmarkDirectRouteHeavyRing(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Remap(c, dev, nil, Options{DeadlockStreak: 1}); err != nil {
+		r, err := newStreakRemapper(c, dev, nil, Options{}, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		r.run(&cursor{})
+		r.result(c.NumClbits)
 	}
 }
 
-// TestScorerMatchesNaiveEveryPick cross-checks the delta scorer at every
-// pick of full remapping runs: the winner must be pickBest's, and every
-// cached part the scorer holds as valid, on every coupler and not only the
-// candidates, must equal the from-scratch value — Hbasic under both
-// metrics and Hlook exactly, Hfine up to the round's constant
-// Σ|VD−HD| of the unswapped front. A missed invalidation shows up here
-// even when it does not change the pick.
+// TestScorerMatchesNaiveEveryPick observes full remapping runs on
+// uncalibrated and calibrated metrics and requires the scorer to have
+// picked at all, so that every row's picks were compared with the
+// reference (checkPick).
 func TestScorerMatchesNaiveEveryPick(t *testing.T) {
 	devices := append(propDevices(), arch.SycamoreQ54())
-	for oi, opts := range scorerOptions() {
-		if opts.naiveFront {
-			continue // the scorer is indifferent to the front engine
-		}
+	for oi, rw := range scorerRows() {
 		for seed := int64(0); seed < 8; seed++ {
 			dev := devices[int(seed)%len(devices)]
-			run := opts
+			run := rw.opts
 			if seed%2 == 1 {
 				weights := make([]float64, len(dev.Edges))
 				for i := range weights {
@@ -244,58 +192,18 @@ func TestScorerMatchesNaiveEveryPick(t *testing.T) {
 			}
 			qubits := min(dev.NumQubits, 9)
 			c := randCircuit(seed*53+int64(oi), qubits, 300)
-			r := newRemapper(circuit.Assemble(c), dev, arch.NewTrivialLayout(qubits, dev.NumQubits), run)
-			var failure error
-			picks := 0
-			r.pickCheck = func(cands []swapCand, best int, progress bool) {
-				if failure != nil {
-					return
-				}
-				picks++
-				failure = checkPick(r, cands, best, progress)
+			r, err := newStreakRemapper(c, dev, nil, run, rw.streak)
+			if err != nil {
+				t.Fatal(err)
 			}
+			o := observe(r)
 			r.run(&cursor{})
-			if failure != nil {
-				t.Fatalf("opts %+v seed %d on %s, pick %d: %v", run, seed, dev.Name, picks, failure)
+			if err := o.checked(r); err != nil {
+				t.Fatalf("opts %+v streak %d seed %d on %s: %v", run, rw.streak, seed, dev.Name, err)
 			}
-			if picks == 0 {
-				t.Fatalf("opts %+v seed %d on %s: the scorer never picked", run, seed, dev.Name)
-			}
-		}
-	}
-}
-
-// checkPick compares one scorer pick, and the scorer's whole cache, with
-// the reference heuristics.
-func checkPick(r *remapper, cands []swapCand, best int, progress bool) error {
-	if want, _, _ := r.pickBest(cands, r.front2q, progress); best != want {
-		return fmt.Errorf("scorer picked %d, pickBest %d of %v", best, want, cands)
-	}
-	shift := 0
-	if r.sc.wantFine {
-		for _, i := range r.front2q {
-			q1, q2 := r.soa.Pair(i)
-			shift += fineDiff(r.dev, r.layout.Phys(q1), r.layout.Phys(q2))
-		}
-	}
-	for id, e := range r.dev.Edges {
-		c := swapCand{a: e[0], b: e[1], edge: id}
-		got, valid := r.sc.parts[id], r.sc.valid[id]
-		if valid&basicValid != 0 {
-			if hb, hop := r.hBasic(c, r.front2q, r.distTab), r.hBasic(c, r.front2q, r.hopTab); got.hb != hb || got.hop != hop {
-				return fmt.Errorf("edge %v: cached Hbasic %d/%d, reference %d/%d", e, got.hb, got.hop, hb, hop)
-			}
-		}
-		if valid&lookValid != 0 {
-			if hl := r.hLook(c); got.hl != hl {
-				return fmt.Errorf("edge %v: cached Hlook %d, reference %d", e, got.hl, hl)
-			}
-		}
-		if valid&fineValid != 0 {
-			if hf := r.hFine(c, r.front2q) + shift; got.hf != hf {
-				return fmt.Errorf("edge %v: cached Hfine %d, reference %d", e, got.hf, hf)
+			if o.picks == 0 {
+				t.Fatalf("opts %+v streak %d seed %d on %s: the scorer never picked", run, rw.streak, seed, dev.Name)
 			}
 		}
 	}
-	return nil
 }

@@ -167,27 +167,6 @@ func WriteFig8CSV(w io.Writer, r Fig8Result, withHeader bool) error {
 	return nil
 }
 
-// RunFig8 runs the full Fig 8 experiment over the paper's four
-// architectures.
-func RunFig8(opts core.Options) ([]Fig8Result, error) {
-	return RunFig8Workers(opts, 0)
-}
-
-// RunFig8Workers runs the full Fig 8 experiment with an explicit per-device
-// worker budget (see RunFig8DeviceWorkers). Devices run sequentially — the
-// benchmark fan-out inside each already saturates the pool.
-func RunFig8Workers(opts core.Options, workers int) ([]Fig8Result, error) {
-	var out []Fig8Result
-	for _, dev := range arch.EvaluationDevices() {
-		r, err := RunFig8DeviceWorkers(dev, opts, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // WriteFig8 renders one architecture's sweep as a table plus summary.
 func WriteFig8(w io.Writer, r Fig8Result) error {
 	t := metrics.NewTable("benchmark", "qubits", "gates", "sabreWD", "codarWD", "speedup", "sabreSwaps", "codarSwaps")

@@ -9,6 +9,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"codar/internal/arch"
@@ -128,6 +129,20 @@ func Methods() []Method {
 	return []Method{MethodTrivial, MethodRandom, MethodDense, MethodSabreReverse}
 }
 
+// ParseMethod validates a placement name against Methods.
+func ParseMethod(s string) (Method, error) {
+	known := Methods()
+	if m := Method(s); slices.Contains(known, m) {
+		return m, nil
+	}
+	names := make([]string, len(known))
+	for i, k := range known {
+		names[i] = string(k)
+	}
+	sort.Strings(names)
+	return "", fmt.Errorf("placement: unknown method %q (known: %v)", s, names)
+}
+
 // Seeded reports whether the strategy consumes the seed. Seed-insensitive
 // strategies (trivial, dense) produce identical layouts for every seed,
 // which the portfolio exploits to skip duplicate grid points.
@@ -157,11 +172,7 @@ func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts 
 	case MethodSabreReverse:
 		return sabre.InitialLayoutAssembled(a, dev, seed, opts)
 	default:
-		names := make([]string, 0, len(Methods()))
-		for _, k := range Methods() {
-			names = append(names, string(k))
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("placement: unknown method %q (known: %v)", m, names)
+		_, err := ParseMethod(string(m))
+		return nil, err
 	}
 }

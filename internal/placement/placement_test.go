@@ -41,6 +41,24 @@ func TestAllMethodsProduceValidLayouts(t *testing.T) {
 	}
 }
 
+// TestParseMethod: every method parses to itself, and an unknown name is
+// rejected with the message Generate reports for it.
+func TestParseMethod(t *testing.T) {
+	for _, m := range Methods() {
+		if got, err := ParseMethod(string(m)); got != m || err != nil {
+			t.Errorf("ParseMethod(%q) = %q, %v", m, got, err)
+		}
+	}
+	_, err := ParseMethod("bogus")
+	const want = `placement: unknown method "bogus" (known: [dense random sabre-reverse trivial])`
+	if err == nil || err.Error() != want {
+		t.Errorf("ParseMethod(bogus) = %v, want %s", err, want)
+	}
+	if _, gerr := Generate("bogus", circuit.Assemble(ghzChain(2)), arch.Linear(3), 0, sabre.Options{}); gerr == nil || gerr.Error() != want {
+		t.Errorf("Generate(bogus) = %v, want %s", gerr, want)
+	}
+}
+
 func TestOversizedCircuitRejected(t *testing.T) {
 	dev := arch.Linear(3)
 	c := circuit.New(5)

@@ -125,8 +125,10 @@ type Spec struct {
 	// point (seed 1, sabre-reverse, codar) is the calibrated single-shot
 	// pipeline.
 	Cost *arch.CostModel
-	// Codar is CODAR's own tuning for every codar candidate; its Ctx, Cost
-	// and DepthBound are the Spec's, as in compile.Spec.
+	// Codar is CODAR's own tuning for every codar candidate. Its Ctx, Cost
+	// and DepthBound come from the Spec (the bound from EarlyAbandon), as
+	// in compile.Spec, so they must be left unset here: Run rejects a Spec
+	// that sets one.
 	Codar core.Options
 }
 
@@ -257,6 +259,14 @@ func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 	spec = spec.Normalized()
 	if _, err := ParseObjective(string(spec.Objective)); err != nil {
 		return nil, err
+	}
+	switch {
+	case spec.Codar.Ctx != nil:
+		return nil, errors.New("portfolio: Spec.Codar.Ctx is set; set Spec.Ctx instead")
+	case spec.Codar.Cost != nil:
+		return nil, errors.New("portfolio: Spec.Codar.Cost is set; set Spec.Cost instead")
+	case spec.Codar.DepthBound != nil:
+		return nil, errors.New("portfolio: Spec.Codar.DepthBound is set; set Spec.EarlyAbandon instead")
 	}
 	for _, a := range spec.Algorithms {
 		if _, err := compile.ParseAlgorithm(string(a)); err != nil {

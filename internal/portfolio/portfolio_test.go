@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -337,6 +338,21 @@ func TestSpecErrors(t *testing.T) {
 	wide := benchCircuit(t, "qft_10").Circuit()
 	if _, err := Run(wide, small, Spec{}); err == nil {
 		t.Error("oversized circuit accepted")
+	}
+	// CODAR options may not set what the Spec owns; each field alone is
+	// rejected up front, naming the field to use.
+	cm, err := arch.NewCostModel(dev, make([]float64, len(dev.Edges)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, codar := range map[string]core.Options{
+		"set Spec.Ctx instead":          {Ctx: context.Background()},
+		"set Spec.Cost instead":         {Cost: cm},
+		"set Spec.EarlyAbandon instead": {DepthBound: &arch.DepthBound{}},
+	} {
+		if _, err := Run(c, dev, Spec{Codar: codar}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Codar %+v: err = %v, want %q", codar, err, want)
+		}
 	}
 }
 

@@ -98,16 +98,6 @@ func Parse(src string) (*circuit.Circuit, error) {
 	return p.circ, nil
 }
 
-// ParseNamed is Parse with a circuit name attached.
-func ParseNamed(name, src string) (*circuit.Circuit, error) {
-	c, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	c.Name = name
-	return c, nil
-}
-
 func (p *parser) peek() token {
 	if !p.primed {
 		t, err := p.lex.next()

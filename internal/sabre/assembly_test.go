@@ -57,22 +57,25 @@ func TestLayoutOnlyPassMatchesFullRun(t *testing.T) {
 		asm := circuit.Assemble(c)
 		start := arch.NewTrivialLayout(c.NumQubits, dev.NumQubits)
 
-		full, err := remapAssembled(asm, dev, start, Options{}, false)
+		full, err := RemapAssembled(asm, dev, start, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay, err := remapAssembled(asm, dev, start, Options{}, true)
+		lay, err := prepare(asm, dev, start, Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !full.FinalLayout.Equal(lay.FinalLayout) {
+		if err := lay.pass(asm.Circ, asm.SoA); err != nil {
+			t.Fatal(err)
+		}
+		if !full.FinalLayout.Equal(lay.layout) {
 			t.Fatalf("seed %d: layout-only final layout differs", seed)
 		}
-		if full.SwapCount != lay.SwapCount {
-			t.Fatalf("seed %d: swap count %d != %d", seed, lay.SwapCount, full.SwapCount)
+		if full.SwapCount != lay.swaps {
+			t.Fatalf("seed %d: swap count %d != %d", seed, lay.swaps, full.SwapCount)
 		}
-		if len(lay.Circuit.Gates) != 0 {
-			t.Fatalf("seed %d: layout-only pass emitted %d gates", seed, len(lay.Circuit.Gates))
+		if len(lay.out.Gates) != 0 {
+			t.Fatalf("seed %d: layout-only pass emitted %d gates", seed, len(lay.out.Gates))
 		}
 	}
 }
@@ -84,11 +87,14 @@ func TestDepthBoundDisablesDiscard(t *testing.T) {
 	c := randCircuit(3, 8, 120)
 	asm := circuit.Assemble(c)
 	bound := &arch.DepthBound{}
-	res, err := remapAssembled(asm, dev, nil, Options{DepthBound: bound}, true)
+	m, err := prepare(asm, dev, nil, Options{DepthBound: bound}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Circuit.Gates) == 0 {
+	if err := m.pass(asm.Circ, asm.SoA); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.out.Gates) == 0 {
 		t.Fatal("depth-bounded run emitted nothing despite discard request")
 	}
 }

@@ -20,41 +20,32 @@ func zeroCost(t testing.TB, dev *arch.Device) *arch.CostModel {
 	return cm
 }
 
-// TestRemapIdenticalWithZeroCalibration randomises circuits, devices and
-// the scoring engine; Remap with the zero-weight metric must reproduce
-// plain Remap exactly, under both scoring engines.
+// TestRemapIdenticalWithZeroCalibration randomises circuits and devices;
+// Remap with the zero-weight metric must reproduce plain Remap exactly.
 func TestRemapIdenticalWithZeroCalibration(t *testing.T) {
 	devices := []*arch.Device{
 		arch.Linear(6), arch.Ring(7), arch.Grid("g33", 3, 3),
 		arch.IBMQ16Melbourne(), arch.IBMQ20Tokyo(), arch.SycamoreQ54(),
 	}
-	variants := []Options{
-		{},
-		{naiveScore: true},
-	}
 	f := func(seed int64) bool {
 		dev := devices[int(uint64(seed)%uint64(len(devices)))]
-		opts := variants[int(uint64(seed>>8)%uint64(len(variants)))]
 		qubits := dev.NumQubits
 		if qubits > 8 {
 			qubits = 8
 		}
 		c := randCircuit(seed, qubits, 70)
-		plain, err := Remap(c, dev, nil, opts)
+		plain, err := Remap(c, dev, nil, Options{})
 		if err != nil {
 			t.Logf("plain: %v", err)
 			return false
 		}
-		withCost := opts
-		withCost.Cost = zeroCost(t, dev)
-		calibrated, err := Remap(c, dev, nil, withCost)
+		calibrated, err := Remap(c, dev, nil, Options{Cost: zeroCost(t, dev)})
 		if err != nil {
 			t.Logf("calibrated: %v", err)
 			return false
 		}
 		if !sabreEquivalent(calibrated, plain) {
-			t.Logf("opts %+v on %s: outputs differ (swaps %d vs %d)",
-				opts, dev.Name, calibrated.SwapCount, plain.SwapCount)
+			t.Logf("%s: outputs differ (swaps %d vs %d)", dev.Name, calibrated.SwapCount, plain.SwapCount)
 			return false
 		}
 		return true
@@ -128,7 +119,7 @@ func weightedCost(t testing.TB, dev *arch.Device, seed int64) *arch.CostModel {
 // equivalence under a non-uniform weighted metric: the delta path reads
 // each incident gate's term from the two candidate rows of the weighted
 // table, the reference score reads every distance in the gate's own
-// orientation, and the outputs must still be identical.
+// orientation, and every pick and score must still agree.
 func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 	devices := []*arch.Device{
 		arch.Linear(6), arch.Ring(7), arch.Grid("g33", 3, 3),
@@ -139,18 +130,8 @@ func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 		cm := weightedCost(t, dev, seed)
 		qubits := min(dev.NumQubits, 8)
 		c := randCircuit(seed, qubits, 70)
-		delta, err := Remap(c, dev, nil, Options{Cost: cm})
-		if err != nil {
-			t.Logf("delta: %v", err)
-			return false
-		}
-		ref, err := Remap(c, dev, nil, Options{Cost: cm, naiveScore: true})
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-		if !sabreEquivalent(delta, ref) {
-			t.Logf("%s: outputs differ (swaps %d vs %d)", dev.Name, delta.SwapCount, ref.SwapCount)
+		if _, err := remapObserved(c, dev, nil, Options{Cost: cm}); err != nil {
+			t.Logf("%s: %v", dev.Name, err)
 			return false
 		}
 		return true
@@ -161,23 +142,23 @@ func TestCalibratedRemapIdenticalToNaiveScore(t *testing.T) {
 }
 
 // TestCalibratedInitialLayoutIdenticalToNaiveScore extends the calibrated
-// equivalence through the reverse-traversal pass, the placement-heavy
+// equivalence through the reverse-traversal passes, the placement-heavy
 // path calibrated compiles take.
 func TestCalibratedInitialLayoutIdenticalToNaiveScore(t *testing.T) {
 	for _, dev := range []*arch.Device{arch.IBMQ20Tokyo(), arch.SycamoreQ54()} {
 		for seed := int64(0); seed < 4; seed++ {
-			cm := weightedCost(t, dev, seed)
+			opts := Options{Cost: weightedCost(t, dev, seed)}
 			c := randCircuit(seed*97+5, 8, 120)
-			delta, err := InitialLayout(c, dev, seed, Options{Cost: cm})
+			got, err := initialLayoutObserved(c, dev, seed, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", dev.Name, seed, err)
+			}
+			want, err := InitialLayout(c, dev, seed, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := InitialLayout(c, dev, seed, Options{Cost: cm, naiveScore: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !delta.Equal(ref) {
-				t.Fatalf("%s seed %d: initial layouts differ", dev.Name, seed)
+			if !got.Equal(want) {
+				t.Fatalf("%s seed %d: the observed passes land off InitialLayout's layout", dev.Name, seed)
 			}
 		}
 	}

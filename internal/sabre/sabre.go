@@ -61,12 +61,6 @@ type Options struct {
 	// output bytes) untouched. SABRE itself stays duration-unaware: the
 	// bound only decides when to give up, never which SWAP to pick.
 	DepthBound *arch.DepthBound
-
-	// naiveScore selects the from-scratch reference scoring (score) over
-	// the incidence-indexed base+delta evaluation. Test-only: the
-	// scoring-equivalence property tests run both and require identical
-	// output circuits.
-	naiveScore bool
 }
 
 // Published SABRE hyper-parameters, fixed so that every speedup is
@@ -105,18 +99,7 @@ func Remap(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Opti
 // one assembly so the SoA gate layout and the validity walk are paid once;
 // the output is byte-identical to Remap.
 func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
-	return remapAssembled(a, dev, initial, opts, false)
-}
-
-// remapAssembled optionally runs in layout-only mode (discard), the mode of
-// the InitialLayout passes, whose callers read only the final layout: the
-// output circuit is never materialised — no presized gate buffer, no arena,
-// no per-gate physical images. Every routing decision is a function of the
-// layout and the DAG, never of the emitted output, so the resulting layout
-// is byte-identical to a full run. Discard is ignored when a DepthBound is
-// attached: the bound tracks emitted gates.
-func remapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (*Result, error) {
-	m, err := prepare(a, dev, initial, opts, discard)
+	m, err := prepare(a, dev, initial, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +115,7 @@ func remapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 }
 
 // prepare runs the input checks of a batch run over a and builds its
-// mapper.
+// mapper; discard selects layout-only mode (see newMapper).
 func prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (mapper, error) {
 	if err := a.Checked(); err != nil {
 		return mapper{}, fmt.Errorf("sabre: %w", err)
@@ -176,8 +159,10 @@ type mapper struct {
 	// reads it.
 	soa   *circuit.SoA
 	gates []circuit.Gate
-	// discard marks a layout-only pass: no gate is ever appended to out.
-	// Routing never reads out, so FinalLayout is unaffected.
+	// discard marks a layout-only mapper, the mode of the InitialLayout
+	// passes, whose callers read only the final layout: no gate is ever
+	// appended to out. Routing never reads out, so FinalLayout is
+	// unaffected.
 	discard bool
 	layout  *arch.Layout
 	initial *arch.Layout
@@ -249,6 +234,11 @@ type mapper struct {
 	asap     *arch.ASAPTracker
 	exceeded bool
 
+	// pickCheck, when set (equivalence property tests), observes every
+	// bestSwap pick: the front, the extended set, the candidates and the
+	// winner, before the mapper applies it.
+	pickCheck func(front, ext []int, cands []swapCand, best swapCand)
+
 	// Cancellation state (Options.Ctx): the amortized context checker the
 	// round loop polls, and the sticky typed error a fired context leaves
 	// behind (DESIGN.md §11).
@@ -289,10 +279,13 @@ func (m *mapper) resetDecay() {
 
 // newMapper builds the state whose size depends only on the device: the
 // layouts, decay, distance table, ASAP tracker and context checker. The
-// gate-indexed state comes from load. A discard mapper runs a layout-only
-// pass (see remapAssembled); a DepthBound overrides discard, since the
-// bound tracks emitted gates. The mapper is returned by value so that a
-// batch run keeps it on the stack.
+// gate-indexed state comes from load. A discard mapper runs layout-only
+// passes: it materialises no output circuit — no presized gate buffer, no
+// arena, no per-gate physical images — and every routing decision is a
+// function of the layout and the DAG, never of the emitted output, so its
+// final layout is byte-identical to a full run's. A DepthBound overrides
+// discard, since the bound tracks the emitted gates. The mapper is
+// returned by value so that a batch run keeps it on the stack.
 func newMapper(dev *arch.Device, initial *arch.Layout, opts Options, discard bool) mapper {
 	m := mapper{
 		opts:    opts,
@@ -669,18 +662,6 @@ func (m *mapper) bucket(p int) {
 // calibration-weighted metric under Options.Cost.
 func (m *mapper) distance(a, b int) int { return int(m.distTab[a*m.nq+b]) }
 
-// swappedPhys returns where physical qubit p ends up under a SWAP of (a, b).
-func swappedPhys(p, a, b int) int {
-	switch p {
-	case a:
-		return b
-	case b:
-		return a
-	default:
-		return p
-	}
-}
-
 // deltas is the integer change of Σ D over the front (dF) and the extended
 // set (dE) under candidate c, evaluated only on the gates incident to c's
 // qubits — every other gate's distance is untouched by the swap. A gate at
@@ -715,11 +696,14 @@ func rowDelta(ents []int32, l *arch.Layout, to, from []int32, partner int) int {
 	return sum
 }
 
-// scoreDelta computes the identical value to score via the incidence
-// index: the distance sums are integers, so base + delta is exact and the
-// float operations replicate score's order of evaluation bit-for-bit. The
-// per-edge deltas are cached across swap rounds; the bases (shifted by
-// every applied swap) and the decay are folded in at comparison time.
+// scoreDelta computes the decay-weighted SABRE heuristic for a candidate,
+// H = max(decay) * ( Σ_F D/|F| + W * Σ_E D/|E| ) under the post-swap
+// layout, via the incidence index: the distance sums are integers, so
+// base + delta is exact and the float operations replicate the
+// from-scratch reference's (score, in reference_test.go) order of
+// evaluation bit-for-bit. The per-edge deltas are cached across swap
+// rounds; the bases (shifted by every applied swap) and the decay are
+// folded in at comparison time.
 func (m *mapper) scoreDelta(c swapCand, ext []int) float64 {
 	var dF, dE int
 	if m.hStamp[c.edge] == m.hEpoch {
@@ -781,57 +765,9 @@ func (m *mapper) noteSwap(c swapCand) {
 	}
 }
 
-// score computes the decay-weighted SABRE heuristic for a candidate:
-// H = max(decay) * ( Σ_F D/|F| + W * Σ_E D/|E| ) under the post-swap layout.
-// Retained as the reference implementation (Options.naiveScore) for the
-// scoring-equivalence tests; the production path is scoreDelta.
-func (m *mapper) score(c swapCand, front, ext []int) float64 {
-	sw := func(p int) int { return swappedPhys(p, c.a, c.b) }
-	sumOver := func(set []int) (float64, int) {
-		sum, n := 0.0, 0
-		for _, k := range set {
-			if !m.soa.Is2Q[k] {
-				continue
-			}
-			q1, q2 := m.soa.Pair(k)
-			p1 := sw(m.layout.Phys(q1))
-			p2 := sw(m.layout.Phys(q2))
-			sum += float64(m.distance(p1, p2))
-			n++
-		}
-		return sum, n
-	}
-	h, nf := sumOver(front)
-	if nf > 0 {
-		h /= float64(nf)
-	}
-	if len(ext) > 0 {
-		he, ne := sumOver(ext)
-		if ne > 0 {
-			h += DefaultExtendedWeight * he / float64(ne)
-		}
-	}
-	d := m.decay[c.a]
-	if m.decay[c.b] > d {
-		d = m.decay[c.b]
-	}
-	return d * h
-}
-
 // bestSwap returns the minimum-score candidate, breaking ties by edge index.
 func (m *mapper) bestSwap(front, ext []int) swapCand {
 	cands := m.candidates(front)
-	if m.opts.naiveScore {
-		best := cands[0]
-		bestScore := m.score(best, front, ext)
-		for _, c := range cands[1:] {
-			s := m.score(c, front, ext)
-			if s < bestScore || (s == bestScore && c.edge < best.edge) {
-				best, bestScore = c, s
-			}
-		}
-		return best
-	}
 	if !m.idxValid {
 		m.indexRound(front, ext)
 		m.idxValid = true
@@ -843,6 +779,9 @@ func (m *mapper) bestSwap(front, ext []int) swapCand {
 		if s < bestScore || (s == bestScore && c.edge < best.edge) {
 			best, bestScore = c, s
 		}
+	}
+	if m.pickCheck != nil {
+		m.pickCheck(front, ext, cands, best)
 	}
 	return best
 }
@@ -903,15 +842,15 @@ func (m *mapper) directRoute(front []int) {
 // feed its final layout into a pass over the reversed circuit, and return
 // that pass's final layout. The CODAR paper uses this same mapping for
 // both algorithms ("for a fair comparison, we use the same method as SABRE
-// to create the initial mapping", §V-A).
+// to create the initial mapping", §V-A). Placement ignores
+// Options.DepthBound: the bound abandons routing runs, and the passes emit
+// no output for it to track.
 func InitialLayout(c *circuit.Circuit, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
 	return InitialLayoutAssembled(circuit.Assemble(c), dev, seed, opts)
 }
 
 // InitialLayoutAssembled is InitialLayout over a pre-built assembly. Both
-// passes run on one layout-only mapper: the backward pass reads a reversed
-// view of the assembly's SoA, built in that mapper's own memory, so no
-// reversed circuit is copied.
+// passes run on one layout-only mapper (reverseTraversal).
 func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
 	// A circuit that does not fit gets a start with one logical qubit per
 	// physical one, which the forward pass's input check then rejects.
@@ -919,31 +858,35 @@ func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, o
 	if err != nil {
 		return nil, err
 	}
+	opts.DepthBound = nil // the passes emit nothing for a bound to track
 	m, err := prepare(a, dev, start, opts, true)
 	if err != nil {
 		return nil, err
 	}
+	return m.reverseTraversal(a)
+}
+
+// reverseTraversal runs the two placement passes of InitialLayout on the
+// mapper: forward over a from the mapper's layout, then backward from the
+// forward pass's final layout, and returns the backward pass's final
+// layout. The backward pass reads a reversed view of the assembly's SoA,
+// built in the mapper's own memory, so no reversed circuit is copied; a
+// layout-only mapper never reads the gate values.
+func (m *mapper) reverseTraversal(a *circuit.Assembly) (*arch.Layout, error) {
 	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
 	}
-
 	// The backward pass starts from the forward pass's final layout with
 	// everything else a fresh mapper would have.
-	if err := interrupt.Classify(opts.Ctx); err != nil {
+	if err := interrupt.Classify(m.opts.Ctx); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
 	m.resetDecay()
 	m.swaps = 0
-	m.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
-	rev := &circuit.Circuit{NumQubits: a.Circ.NumQubits, NumClbits: a.Circ.NumClbits}
-	if opts.DepthBound != nil {
-		// A bound turns layout-only mode off, so this pass emits, and
-		// emission reads gate values.
-		m.asap = arch.NewASAPTracker(dev.NumQubits)
-		rev = a.Circ.Reversed()
-	}
+	m.check = interrupt.NewChecker(m.opts.Ctx, ctxCheckEvery)
 	var revSoA circuit.SoA
 	revSoA.LoadReversed(a.SoA)
+	rev := &circuit.Circuit{NumQubits: a.Circ.NumQubits, NumClbits: a.Circ.NumClbits}
 	if err := m.pass(rev, &revSoA); err != nil {
 		return nil, err
 	}

@@ -76,13 +76,13 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	// requires a reload.
 	m := newMapper(dev, initial, opts, false)
 	var (
-		soa                       circuit.SoA
-		cur                       cursor
-		chunk                     []schedule.ScheduledGate
-		avail                     = make([]int, dev.NumQubits)
-		oldToNew                  []int
-		keep                      []int
-		makespan, flushed, chunks int
+		soa             circuit.SoA
+		cur             cursor
+		chunk           []schedule.ScheduledGate
+		asap            = arch.NewASAPTracker(dev.NumQubits)
+		oldToNew        []int
+		keep            []int
+		flushed, chunks int
 	)
 	for {
 		soa.Load(win.Gates())
@@ -106,20 +106,8 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		if len(m.out.Gates) > 0 {
 			chunk = chunk[:0]
 			for _, g := range m.out.Gates {
-				start := 0
-				for _, q := range g.Qubits {
-					if avail[q] > start {
-						start = avail[q]
-					}
-				}
 				dur := dev.Durations.Of(g.Op)
-				for _, q := range g.Qubits {
-					avail[q] = start + dur
-				}
-				if start+dur > makespan {
-					makespan = start + dur
-				}
-				chunk = append(chunk, schedule.ScheduledGate{Gate: g, Start: start, Duration: dur})
+				chunk = append(chunk, schedule.ScheduledGate{Gate: g, Start: asap.Place(g.Qubits, dur), Duration: dur})
 			}
 			if err := sink.Flush(chunk); err != nil {
 				return nil, fmt.Errorf("sabre: sink: %w", err)
@@ -171,7 +159,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		InitialLayout: m.initial,
 		FinalLayout:   m.layout,
 		SwapCount:     m.swaps,
-		Makespan:      makespan,
+		Makespan:      asap.Span(),
 		Chunks:        chunks,
 	}, nil
 }

@@ -66,7 +66,7 @@ func checkStreamEqualsBatch(t *testing.T, c *circuit.Circuit, dev *arch.Device, 
 }
 
 // TestRemapStreamEqualsRemap sweeps random circuits large enough to force
-// several refills, across devices, scoring paths and option extremes.
+// several refills, across devices.
 func TestRemapStreamEqualsRemap(t *testing.T) {
 	devices := []*arch.Device{
 		arch.Linear(6),
@@ -79,7 +79,6 @@ func TestRemapStreamEqualsRemap(t *testing.T) {
 		dev := devices[int(seed)%len(devices)]
 		c := randCircuit(seed, dev.NumQubits, 3000)
 		checkStreamEqualsBatch(t, c, dev, nil, Options{})
-		checkStreamEqualsBatch(t, c, dev, nil, Options{naiveScore: true})
 	}
 }
 

@@ -44,25 +44,14 @@ type Schedule struct {
 // Program order must already respect dependencies (true for any circuit and
 // for remapper outputs). Barriers synchronise their qubits at zero cost.
 func ASAP(c *circuit.Circuit, durations arch.Durations) *Schedule {
-	free := make([]int, c.NumQubits) // per-qubit lock tend
+	t := arch.NewASAPTracker(c.NumQubits) // per-qubit lock tend
 	s := &Schedule{NumQubits: c.NumQubits, Gates: make([]ScheduledGate, 0, len(c.Gates))}
 	for _, g := range c.Gates {
-		start := 0
-		for _, q := range g.Qubits {
-			if free[q] > start {
-				start = free[q]
-			}
-		}
 		dur := durations.Of(g.Op)
-		end := start + dur
-		for _, q := range g.Qubits {
-			free[q] = end
-		}
+		start := t.Place(g.Qubits, dur)
 		s.Gates = append(s.Gates, ScheduledGate{Gate: g.Clone(), Start: start, Duration: dur})
-		if end > s.Makespan {
-			s.Makespan = end
-		}
 	}
+	s.Makespan = t.Span()
 	// ASAP in program order yields non-decreasing per-qubit times but not
 	// necessarily globally sorted starts; sort stably for consumers.
 	sort.SliceStable(s.Gates, func(i, j int) bool { return s.Gates[i].Start < s.Gates[j].Start })
@@ -72,24 +61,11 @@ func ASAP(c *circuit.Circuit, durations arch.Durations) *Schedule {
 // WeightedDepth returns the makespan of the ASAP schedule of c under τ:
 // the paper's weighted circuit depth.
 func WeightedDepth(c *circuit.Circuit, durations arch.Durations) int {
-	free := make([]int, c.NumQubits)
-	makespan := 0
+	t := arch.NewASAPTracker(c.NumQubits)
 	for _, g := range c.Gates {
-		start := 0
-		for _, q := range g.Qubits {
-			if free[q] > start {
-				start = free[q]
-			}
-		}
-		end := start + durations.Of(g.Op)
-		for _, q := range g.Qubits {
-			free[q] = end
-		}
-		if end > makespan {
-			makespan = end
-		}
+		t.Place(g.Qubits, durations.Of(g.Op))
 	}
-	return makespan
+	return t.Span()
 }
 
 // Validate checks that no two gates overlap on a qubit and that durations

@@ -52,18 +52,10 @@ func specOf(p *PortfolioSpec) (portfolio.Spec, *svcError) {
 		}
 		s.Objective = obj
 	}
-	known := placement.Methods()
 	for _, name := range p.Placements {
-		m := placement.Method(name)
-		ok := false
-		for _, k := range known {
-			if m == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return s, errBadRequest("unknown placement %q (want trivial, random, dense or sabre-reverse)", name)
+		m, err := placement.ParseMethod(name)
+		if err != nil {
+			return s, errBadRequest("%v", err)
 		}
 		s.Placements = append(s.Placements, m)
 	}
@@ -124,8 +116,8 @@ func normalizeRequest(req *MapRequest) (*portfolio.Spec, *svcError) {
 	if req.Algo == "" {
 		req.Algo = "codar"
 	}
-	if req.Algo != "codar" && req.Algo != "sabre" {
-		return nil, errBadRequest("unknown algo %q (want codar or sabre)", req.Algo)
+	if _, err := compile.ParseAlgorithm(req.Algo); err != nil {
+		return nil, errBadRequest("%v", err)
 	}
 	if req.Durations != "" {
 		if _, ok := durationsByName(req.Durations); !ok {
@@ -188,18 +180,16 @@ func cacheKeyFor(req *MapRequest, pspec *portfolio.Spec, deviceName, calHash str
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// resolveDevice resolves the request's device and duration preset into a
-// ready-to-map device (shallow-copied when the preset overrides durations).
+// resolveDevice resolves a normalized request's device and duration preset
+// into a ready-to-map device (shallow-copied when the preset overrides
+// durations). normalizeRequest has already rejected unknown presets.
 func (s *Server) resolveDevice(req *MapRequest) (*arch.Device, *svcError) {
 	dev, err := s.registry.Resolve(req.Arch)
 	if err != nil {
 		return nil, deviceSvcError(err)
 	}
 	if req.Durations != "" {
-		d, ok := durationsByName(req.Durations)
-		if !ok {
-			return nil, errBadRequest("unknown durations preset %q", req.Durations)
-		}
+		d, _ := durationsByName(req.Durations)
 		dev = withDurations(dev, d)
 	}
 	return dev, nil

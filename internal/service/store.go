@@ -323,14 +323,3 @@ func (st *Store) Evictions() uint64 {
 	}
 	return n
 }
-
-// PinnedCount returns the total pinned entries across shards.
-func (st *Store) PinnedCount() int {
-	n := 0
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		n += sh.pinned
-		sh.mu.Unlock()
-	}
-	return n
-}
