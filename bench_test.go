@@ -249,6 +249,25 @@ func BenchmarkSABRERandom16Sycamore(b *testing.B) {
 	benchRemapper(b, "rand_16_g1000", arch.SycamoreQ54(), true)
 }
 
+// BenchmarkCODARStreamTokyo times the streaming CODAR engine alone: a
+// 200k-gate random circuit (45% CX, the stream-1m shape at a fifth of its
+// length), lowered once outside the timer, mapped onto Q20 Tokyo from a
+// SliceSource into a sink that discards the chunks, so neither parsing nor
+// output is timed. It reports ns per input gate.
+func BenchmarkCODARStreamTokyo(b *testing.B) {
+	dev := arch.IBMQ20Tokyo()
+	c := circuit.Decompose(workloads.Random(16, 200_000, 45, 1))
+	discard := schedule.FuncSink(func([]schedule.ScheduledGate) error { return nil })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RemapStream(circuit.NewSliceSource(c), dev, nil, core.Options{}, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Len()), "ns/gate")
+}
+
 // BenchmarkCommutativeFront times CF computation over a 1000-gate window.
 func BenchmarkCommutativeFront(b *testing.B) {
 	bench, err := workloads.ByName("rand_16_g1000")

@@ -280,11 +280,9 @@ type remapper struct {
 	arena  circuit.IntArena
 	carryQ []int
 
-	// Scratch buffers for the front computation and the SWAP-candidate
-	// search.
+	// Scratch buffers for the front handed to the cycle and the
+	// SWAP-candidate search.
 	front     []int
-	front2q   []int
-	lookSet   []int
 	cands     []swapCand
 	edgeStamp []int32
 	edgeEpoch int32
@@ -354,8 +352,8 @@ func (r *remapper) load(gates []circuit.Gate, soa *circuit.SoA) {
 		r.next[n-1] = -1
 	}
 	r.live = n
-	r.f.load()
 	r.sc.load()
+	r.f.load()
 }
 
 // unlink removes gate i from the remaining sequence. The frontier is

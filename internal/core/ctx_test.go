@@ -142,3 +142,28 @@ func TestCtxComposesWithDepthBound(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled with dead ctx and loose bound", err)
 	}
 }
+
+// TestObservedRunStopsAtFirstDivergence: the observer cancels the run's
+// context at its first divergence, so a run that diverges at its first
+// front stops within ctxCheckEvery cycles instead of mapping the rest of
+// the circuit, and the verdict is that divergence.
+func TestObservedRunStopsAtFirstDivergence(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	r, err := newStreakRemapper(randCircuit(5, 16, 5000), dev, nil, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := observe(r)
+	check := r.frontCheck
+	r.frontCheck = func(front []int) {
+		check(front)
+		o.fail("injected divergence")
+	}
+	r.run(&cursor{})
+	if err := o.checked(r); err == nil || err.Error() != "injected divergence" {
+		t.Fatalf("verdict %v, want the injected divergence", err)
+	}
+	if r.cycles >= ctxCheckEvery || r.live == 0 {
+		t.Fatalf("the run went on for %d cycles (%d gates left) after diverging at its first front", r.cycles, r.live)
+	}
+}

@@ -5,7 +5,8 @@ package core
 // gate (Definition 1). The scan is bounded by the options window; gates on
 // disjoint qubits commute trivially, so membership only involves earlier
 // gates sharing one of a candidate's qubits. The incremental engine
-// (frontier.go) does the work; frontCheck, when set, observes the result.
+// (frontier.go) does the work and keeps the look-ahead set beside the
+// front; frontCheck, when set, observes both.
 //
 // With DisableCommutativity the front degrades to the plain dependency
 // front (first unexecuted gate per qubit chain), which is what SABRE uses.
@@ -16,16 +17,4 @@ func (r *remapper) computeFront() []int {
 		r.frontCheck(front)
 	}
 	return front
-}
-
-// frontTwoQubit filters the front down to two-qubit unitaries, the gates
-// that participate in the distance heuristics.
-func (r *remapper) frontTwoQubit(front []int) []int {
-	r.front2q = r.front2q[:0]
-	for _, i := range front {
-		if r.soa.Is2Q[i] {
-			r.front2q = append(r.front2q, i)
-		}
-	}
-	return r.front2q
 }

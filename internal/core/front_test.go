@@ -57,14 +57,14 @@ func TestLookaheadSetContents(t *testing.T) {
 	if len(front) != 1 || front[0] != 0 {
 		t.Fatalf("front = %v", front)
 	}
-	if len(r.lookSet) != 2 {
-		t.Fatalf("lookSet = %v, want the two blocked CXs", r.lookSet)
+	if look := r.f.lookSet(); len(look) != 2 {
+		t.Fatalf("lookSet = %v, want the two blocked CXs", look)
 	}
 	// Lookahead disabled: the set stays empty.
 	r2 := newRemapper(circuit.Assemble(c), dev, arch.NewTrivialLayout(4, 4), Options{Lookahead: -1})
 	r2.computeFront()
-	if len(r2.lookSet) != 0 {
-		t.Fatalf("lookSet with lookahead off = %v", r2.lookSet)
+	if look := r2.f.lookSet(); len(look) != 0 {
+		t.Fatalf("lookSet with lookahead off = %v", look)
 	}
 }
 
@@ -83,19 +83,31 @@ func TestLookaheadSetExtendsPastWindow(t *testing.T) {
 	r.computeFront()
 	// The window covers only the serial 1q prefix; the look-ahead set must
 	// still reach the two-qubit gates beyond it.
-	if len(r.lookSet) != 3 {
-		t.Fatalf("lookSet = %v, want 3 gates beyond the window", r.lookSet)
+	if look := r.f.lookSet(); len(look) != 3 {
+		t.Fatalf("lookSet = %v, want 3 gates beyond the window", look)
 	}
 }
 
+// TestFrontTwoQubitFilter: of a front holding one-qubit gates and a CX,
+// only the CX reaches the scorer, listed at both of its physical qubits.
 func TestFrontTwoQubitFilter(t *testing.T) {
 	dev := arch.Linear(4)
 	c := circuit.New(4).H(0).CX(1, 2).T(3)
 	r := newRemapper(circuit.Assemble(c), dev, arch.NewTrivialLayout(4, 4), Options{})
-	front := r.computeFront()
-	two := r.frontTwoQubit(front)
-	if len(two) != 1 || r.gates[two[0]].Op != circuit.OpCX {
-		t.Fatalf("frontTwoQubit = %v", two)
+	if front := r.computeFront(); len(front) != 3 {
+		t.Fatalf("front = %v, want all three gates", front)
+	}
+	if r.sc.n2q != 1 {
+		t.Fatalf("scorer holds %d two-qubit front gates, want the CX alone", r.sc.n2q)
+	}
+	for p, inc := range r.sc.inc2q {
+		want := 0
+		if p == 1 || p == 2 {
+			want = 1
+		}
+		if len(inc) != want || (want == 1 && inc[0] != 1) {
+			t.Errorf("physical qubit %d lists %v", p, inc)
+		}
 	}
 }
 

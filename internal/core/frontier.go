@@ -16,19 +16,33 @@ import "codar/internal/circuit"
 //   - A blocked gate stays blocked while the gate blocking it is live, so
 //     only the retirement of that one gate can change its membership.
 //
-// Each query therefore: (1) re-evaluates the gates whose recorded blocker
-// retired since the last query, (2) admits gates that slid into the scan
-// window, computing their membership once, and (3) assembles the front
-// (and look-ahead set) from cached membership bits with a window walk that
-// does no commutation work at all. Step 1 reads wait lists: every blocked
-// gate waits on the first blocker its membership check found, and removing
-// a gate queues exactly its waiters. The position-dependent checks that
-// survive the op-pair classification table in circuit.CommuteClass (CX/CX
-// and friends) compare two commutation-basis bytes of the SoA per shared
-// qubit (commute) instead of walking Gate values.
+// Each query therefore (1) re-evaluates the gates whose recorded blocker
+// retired since the last query and (2) admits gates that slid into the
+// scan window, computing their membership once. Step 1 reads wait lists:
+// every blocked gate waits on the first blocker its membership check
+// found, and removing a gate queues exactly its waiters. The
+// position-dependent checks that survive the op-pair classification table
+// in circuit.CommuteClass (CX/CX and friends) compare two
+// commutation-basis bytes of the SoA per shared qubit (commute) instead of
+// walking Gate values.
+//
+// The frontier also owns the two sets the remapper acts on, and changes
+// them only at the events that change them: a gate joins the CF (at
+// admission or on recheck), or a CF gate is removed (launched). The front
+// is kept in sequence order in cf. The look-ahead set is the first
+// `Lookahead` two-qubit gates outside the CF, in sequence order, gates
+// past the window included. Since membership only flips false→true and
+// only CF gates are removed, the sequence of two-qubit gates outside the
+// CF only ever loses members, so the set's last member only moves
+// forward: a member that joins the CF is replaced by the next such gate
+// past the scan cursor lookLast, and all replacements together scan each
+// gate once per load. Every change to either set goes to the scorer as it
+// happens (enter2q/leave2q, enterLook/leaveLook), so no query walks the
+// window and nothing diffs a set.
 type frontier struct {
 	r      *remapper
 	window int
+	look   int // the look-ahead set's size (Options.Lookahead resolved)
 
 	// Static gate metadata, aliased from the remapper's shared SoA view.
 	// Slot s is one (gate, operand) incidence; gate i owns slots
@@ -44,14 +58,9 @@ type frontier struct {
 	chainNext, chainPrev []int32
 
 	// Window state: the window covers the first winCount live gates;
-	// winTail is the last of them (-1 when empty). cfCount tracks how many
-	// in-window gates are CF members, letting the assembly walk stop as
-	// soon as the front (and look-ahead set) are complete instead of
-	// visiting the whole window.
-	inWindow []bool
+	// winTail is the last of them (-1 when empty).
 	winTail  int
 	winCount int
-	cfCount  int
 
 	// Cached membership, and the wait lists of the blocked gates: a gate
 	// outside the CF waits on one live gate that does not commute with it,
@@ -65,33 +74,43 @@ type frontier struct {
 	// recheck queues the waiters of the gates removed since the last query.
 	recheck []int32
 
-	// frontValid marks the assembled r.front/r.lookSet as current: only a
-	// removal (or first use) invalidates it — SWAPs change the layout, not
-	// the logical sequence the front is defined over.
-	frontValid bool
+	// cf is the commutative front in sequence (gate-index) order.
+	// cfChanged marks r.front, the copy computeFront hands out, as stale.
+	cf        []int
+	cfChanged bool
+
+	// The look-ahead set: inLook marks its members and lookCount counts
+	// them. lookLast is the scan cursor: every two-qubit gate outside the
+	// CF up to it is a member, and a set short of look members has
+	// scanned every loaded gate.
+	inLook    []bool
+	lookCount int
+	lookLast  int
 }
 
 func newFrontier(r *remapper, numQubits int) *frontier {
 	return &frontier{
 		r:      r,
 		window: r.opts.window(),
+		look:   r.opts.lookahead(),
 		qhead:  make([]int32, numQubits),
 		qtail:  make([]int32, numQubits),
 	}
 }
 
 // load resets the engine to an empty window over the remapper's current
-// gates, reusing the per-gate arrays of the previous load.
+// gates, reusing the per-gate arrays of the previous load, and seeds the
+// look-ahead set (so the scorer must be loaded first).
 func (f *frontier) load() {
 	soa := f.r.soa
 	n := soa.Len()
 	f.slotOff, f.slotGate, f.is2q, f.ops = soa.QOff, soa.SlotGate, soa.Is2Q, soa.Ops
 	f.chainNext = circuit.Reuse(f.chainNext, len(soa.SlotGate))
 	f.chainPrev = circuit.Reuse(f.chainPrev, len(soa.SlotGate))
-	f.inWindow = circuit.Reuse(f.inWindow, n)
 	f.inCF = circuit.Reuse(f.inCF, n)
 	f.waitHead = circuit.Reuse(f.waitHead, n)
 	f.waitNext = circuit.Reuse(f.waitNext, n)
+	f.inLook = circuit.Reuse(f.inLook, n)
 	for i := range f.waitHead {
 		f.waitHead[i] = -1
 	}
@@ -100,8 +119,10 @@ func (f *frontier) load() {
 		f.qtail[q] = -1
 	}
 	f.recheck = f.recheck[:0]
-	f.winTail, f.winCount, f.cfCount = -1, 0, 0
-	f.frontValid = false
+	f.winTail, f.winCount = -1, 0
+	f.cf, f.cfChanged = f.cf[:0], true
+	f.lookCount, f.lookLast = 0, -1
+	f.topUpLook()
 }
 
 // commute reports whether live predecessor j and gate i commute, through
@@ -178,28 +199,61 @@ func (f *frontier) admit(i int) {
 		}
 		f.qtail[q] = s
 	}
-	f.inWindow[i] = true
-	f.inCF[i] = f.membership(i)
-	if f.inCF[i] {
-		f.cfCount++
-	}
 	f.winTail = i
 	f.winCount++
+	if f.membership(i) {
+		f.join(i)
+	}
 }
 
-// remove unlinks gate i from the engine. It must run before the remapper
-// splices i out of the remaining-sequence list (it reads r.prev to retreat
-// the window tail). The gates waiting on i are re-examined at the next
-// query.
+// join records that gate i joined the CF. It goes into cf in sequence
+// order (at the end when admitted, as the window's new tail); a two-qubit
+// gate enters the scorer's front, and a look-ahead member is replaced by
+// the next two-qubit gate outside the CF.
+func (f *frontier) join(i int) {
+	f.inCF[i] = true
+	f.cf = append(f.cf, i)
+	for k := len(f.cf) - 1; k > 0 && f.cf[k-1] > i; k-- {
+		f.cf[k], f.cf[k-1] = f.cf[k-1], i
+	}
+	f.cfChanged = true
+	if !f.is2q[i] {
+		return
+	}
+	f.r.sc.enter2q(i)
+	if f.inLook[i] {
+		f.inLook[i] = false
+		f.lookCount--
+		f.r.sc.leaveLook(i)
+		f.topUpLook()
+	}
+}
+
+// topUpLook fills the look-ahead set from the gates past the scan cursor.
+// They lie past every member, so the set stays in sequence order; gates
+// past the window have no membership yet and count as outside the CF, as
+// they are, and removed gates were CF gates, so inCF skips them.
+func (f *frontier) topUpLook() {
+	for f.lookCount < f.look && f.lookLast+1 < len(f.is2q) {
+		f.lookLast++
+		if i := f.lookLast; f.is2q[i] && !f.inCF[i] {
+			f.inLook[i] = true
+			f.lookCount++
+			f.r.sc.enterLook(i)
+		}
+	}
+}
+
+// remove unlinks CF gate i, which the remapper launched, from the engine
+// and from cf (a two-qubit gate leaves the scorer's front too). It must run
+// before the remapper splices i out of the remaining-sequence list (it
+// reads r.prev to retreat the window tail). The gates waiting on i are
+// re-examined at the next query.
 func (f *frontier) remove(i int) {
-	f.frontValid = false
 	for w := f.waitHead[i]; w >= 0; w = f.waitNext[w] {
 		f.recheck = append(f.recheck, w)
 	}
 	f.waitHead[i] = -1
-	if !f.inWindow[i] {
-		return
-	}
 	for k, q := range f.r.soa.Operands(i) {
 		s := f.slotOff[i] + int32(k)
 		p, n := f.chainPrev[s], f.chainNext[s]
@@ -214,13 +268,18 @@ func (f *frontier) remove(i int) {
 			f.qtail[q] = p
 		}
 	}
-	f.inWindow[i] = false
 	f.winCount--
-	if f.inCF[i] {
-		f.cfCount--
-	}
 	if i == f.winTail {
 		f.winTail = f.r.prev[i]
+	}
+	k := 0
+	for f.cf[k] != i {
+		k++
+	}
+	f.cf = append(f.cf[:k], f.cf[k+1:]...)
+	f.cfChanged = true
+	if f.is2q[i] {
+		f.r.sc.leave2q(i)
 	}
 }
 
@@ -230,18 +289,17 @@ func (f *frontier) remove(i int) {
 // membership a removal can have changed. Membership reads only the chains,
 // so the order of re-examination does not matter.
 func (f *frontier) flushRecheck() {
-	for _, i := range f.recheck {
-		if f.membership(int(i)) {
-			f.inCF[i] = true
-			f.cfCount++
-			f.frontValid = false
+	for _, w := range f.recheck {
+		if i := int(w); f.membership(i) {
+			f.join(i)
 		}
 	}
 	f.recheck = f.recheck[:0]
 }
 
-// computeFront returns the commutative front of the remaining sequence,
-// writing the front and look-ahead buffers on the remapper.
+// computeFront brings the front up to date and returns it, copied into
+// r.front when it changed: the launch loop iterates the returned front
+// while its launches edit cf. The look-ahead set is current too.
 func (f *frontier) computeFront() []int {
 	f.flushRecheck()
 	for f.winCount < f.window {
@@ -257,47 +315,20 @@ func (f *frontier) computeFront() []int {
 				// the buffer and retries. Admissions so far stand (they are
 				// a prefix of what the full window will hold).
 				f.r.starved = true
-				f.frontValid = false
 				return nil
 			}
 			break
 		}
 		f.admit(next)
-		f.frontValid = false
 	}
-	if f.frontValid {
-		return f.r.front
-	}
-	r := f.r
-	look := r.opts.lookahead()
-	r.front = r.front[:0]
-	r.lookSet = r.lookSet[:0]
-	count := 0
-	i := r.head
-	for ; i >= 0 && count < f.winCount; i = r.next[i] {
-		if f.inCF[i] {
-			r.front = append(r.front, i)
-		} else if f.is2q[i] && len(r.lookSet) < look {
-			r.lookSet = append(r.lookSet, i)
-		}
-		count++
-		if len(r.front) == f.cfCount && len(r.lookSet) >= look {
-			break // front complete, look-ahead full: the rest is filler
-		}
-	}
-	// Top up the look-ahead set past the window: everything beyond is
-	// non-front by construction.
-	for ; i >= 0 && len(r.lookSet) < look; i = r.next[i] {
-		if f.is2q[i] {
-			r.lookSet = append(r.lookSet, i)
-		}
-	}
-	if len(r.lookSet) < look && r.sourceOpen {
+	if f.lookCount < f.look && f.r.sourceOpen {
 		// Streaming: look-ahead unsaturated with gates still upstream.
-		r.starved = true
-		f.frontValid = false
+		f.r.starved = true
 		return nil
 	}
-	f.frontValid = true
-	return r.front
+	if f.cfChanged {
+		f.r.front = append(f.r.front[:0], f.cf...)
+		f.cfChanged = false
+	}
+	return f.r.front
 }

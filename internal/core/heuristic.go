@@ -107,11 +107,10 @@ func fineDiff(dev *arch.Device, p1, p2 int) int {
 // passes the gate exactly when a positive candidate exists, and then it is
 // also the restricted winner.
 func (r *remapper) insertSwaps(front []int, t int) bool {
-	if len(r.frontTwoQubit(front)) == 0 {
+	if r.sc.n2q == 0 {
 		return false
 	}
 	cands := r.collectCandidates(front, t)
-	r.sc.sync()
 	inserted := false
 	for len(cands) > 0 {
 		best := r.sc.pick(cands, true)
@@ -136,9 +135,7 @@ func (r *remapper) insertSwaps(front []int, t int) bool {
 // forceSwap is the paper's deadlock move: launch the single
 // highest-priority candidate regardless of Hbasic sign.
 func (r *remapper) forceSwap(front []int, t int) {
-	r.frontTwoQubit(front) // the scorer syncs off r.front2q
 	cands := r.collectCandidates(front, t)
-	r.sc.sync()
 	best := r.sc.pick(cands, false)
 	if best < 0 {
 		return

@@ -75,7 +75,7 @@ func TestHBasicSigns(t *testing.T) {
 	c := circuit.New(4)
 	c.CX(0, 3) // distance 3
 	r := newTestRemapper(t, c, dev)
-	front2q := r.frontTwoQubit(r.computeFront())
+	front2q := r.twoQubit(r.computeFront())
 
 	mk := func(a, b int) swapCand {
 		if a > b {
@@ -108,7 +108,7 @@ func TestHBasicCountsAllFrontGates(t *testing.T) {
 	c.CX(0, 2) // distance 2
 	c.CX(4, 2) // distance 2, commutes (shared target)
 	r := newTestRemapper(t, c, dev)
-	front2q := r.frontTwoQubit(r.computeFront())
+	front2q := r.twoQubit(r.computeFront())
 	if len(front2q) != 2 {
 		t.Fatalf("front2q = %v, want both CXs", front2q)
 	}
@@ -124,7 +124,7 @@ func TestHFineBalancesCoordinates(t *testing.T) {
 	c := circuit.New(9)
 	c.CX(0, 7) // P0=(0,0) to P7=(2,1): HD 1, VD 2
 	r := newTestRemapper(t, c, dev)
-	front2q := r.frontTwoQubit(r.computeFront())
+	front2q := r.twoQubit(r.computeFront())
 
 	cand := func(a, b int) swapCand {
 		if a > b {
@@ -143,7 +143,7 @@ func TestHFineBalancesCoordinates(t *testing.T) {
 	}
 	// Both have Hbasic +1; pickBest must prefer the balanced one.
 	cands := []swapCand{cand(0, 1), cand(0, 3)}
-	best, hb, _ := r.pickBest(cands, front2q, false)
+	best, hb, _ := r.pickBest(cands, front2q, r.f.lookSet(), false)
 	if cands[best].b != 3 || hb != 1 {
 		t.Errorf("pickBest chose %v with hb=%d, want swap(0,3) hb=1", cands[best], hb)
 	}
@@ -154,7 +154,7 @@ func TestHFineZeroWithoutCoords(t *testing.T) {
 	c := circuit.New(6)
 	c.CX(0, 3)
 	r := newTestRemapper(t, c, dev)
-	front2q := r.frontTwoQubit(r.computeFront())
+	front2q := r.twoQubit(r.computeFront())
 	id, _ := dev.EdgeIndex(0, 1)
 	if got := r.hFine(swapCand{a: 0, b: 1, edge: id}, front2q); got != 0 {
 		t.Errorf("hFine = %d, want 0 on coordinate-free device", got)
@@ -166,18 +166,18 @@ func TestPickBestDeterministicTieBreak(t *testing.T) {
 	c := circuit.New(4)
 	c.CX(0, 2)
 	r := newTestRemapper(t, c, dev)
-	front2q := r.frontTwoQubit(r.computeFront())
+	front2q := r.twoQubit(r.computeFront())
 	cands := r.collectCandidates(r.computeFront(), 0)
 	if len(cands) < 2 {
 		t.Fatalf("expected several candidates, got %d", len(cands))
 	}
-	best1, _, _ := r.pickBest(cands, front2q, false)
+	best1, _, _ := r.pickBest(cands, front2q, r.f.lookSet(), false)
 	// Reversing the candidate order must not change the winner.
 	rev := make([]swapCand, len(cands))
 	for i, c := range cands {
 		rev[len(cands)-1-i] = c
 	}
-	best2, _, _ := r.pickBest(rev, front2q, false)
+	best2, _, _ := r.pickBest(rev, front2q, r.f.lookSet(), false)
 	if cands[best1].edge != rev[best2].edge {
 		t.Error("pickBest is order-dependent")
 	}

@@ -6,7 +6,9 @@ import (
 
 	"codar/internal/arch"
 	"codar/internal/circuit"
+	"codar/internal/sabre"
 	"codar/internal/schedule"
+	"codar/internal/workloads"
 )
 
 // TestOptionDefaults pins the default resolution logic.
@@ -209,6 +211,45 @@ func TestDeadlockStreakEscape(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(dev.Durations); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeadlockPathsObservedOnFig8Pairs observes both deadlock moves on
+// the Fig 8 inputs that reach them: qv_16_d16 on Enfield 6×6 and
+// rand_12_g500 on Sycamore, each from SABRE placement at the experiment
+// seed (1), deadlock once. At the default streak of 3 the deadlock takes
+// a forced SWAP (forceSwap's unrestricted pick, checked against the
+// reference), and at streak 1 it escapes by direct routing at once.
+func TestDeadlockPathsObservedOnFig8Pairs(t *testing.T) {
+	pairs := []struct {
+		name string
+		dev  *arch.Device
+	}{
+		{"qv_16_d16", arch.Enfield6x6()},
+		{"rand_12_g500", arch.SycamoreQ54()},
+	}
+	for _, p := range pairs {
+		b, err := workloads.ByName(p.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := b.Circuit()
+		initial, err := sabre.InitialLayout(c, p.dev, 1, sabre.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, streak := range []int{DefaultDeadlockStreak, 1} {
+			res, err := remapObserved(c, p.dev, initial, Options{}, streak)
+			if err != nil {
+				t.Fatalf("%s on %s, streak %d: %v", p.name, p.dev.Name, streak, err)
+			}
+			if streak == 1 && res.DirectRoutes == 0 {
+				t.Errorf("%s on %s, streak 1: no direct route", p.name, p.dev.Name)
+			}
+			if streak > 1 && res.ForcedSwaps == 0 {
+				t.Errorf("%s on %s, streak %d: no forced SWAP", p.name, p.dev.Name, streak)
+			}
+		}
 	}
 }
 

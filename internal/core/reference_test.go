@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"codar/internal/arch"
 	"codar/internal/circuit"
+	"codar/internal/interrupt"
 )
 
 // The from-scratch reference implementations of the engine's incremental
@@ -18,8 +20,8 @@ import (
 // naive is the reference front scan's view of an engine: through the
 // embedded remapper it reads the engine's remaining sequence and options,
 // and it writes its own per-qubit stacks, front, look-ahead set and
-// starvation flag, which shadow the engine's, so running it as an observer
-// leaves the engine untouched.
+// starvation flag (the front and the flag shadow the engine's), so running
+// it as an observer leaves the engine untouched.
 type naive struct {
 	*remapper
 	seenStack      [][]int
@@ -150,12 +152,13 @@ func (r *remapper) hFine(c swapCand, front2q []int) int {
 // distance-reduction sum as Hbasic. It never influences whether a SWAP is
 // inserted — only which of several equal-Hbasic SWAPs wins — so the
 // paper's insertion policy is preserved exactly (see DESIGN.md §4).
-func (r *remapper) hLook(c swapCand) int {
-	return r.hBasic(c, r.lookSet, r.distTab)
+func (r *remapper) hLook(c swapCand, lookSet []int) int {
+	return r.hBasic(c, lookSet, r.distTab)
 }
 
 // pickBest returns the index into cands of the candidate with the highest
-// priority ⟨Hbasic, Hlook, Hfine⟩ (compared lexicographically), breaking
+// priority ⟨Hbasic, Hlook, Hfine⟩ (compared lexicographically) over the
+// two-qubit front gates front2q and the look-ahead set lookSet, breaking
 // remaining ties by the lowest edge index; -1 when cands is empty. The
 // returned Hbasic is the winner's hop-metric Eq. 1 value, which
 // still gates insertion (Hbasic > 0) exactly as in the paper — under a
@@ -164,7 +167,7 @@ func (r *remapper) hLook(c swapCand) int {
 // selection stays byte-identical) drops candidates without positive hop
 // progress before ranking: a "lateral" fidelity move outranking every real
 // candidate must lose to the best progress-making one, not veto the round.
-func (r *remapper) pickBest(cands []swapCand, front2q []int, requireProgress bool) (best, bestBasic, bestFine int) {
+func (r *remapper) pickBest(cands []swapCand, front2q, lookSet []int, requireProgress bool) (best, bestBasic, bestFine int) {
 	best = -1
 	var bestKey [3]int
 	for k, c := range cands {
@@ -177,8 +180,8 @@ func (r *remapper) pickBest(cands []swapCand, front2q []int, requireProgress boo
 			continue
 		}
 		var hl, hf int
-		if len(r.lookSet) > 0 {
-			hl = r.hLook(c)
+		if len(lookSet) > 0 {
+			hl = r.hLook(c, lookSet)
 		}
 		if !r.opts.DisableHfine {
 			hf = r.hFine(c, front2q)
@@ -226,28 +229,61 @@ func (r *remapper) nextEventScan(t int) int {
 	return nt
 }
 
+// twoQubit returns the two-qubit gates of front, the gates the distance
+// heuristics score.
+func (r *remapper) twoQubit(front []int) []int {
+	var out []int
+	for _, i := range front {
+		if r.soa.Is2Q[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// lookSet returns the frontier's look-ahead set in sequence order. Every
+// member is live, so none precedes the head.
+func (f *frontier) lookSet() []int {
+	var set []int
+	for i := max(f.r.head, 0); i <= f.lookLast; i++ {
+		if f.inLook[i] {
+			set = append(set, i)
+		}
+	}
+	return set
+}
+
 // observer is every reference attached to one engine: it keeps the first
-// divergence and counts the answers it compared.
+// divergence, counts the answers it compared, and holds the sets of the
+// last observed front, which every pick until the next front is checked
+// against. The first divergence cancels the run's context, so the run
+// stops within ctxCheckEvery cycles instead of acting on a wrong answer
+// to the end.
 type observer struct {
 	err                   error
 	fronts, picks, events int
+	front2q, lookSet      []int
+	cancel                context.CancelFunc
 }
 
 func (o *observer) fail(format string, args ...any) {
 	if o.err == nil {
 		o.err = fmt.Errorf(format, args...)
+		o.cancel()
 	}
 }
 
 // checked is the observer's verdict on r's finished run: its first
 // divergence, or an error when a hook the run must have called never fired
-// (every cycle queries the front and the event queue; every SWAP outside
-// the deadlock escape is a scorer pick).
+// (every cycle queries the front, and every cycle but a last one that
+// launches all remaining gates queries the event queue; every SWAP outside
+// the deadlock escape is a scorer pick). It releases the run's context.
 func (o *observer) checked(r *remapper) error {
+	o.cancel()
 	switch {
 	case o.err != nil:
 		return o.err
-	case r.cycles > 0 && (o.fronts == 0 || o.events == 0):
+	case r.cycles > 0 && o.fronts == 0, r.cycles > 1 && o.events == 0:
 		return fmt.Errorf("%d cycles but %d fronts and %d event answers observed", r.cycles, o.fronts, o.events)
 	case r.swapCount > 0 && o.picks == 0 && r.routed == 0:
 		return fmt.Errorf("%d swaps but no pick observed", r.swapCount)
@@ -257,26 +293,36 @@ func (o *observer) checked(r *remapper) error {
 
 // observe attaches every reference to r's hooks: the naive scan checks
 // each front and look-ahead set, checkPick each scorer pick, and the O(Q)
-// scans each event answer.
+// scans each event answer. It also gives r a context, derived from
+// Options.Ctx, that the first divergence cancels.
 func observe(r *remapper) *observer {
-	o := &observer{}
+	parent := r.opts.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, cancel := context.WithCancel(parent)
+	r.opts.Ctx = ctx
+	r.check = interrupt.NewChecker(ctx, ctxCheckEvery)
+	o := &observer{cancel: cancel}
 	n := &naive{remapper: r, seenStack: make([][]int, r.layout.NumLogical())}
 	r.frontCheck = func(front []int) {
 		o.fronts++
 		n.starved = false
 		want := n.computeFrontNaive()
+		o.front2q = r.twoQubit(front)
+		o.lookSet = slices.Clone(n.lookSet)
 		switch {
 		case n.starved:
 			o.fail("front %d: the naive scan starves", o.fronts)
 		case !slices.Equal(front, want):
 			o.fail("front %d: incremental %v, naive %v", o.fronts, front, want)
-		case !slices.Equal(r.lookSet, n.lookSet):
-			o.fail("front %d: look-ahead set incremental %v, naive %v", o.fronts, r.lookSet, n.lookSet)
+		case !slices.Equal(r.f.lookSet(), n.lookSet):
+			o.fail("front %d: look-ahead set incremental %v, naive %v", o.fronts, r.f.lookSet(), n.lookSet)
 		}
 	}
 	r.pickCheck = func(cands []swapCand, best int, progress bool) {
 		o.picks++
-		if err := checkPick(r, cands, best, progress); err != nil {
+		if err := checkPick(r, cands, best, progress, o.front2q, o.lookSet); err != nil {
 			o.fail("pick %d: %v", o.picks, err)
 		}
 	}
@@ -320,29 +366,42 @@ func liveTop(r *remapper, t, next int) error {
 }
 
 // checkPick compares one scorer pick with the rule the naive path applies
-// on the engine's state — in insertSwaps (progress) pickBest, restricted
-// to hop progress on calibrated runs only, whose winner launches when its
-// hop Hbasic is positive; in forceSwap pickBest unrestricted — and every
-// part the scorer's cache holds as valid, on every coupler and not only
-// the candidates, with its from-scratch value: Hbasic under both metrics
-// and Hlook exactly, Hfine up to the round's constant Σ|VD−HD| of the
-// unswapped front. A missed invalidation shows up here even when it does
-// not change the pick.
-func checkPick(r *remapper, cands []swapCand, best int, progress bool) error {
+// on the engine's state, over the two-qubit gates front2q of the observed
+// front and the reference look-ahead set lookSet — in insertSwaps
+// (progress) pickBest, restricted to hop progress on calibrated runs only,
+// whose winner launches when its hop Hbasic is positive; in forceSwap
+// pickBest unrestricted. It then checks the scorer's own view of the two
+// sets: every physical qubit's incidence lists must hold exactly the set
+// gates at that qubit, so a set change the frontier failed to report shows
+// at the first pick after it. Last, it compares every part the scorer's
+// cache holds as valid, on every coupler and not only the candidates, with
+// its from-scratch value: Hbasic under both metrics and Hlook exactly,
+// Hfine up to the round's constant Σ|VD−HD| of the unswapped front. A
+// missed invalidation shows up here even when it does not change the pick.
+func checkPick(r *remapper, cands []swapCand, best int, progress bool, front2q, lookSet []int) error {
 	want := -1
 	if progress {
-		if b, hb, _ := r.pickBest(cands, r.front2q, r.weighted); hb > 0 {
+		if b, hb, _ := r.pickBest(cands, front2q, lookSet, r.weighted); hb > 0 {
 			want = b
 		}
 	} else {
-		want, _, _ = r.pickBest(cands, r.front2q, false)
+		want, _, _ = r.pickBest(cands, front2q, lookSet, false)
 	}
 	if best != want {
 		return fmt.Errorf("scorer picked %d, the reference %d of %v", best, want, cands)
 	}
+	if r.sc.n2q != len(front2q) {
+		return fmt.Errorf("scorer counts %d two-qubit front gates, the reference %d", r.sc.n2q, len(front2q))
+	}
+	if err := checkIncidence(r, r.sc.inc2q, front2q); err != nil {
+		return fmt.Errorf("front incidence: %v", err)
+	}
+	if err := checkIncidence(r, r.sc.incLook, lookSet); err != nil {
+		return fmt.Errorf("look-ahead incidence: %v", err)
+	}
 	shift := 0
 	if r.sc.wantFine {
-		for _, i := range r.front2q {
+		for _, i := range front2q {
 			q1, q2 := r.soa.Pair(i)
 			shift += fineDiff(r.dev, r.layout.Phys(q1), r.layout.Phys(q2))
 		}
@@ -351,20 +410,43 @@ func checkPick(r *remapper, cands []swapCand, best int, progress bool) error {
 		c := swapCand{a: e[0], b: e[1], edge: id}
 		got, valid := r.sc.parts[id], r.sc.valid[id]
 		if valid&basicValid != 0 {
-			if hb, hop := r.hBasic(c, r.front2q, r.distTab), r.hBasic(c, r.front2q, r.hopTab); got.hb != hb || got.hop != hop {
+			if hb, hop := r.hBasic(c, front2q, r.distTab), r.hBasic(c, front2q, r.hopTab); got.hb != hb || got.hop != hop {
 				return fmt.Errorf("edge %v: cached Hbasic %d/%d, reference %d/%d", e, got.hb, got.hop, hb, hop)
 			}
 		}
 		if valid&lookValid != 0 {
-			if hl := r.hLook(c); got.hl != hl {
+			if hl := r.hLook(c, lookSet); got.hl != hl {
 				return fmt.Errorf("edge %v: cached Hlook %d, reference %d", e, got.hl, hl)
 			}
 		}
 		if valid&fineValid != 0 {
-			if hf := r.hFine(c, r.front2q) + shift; got.hf != hf {
+			if hf := r.hFine(c, front2q) + shift; got.hf != hf {
 				return fmt.Errorf("edge %v: cached Hfine %d, reference %d", e, got.hf, hf)
 			}
 		}
+	}
+	return nil
+}
+
+// checkIncidence compares the scorer's per-physical-qubit incidence lists
+// inc with the lists set gives under the current layout: each gate of set
+// at both of its physical endpoints, and nothing else (the lists hold no
+// more entries than that).
+func checkIncidence(r *remapper, inc [][]int32, set []int) error {
+	for _, i := range set {
+		q1, q2 := r.soa.Pair(i)
+		for _, p := range [2]int{r.layout.Phys(q1), r.layout.Phys(q2)} {
+			if !slices.Contains(inc[p], int32(i)) {
+				return fmt.Errorf("gate %d is missing at physical qubit %d", i, p)
+			}
+		}
+	}
+	n := 0
+	for _, l := range inc {
+		n += len(l)
+	}
+	if n != 2*len(set) {
+		return fmt.Errorf("%d entries for %d gates", n, len(set))
 	}
 	return nil
 }
@@ -396,7 +478,7 @@ func newStreakRemapper(c *circuit.Circuit, dev *arch.Device, initial *arch.Layou
 
 // remapObserved maps c as Remap does, on the engine of newStreakRemapper,
 // with every reference observing the run. Its error is the first
-// divergence, if any.
+// divergence, if any; the run stops soon after it (observe).
 func remapObserved(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Options, streak int) (*Result, error) {
 	r, err := newStreakRemapper(c, dev, initial, opts, streak)
 	if err != nil {

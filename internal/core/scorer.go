@@ -1,7 +1,5 @@
 package core
 
-import "codar/internal/circuit"
-
 // scorer is the delta-scoring engine for the SWAP-candidate search
 // (DESIGN.md §6). The reference selection (pickBest in reference_test.go,
 // which the equivalence tests compare every pick with) recomputes
@@ -26,27 +24,22 @@ import "codar/internal/circuit"
 //     gate incident to that edge enters or leaves its set, or a launched
 //     SWAP moves one of its incident gates' operands.
 //
-// The remapper reports set changes through sync (diffing the freshly
-// computed front2q/lookSet against the scorer's mirror) and layout changes
-// through noteSwap; both dirty exactly the parts whose incident terms
-// changed. Selection order and tie-breaking are pickBest's, which the pick
-// observer of the equivalence tests checks at every pick.
+// The frontier reports each set change as it happens — a two-qubit gate
+// joining the front or launched from it (enter2q, leave2q), a gate joining
+// or leaving the look-ahead set (enterLook, leaveLook) — and the remapper
+// reports layout changes through noteSwap; each dirties exactly the parts
+// whose incident terms changed. Selection order and tie-breaking are
+// pickBest's, which the pick observer of the equivalence tests checks at
+// every pick.
 type scorer struct {
 	r *remapper
 
-	// Per-physical-qubit incidence lists of the mirrored two-qubit front
-	// (inc2q) and look-ahead (incLook) gates, plus the membership flags and
-	// flat mirrors used by the sync diff.
+	// Per-physical-qubit incidence lists of the two-qubit front (inc2q)
+	// and look-ahead (incLook) gates, and the number of two-qubit front
+	// gates (the frontier counts the look-ahead set).
 	inc2q   [][]int32
 	incLook [][]int32
-	in2q    []bool
-	inLook  []bool
-	mir2q   []int32
-	mirLook []int32
-
-	// Epoch stamps for the sync diff (per gate index).
-	seen      []int32
-	seenEpoch int32
+	n2q     int
 
 	// Cached per-edge score parts, each with its own validity bit in valid
 	// (cleared by dirtyAround), so a look-ahead change leaves Hbasic cached.
@@ -89,20 +82,14 @@ func newScorer(r *remapper) *scorer {
 	}
 }
 
-// load empties the mirrored sets and the score cache for the remapper's
-// current gates, reusing the memory of the previous load.
+// load empties both sets and the score cache, reusing the memory of the
+// previous load.
 func (s *scorer) load() {
-	n := len(s.r.gates)
-	s.in2q = circuit.Reuse(s.in2q, n)
-	s.inLook = circuit.Reuse(s.inLook, n)
-	s.seen = circuit.Reuse(s.seen, n)
-	s.seenEpoch = 0
 	for p := range s.inc2q {
 		s.inc2q[p] = s.inc2q[p][:0]
 		s.incLook[p] = s.incLook[p][:0]
 	}
-	s.mir2q = s.mir2q[:0]
-	s.mirLook = s.mirLook[:0]
+	s.n2q = 0
 	clear(s.valid)
 }
 
@@ -148,37 +135,23 @@ func (s *scorer) unlink(i int32, inc [][]int32, parts uint8) {
 	}
 }
 
-// sync diffs the remapper's freshly computed front2q and lookSet buffers
-// against the mirror, linking entrants, unlinking leavers and dirtying the
-// affected parts. Cost is O(|front2q| + |lookSet|) per cycle — the same as
-// scoring a single candidate naively.
-func (s *scorer) sync() {
-	s.syncSet(s.r.front2q, &s.mir2q, s.in2q, s.inc2q, frontParts)
-	s.syncSet(s.r.lookSet, &s.mirLook, s.inLook, s.incLook, lookValid)
+// enter2q adds two-qubit gate i, which joined the front.
+func (s *scorer) enter2q(i int) {
+	s.n2q++
+	s.link(int32(i), s.inc2q, frontParts)
 }
 
-func (s *scorer) syncSet(cur []int, mirror *[]int32, in []bool, inc [][]int32, parts uint8) {
-	s.seenEpoch++
-	e := s.seenEpoch
-	for _, i := range cur {
-		s.seen[i] = e
-		if !in[i] {
-			in[i] = true
-			s.link(int32(i), inc, parts)
-			*mirror = append(*mirror, int32(i))
-		}
-	}
-	keep := (*mirror)[:0]
-	for _, i := range *mirror {
-		if s.seen[i] == e {
-			keep = append(keep, i)
-			continue
-		}
-		in[i] = false
-		s.unlink(i, inc, parts)
-	}
-	*mirror = keep
+// leave2q removes two-qubit gate i, launched from the front.
+func (s *scorer) leave2q(i int) {
+	s.n2q--
+	s.unlink(int32(i), s.inc2q, frontParts)
 }
+
+// enterLook adds gate i, which joined the look-ahead set.
+func (s *scorer) enterLook(i int) { s.link(int32(i), s.incLook, lookValid) }
+
+// leaveLook removes gate i, which left the look-ahead set.
+func (s *scorer) leaveLook(i int) { s.unlink(int32(i), s.incLook, lookValid) }
 
 // noteSwap records that physical qubits a and b swapped state. All gates
 // with an endpoint at a now have it at b and vice versa, so the two
@@ -301,7 +274,7 @@ func (s *scorer) pick(cands []swapCand, progress bool) int {
 			ties = append(ties, int32(k))
 		}
 	}
-	if len(ties) > 1 && len(s.r.lookSet) > 0 {
+	if len(ties) > 1 && s.r.f.lookCount > 0 {
 		ties = s.narrow(cands, ties, lookValid)
 	}
 	if len(ties) > 1 && s.wantFine {
