@@ -6,6 +6,18 @@ import (
 	"codar/internal/circuit"
 )
 
+// parseSeeds are FuzzParseQASM's seed inputs.
+var parseSeeds = []string{
+	"OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n",
+	"qreg q[2];\nu3(pi/2,0,pi) q[0];\nrz(-1.5e-3) q[1];\ncx q[0],q[1];\n",
+	"qreg q[3];\ngate foo(a) x, y { rz(a) x; cx x, y; }\nfoo(pi/4) q[0], q[2];\n",
+	"qreg q[2];\nbarrier q;\nreset q[0];\nswap q[0],q[1];\n",
+	"include \"qelib1.inc\";\nqreg r[1];\nopaque noise q;\nt r[0];\n",
+	"qreg q[99999999999];\nh q[0];\n",
+	"gate rec a { rec a; }\nqreg q[1];\nrec q[0];\n",
+	"OPENQASM 2.0 qreg q[",
+}
+
 // FuzzParseQASM feeds arbitrary byte strings to the parser. Two invariants:
 // the parser must never panic (malformed input is an error, full stop), and
 // any program it accepts must survive the same pipeline the service runs —
@@ -16,14 +28,9 @@ import (
 //
 //	go test -run FuzzParseQASM -fuzz FuzzParseQASM -fuzztime 30s ./internal/qasm/
 func FuzzParseQASM(f *testing.F) {
-	f.Add("OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n")
-	f.Add("qreg q[2];\nu3(pi/2,0,pi) q[0];\nrz(-1.5e-3) q[1];\ncx q[0],q[1];\n")
-	f.Add("qreg q[3];\ngate foo(a) x, y { rz(a) x; cx x, y; }\nfoo(pi/4) q[0], q[2];\n")
-	f.Add("qreg q[2];\nbarrier q;\nreset q[0];\nswap q[0],q[1];\n")
-	f.Add("include \"qelib1.inc\";\nqreg r[1];\nopaque noise q;\nt r[0];\n")
-	f.Add("qreg q[99999999999];\nh q[0];\n")
-	f.Add("gate rec a { rec a; }\nqreg q[1];\nrec q[0];\n")
-	f.Add("OPENQASM 2.0 qreg q[")
+	for _, src := range parseSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(src) // must not panic; errors are fine
 		if err != nil {
@@ -63,6 +70,20 @@ func FuzzParseQASM(f *testing.F) {
 	})
 }
 
+// streamSeeds are FuzzStreamQASM's seed inputs.
+var streamSeeds = []string{
+	"OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n",
+	"qreg q[3];\ncx\n  q[0],\n  q[2];\n",
+	"OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0];\r\ncx q[0],q[1];",
+	"qreg q[2];\ngate foo(t) a, b { rz(t) a; cx a, b; }\nfoo(pi/4) q[0], q[1];\n",
+	"qreg q[2];\nh q[0];\ncx q[0];\n",                // arity error after a gate
+	"qreg q[2];\nh q[0];\n\"unterminated\nh q[1];\n", // lex error after a gate
+	"qreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\nif (c == 1) x q[1];\n",
+	"include \"qelib1.inc\";\nqreg r[1];\nopaque noise q;\nt r[0];\n",
+	"gate rec A{}qreg q[1];rec q;", // past FuzzParseQASM crasher
+	"OPENQASM 2.0 qreg q[",
+}
+
 // FuzzStreamQASM differentially fuzzes the streaming front end against the
 // batch parser: for every input, Stream and Parse must reach the same
 // accept/reject verdict, and on accept the stream must yield the identical
@@ -76,16 +97,9 @@ func FuzzParseQASM(f *testing.F) {
 //
 //	go test -run FuzzStreamQASM -fuzz FuzzStreamQASM -fuzztime 30s ./internal/qasm/
 func FuzzStreamQASM(f *testing.F) {
-	f.Add("OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n")
-	f.Add("qreg q[3];\ncx\n  q[0],\n  q[2];\n")
-	f.Add("OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0];\r\ncx q[0],q[1];")
-	f.Add("qreg q[2];\ngate foo(t) a, b { rz(t) a; cx a, b; }\nfoo(pi/4) q[0], q[1];\n")
-	f.Add("qreg q[2];\nh q[0];\ncx q[0];\n")                // arity error after a gate
-	f.Add("qreg q[2];\nh q[0];\n\"unterminated\nh q[1];\n") // lex error after a gate
-	f.Add("qreg q[2];\ncreg c[1];\nmeasure q[0] -> c[0];\nif (c == 1) x q[1];\n")
-	f.Add("include \"qelib1.inc\";\nqreg r[1];\nopaque noise q;\nt r[0];\n")
-	f.Add("gate rec A{}qreg q[1];rec q;") // past FuzzParseQASM crasher
-	f.Add("OPENQASM 2.0 qreg q[")
+	for _, src := range streamSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		checkStreamMatchesParse(t, src)
 	})

@@ -77,6 +77,14 @@ func TestLexMatchesReference(t *testing.T) {
 	}
 }
 
+// lexSeeds are FuzzLexQASM's seed inputs.
+var lexSeeds = []string{
+	"OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n",
+	"rz(-1.5e-3) q[1]; u2(2e,3E+) q[0]; c == 1 -> d",
+	"include \"qelib1.inc\";\n// comment\r\n\"open",
+	"h q[0]; @ \xc0\xff",
+}
+
 // FuzzLexQASM differentially fuzzes the buffered byte lexer against the
 // reference lexer (reflexer_test.go) — the check FuzzStreamQASM can no
 // longer make, since Parse and Stream now share the lexer.
@@ -85,10 +93,9 @@ func TestLexMatchesReference(t *testing.T) {
 //
 //	go test -run FuzzLexQASM -fuzz FuzzLexQASM -fuzztime 30s ./internal/qasm/
 func FuzzLexQASM(f *testing.F) {
-	f.Add("OPENQASM 2.0;\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\nmeasure q -> c;\n")
-	f.Add("rz(-1.5e-3) q[1]; u2(2e,3E+) q[0]; c == 1 -> d")
-	f.Add("include \"qelib1.inc\";\n// comment\r\n\"open")
-	f.Add("h q[0]; @ \xc0\xff")
+	for _, src := range lexSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		checkLexMatchesReference(t, src)
 	})
