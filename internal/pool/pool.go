@@ -104,6 +104,13 @@ func RunCtx(ctx context.Context, n, workers int, job func(i int)) error {
 	}
 dispatch:
 	for i := 0; i < n; i++ {
+		// A select with both cases ready picks one at random, so the dead
+		// context is checked on its own before every send.
+		select {
+		case <-done:
+			break dispatch
+		default:
+		}
 		select {
 		case next <- i:
 		case <-done:
