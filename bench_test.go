@@ -12,6 +12,7 @@ package codar
 // measured for each.
 
 import (
+	"runtime"
 	"testing"
 
 	"codar/internal/arch"
@@ -333,16 +334,35 @@ func BenchmarkNoisyTrajectory(b *testing.B) {
 	}
 }
 
-// BenchmarkQASMParse times the OpenQASM frontend on the emitted QFT-16.
+// BenchmarkQASMParse times the OpenQASM front end over every suite
+// circuit as Write renders it (the texts fig8-suite parses), and reports
+// the time and the bytes allocated per parsed gate.
 func BenchmarkQASMParse(b *testing.B) {
-	src := qasm.Write(workloads.QFT(16))
-	b.SetBytes(int64(len(src)))
+	var srcs []string
+	gates, size := 0, 0
+	for _, bench := range workloads.Suite() {
+		c := bench.Circuit()
+		src := qasm.Write(c)
+		srcs = append(srcs, src)
+		gates += c.Len()
+		size += len(src)
+	}
+	b.SetBytes(int64(size))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := qasm.Parse(src); err != nil {
-			b.Fatal(err)
+		for _, src := range srcs {
+			if _, err := qasm.Parse(src); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	parsed := float64(b.N) * float64(gates)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/parsed, "ns/gate")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/parsed, "B/gate")
 }
 
 // BenchmarkSABREInitialLayout times the shared reverse-traversal
