@@ -25,14 +25,24 @@ func New(n int) *Circuit { return &Circuit{NumQubits: n} }
 // NewNamed creates an empty named circuit over n qubits.
 func NewNamed(name string, n int) *Circuit { return &Circuit{Name: name, NumQubits: n} }
 
-// Add appends a gate after validating it against the circuit size.
-// It returns the circuit to allow chaining.
+// Add appends a gate after validating it against the circuit size, and
+// panics where Append returns an error. It returns the circuit to allow
+// chaining.
 func (c *Circuit) Add(g Gate) *Circuit {
-	if err := c.check(g); err != nil {
+	if err := c.Append(g); err != nil {
 		panic(err)
 	}
-	c.Gates = append(c.Gates, g)
 	return c
+}
+
+// Append validates a gate against the circuit size and appends it. An
+// invalid gate is not appended; its error is returned.
+func (c *Circuit) Append(g Gate) error {
+	if err := c.check(g); err != nil {
+		return err
+	}
+	c.Gates = append(c.Gates, g)
+	return nil
 }
 
 // check validates the gate and its indices against the circuit.

@@ -7,6 +7,7 @@ package circuit
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Op identifies a quantum operation kind. The set covers the gates used by
@@ -127,31 +128,79 @@ func (o Op) SingleQubit() bool { return o.Unitary() && o.NumQubits() == 1 }
 // TwoQubit reports whether the op is a unitary acting on exactly two qubits.
 func (o Op) TwoQubit() bool { return o.Unitary() && o.NumQubits() == 2 }
 
-// OpByName resolves an OpenQASM mnemonic (e.g. "cx", "u3") to its Op.
-// It also accepts the common aliases "cnot" (cx), "p"/"phase" (u1),
-// "u" (u3), "tof"/"toffoli" (ccx) and "cphase"/"cu1" (cp).
+// OpByName resolves an OpenQASM mnemonic (e.g. "cx", "u3") to its Op,
+// ignoring case. It also accepts the common aliases "cnot" (cx),
+// "p"/"phase" (u1), "u" (u3), "tof"/"toffoli" (ccx), "cphase"/"cu1" (cp)
+// and "xx"/"ms" (rxx).
 func OpByName(name string) (Op, bool) {
-	name = strings.ToLower(name)
-	switch name {
-	case "cnot":
-		return OpCX, true
-	case "p", "phase":
-		return OpU1, true
-	case "u":
-		return OpU3, true
-	case "tof", "toffoli":
-		return OpCCX, true
-	case "cphase", "cu1":
-		return OpCP, true
-	case "xx", "ms":
-		return OpRXX, true
+	k, ascii := opKey(name)
+	if !ascii {
+		// Unicode lower-casing maps some non-ASCII letters to ASCII ones
+		// (U+0130 to 'i'), so such a name is folded first.
+		k, _ = opKey(strings.ToLower(name))
 	}
-	for o := Op(0); o < numOps; o++ {
-		if opTable[o].name == name {
-			return o, true
+	if k != 0 {
+		for i := opSlot(k); opNames[i].key != 0; i = (i + 1) % len(opNames) {
+			if opNames[i].key == k {
+				return opNames[i].op, true
+			}
 		}
 	}
 	return OpID, false
+}
+
+// opKey packs a name of one to 8 ASCII bytes, none of them NUL, lower-cased
+// into a word; any other name packs to 0, the key of no name OpByName
+// accepts. ascii reports whether the name is all ASCII.
+func opKey(name string) (k uint64, ascii bool) {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return 0, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c == 0 || i == 8 {
+			k = 0
+			break
+		}
+		k |= uint64(c) << (8 * i)
+	}
+	return k, true
+}
+
+// opNames is an open-addressed hash table of every name OpByName accepts,
+// by key, built at init.
+var opNames [64]struct {
+	key uint64
+	op  Op
+}
+
+func opSlot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> 58) }
+
+func init() {
+	aliases := []struct {
+		name string
+		op   Op
+	}{
+		{"cnot", OpCX}, {"p", OpU1}, {"phase", OpU1}, {"u", OpU3}, {"tof", OpCCX}, {"toffoli", OpCCX},
+		{"cphase", OpCP}, {"cu1", OpCP}, {"xx", OpRXX}, {"ms", OpRXX},
+	}
+	for o := Op(0); o < numOps; o++ {
+		aliases = append(aliases, struct {
+			name string
+			op   Op
+		}{opTable[o].name, o})
+	}
+	for _, a := range aliases {
+		k, _ := opKey(a.name)
+		i := opSlot(k)
+		for opNames[i].key != 0 {
+			i = (i + 1) % len(opNames)
+		}
+		opNames[i].key, opNames[i].op = k, a.op
+	}
 }
 
 // Gate is a single operation applied to specific qubits. Qubit indices are

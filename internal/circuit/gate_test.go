@@ -69,6 +69,14 @@ func TestOpByName(t *testing.T) {
 		{"tof", OpCCX, true},
 		{"frobnicate", OpID, false},
 		{"", OpID, false},
+		{"BaRrIeR", OpBarrier, true},
+		{"MS", OpRXX, true},
+		{"Toffoli", OpCCX, true},
+		{"toffolii", OpID, false},
+		{"x\x00", OpID, false},
+		{"\x00", OpID, false},
+		{"cx\xff", OpID, false},
+		{"\u0130d", OpID, true}, // Unicode lower-casing maps U+0130 to 'i'
 	}
 	for _, tc := range cases {
 		got, ok := OpByName(tc.in)

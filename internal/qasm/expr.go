@@ -8,9 +8,10 @@ import (
 
 // expr is a parameter expression (e.g. "pi/4", "-3*theta/2") as a flat
 // node slice: children are appended before their parent and addressed by
-// index. A top-level parameter parses into the parser's reused scratch and
-// is evaluated at once; a gate body keeps its statements' expressions and
-// evaluates them against each application's parameter bindings.
+// index, so a parameter's root is its last node. A top-level parameter
+// parses into the parser's reused scratch and is evaluated at once; a gate
+// body keeps its statements' expressions and evaluates them against each
+// application's parameter bindings.
 type expr []exprNode
 
 // exprNode is one node of an expression.
@@ -45,60 +46,55 @@ func (b bindings) lookup(name string) (float64, bool) {
 	return 0, false
 }
 
-// value evaluates the expression rooted at node i and rejects a
-// non-finite result: the text form has no literal for ±Inf or NaN, so a
-// program whose parameter overflows could not be written back out.
-func (e expr) value(i int32, env bindings) (float64, error) {
-	v, err := e.eval(i, env)
-	if err != nil {
-		return 0, err
+// value evaluates the expression in e[lo:root+1], one parameter's nodes,
+// and rejects a non-finite result: the text form has no literal for ±Inf
+// or NaN, so a program whose parameter overflows could not be written back
+// out. Operands precede their node, so one forward pass computes every
+// node from values already computed, with no recursion, and meets the
+// nodes, and so the errors, in the order a depth-first walk would.
+func (p *parser) value(e expr, lo, root int32, env bindings) (float64, error) {
+	if n := int(root) + 1; len(p.vals) < n {
+		p.vals = make([]float64, max(n, 2*len(p.vals)))
 	}
-	if math.IsInf(v, 0) || math.IsNaN(v) {
+	vals := p.vals
+	for i := lo; i <= root; i++ {
+		n := &e[i]
+		var v float64
+		switch n.op {
+		case exprNum:
+			v = n.num
+		case exprVar:
+			var ok bool
+			if v, ok = env.lookup(n.name); !ok {
+				return 0, fmt.Errorf("unbound parameter %q", n.name)
+			}
+		case exprNeg:
+			v = -vals[n.x]
+		case exprCall:
+			var err error
+			if v, err = call(n.name, vals[n.x]); err != nil {
+				return 0, err
+			}
+		case '+':
+			v = vals[n.x] + vals[n.y]
+		case '-':
+			v = vals[n.x] - vals[n.y]
+		case '*':
+			v = vals[n.x] * vals[n.y]
+		case '/':
+			if vals[n.y] == 0 {
+				return 0, fmt.Errorf("division by zero")
+			}
+			v = vals[n.x] / vals[n.y]
+		default: // '^'
+			v = math.Pow(vals[n.x], vals[n.y])
+		}
+		vals[i] = v
+	}
+	if v := vals[root]; math.IsInf(v, 0) || math.IsNaN(v) {
 		return 0, fmt.Errorf("parameter evaluates to %v", v)
 	}
-	return v, nil
-}
-
-func (e expr) eval(i int32, env bindings) (float64, error) {
-	n := &e[i]
-	switch n.op {
-	case exprNum:
-		return n.num, nil
-	case exprVar:
-		if v, ok := env.lookup(n.name); ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("unbound parameter %q", n.name)
-	}
-	x, err := e.eval(n.x, env)
-	if err != nil {
-		return 0, err
-	}
-	switch n.op {
-	case exprNeg:
-		return -x, nil
-	case exprCall:
-		return call(n.name, x)
-	}
-	y, err := e.eval(n.y, env)
-	if err != nil {
-		return 0, err
-	}
-	switch n.op {
-	case '+':
-		return x + y, nil
-	case '-':
-		return x - y, nil
-	case '*':
-		return x * y, nil
-	case '/':
-		if y == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return x / y, nil
-	default: // '^'
-		return math.Pow(x, y), nil
-	}
+	return vals[root], nil
 }
 
 // call applies the named built-in function.
@@ -162,8 +158,8 @@ func (p *parser) parseAdditive() (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p.peekSymbol("+") || p.peekSymbol("-") {
-		op := p.take().text[0]
+	for p.peekSymbol('+') || p.peekSymbol('-') {
+		op := p.take().sym
 		r, err := p.parseMultiplicative()
 		if err != nil {
 			return 0, err
@@ -178,8 +174,8 @@ func (p *parser) parseMultiplicative() (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	for p.peekSymbol("*") || p.peekSymbol("/") {
-		op := p.take().text[0]
+	for p.peekSymbol('*') || p.peekSymbol('/') {
+		op := p.take().sym
 		r, err := p.parseUnary()
 		if err != nil {
 			return 0, err
@@ -191,17 +187,26 @@ func (p *parser) parseMultiplicative() (int32, error) {
 
 // parseUnary binds looser than ^ so that -2^2 == -(2^2), matching the
 // usual mathematical convention. Unary plus is the identity and adds no
-// node.
+// node. Every level of nesting (a sign, an exponent, parentheses or a
+// function call) passes through here, so this is where the depth is
+// capped.
 func (p *parser) parseUnary() (int32, error) {
-	if p.peekSymbol("-") || p.peekSymbol("+") {
-		neg := p.take().text[0] == '-'
-		x, err := p.parseUnary()
-		if err != nil || !neg {
-			return x, err
-		}
-		return p.node(exprNode{op: exprNeg, x: x}), nil
+	if p.depth == maxExprDepth {
+		return 0, fmt.Errorf("qasm: line %d: expression nested deeper than %d levels", p.peek().line, maxExprDepth)
 	}
-	return p.parsePower()
+	p.depth++
+	var x int32
+	var err error
+	if p.peekSymbol('-') || p.peekSymbol('+') {
+		neg := p.take().sym == '-'
+		if x, err = p.parseUnary(); err == nil && neg {
+			x = p.node(exprNode{op: exprNeg, x: x})
+		}
+	} else {
+		x, err = p.parsePower()
+	}
+	p.depth--
+	return x, err
 }
 
 func (p *parser) parsePower() (int32, error) {
@@ -209,7 +214,7 @@ func (p *parser) parsePower() (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p.peekSymbol("^") {
+	if p.peekSymbol('^') {
 		p.take()
 		// Right associative; the exponent may carry its own unary sign.
 		r, err := p.parseUnary()
@@ -237,26 +242,26 @@ func (p *parser) parsePrimary() (int32, error) {
 		if !ok {
 			return p.node(exprNode{op: exprVar, name: string(t.text)}), nil
 		}
-		if err := p.expectSymbol("("); err != nil {
+		if err := p.expectSymbol('('); err != nil {
 			return 0, err
 		}
 		x, err := p.parseExpr()
 		if err != nil {
 			return 0, err
 		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectSymbol(')'); err != nil {
 			return 0, err
 		}
 		return p.node(exprNode{op: exprCall, name: fn, x: x}), nil
-	case t.kind == tokSymbol && string(t.text) == "(":
+	case t.sym == '(':
 		x, err := p.parseExpr()
 		if err != nil {
 			return 0, err
 		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectSymbol(')'); err != nil {
 			return 0, err
 		}
 		return x, nil
 	}
-	return 0, fmt.Errorf("qasm: line %d: unexpected token %s in expression", t.line, t)
+	return 0, fmt.Errorf("qasm: line %d: unexpected token %s in expression", t.line, *t)
 }

@@ -16,6 +16,11 @@ var parseSeeds = []string{
 	"qreg q[99999999999];\nh q[0];\n",
 	"gate rec a { rec a; }\nqreg q[1];\nrec q[0];\n",
 	"OPENQASM 2.0 qreg q[",
+	// Small accepted cases of the shapes the parser's bounds stop: doubling
+	// definitions, more registers than the lookup scans, deep nesting.
+	"qreg q[2];\ngate g0 a, b { cx a, b; }\ngate g1 a, b { g0 a, b; g0 b, a; }\ngate g2 a, b { g1 a, b; g1 b, a; }\ng2 q[0], q[1];\n",
+	"qreg a[1];qreg b[1];qreg c[1];qreg d[1];qreg e[1];qreg f[1];qreg g[1];qreg h[1];qreg i[2];creg m[2];\ncx i[1],a[0];\nmeasure i -> m;\n",
+	"qreg q[1];\nrz(-((((((((((1+pi))))))))))^2) q[0];\ngate r(t) a { rz(sin(((((t)))))) a; }\nr(-(-(-1))) q[0];\n",
 }
 
 // FuzzParseQASM feeds arbitrary byte strings to the parser. Two invariants:
@@ -85,9 +90,10 @@ var streamSeeds = []string{
 }
 
 // FuzzStreamQASM differentially fuzzes the streaming front end against the
-// batch parser: for every input, Stream and Parse must reach the same
-// accept/reject verdict, and on accept the stream must yield the identical
-// gate sequence and register totals (checkStreamMatchesParse). Neither side
+// batch parser: for every input, Stream (over the whole source and one
+// byte per Read) and Parse must reach the same verdict with the same error
+// text, and on accept the stream must yield the identical gate sequence
+// and register totals (checkStreamMatchesParse). Neither side
 // may panic. Seeds cover the shapes where the two lexers could plausibly
 // diverge — statements split across lines, CRLF endings, missing trailing
 // newline, errors surfacing after gates have already been emitted — plus

@@ -8,10 +8,11 @@ import (
 	"fmt"
 	"io"
 	"unicode"
+	"unsafe"
 )
 
 // tokenKind classifies lexer tokens.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -20,6 +21,21 @@ const (
 	tokString // "..."
 	tokSymbol // punctuation and operators
 )
+
+// A symbol token carries one byte in token.sym: the symbol itself for the
+// one-byte symbols, and these for the two-byte ones.
+const (
+	symArrow byte = '>' // "->"
+	symEqual byte = '!' // "=="
+)
+
+// symText returns the source text of a symbol the parser expects.
+func symText(sym byte) string {
+	if sym == symArrow {
+		return "->"
+	}
+	return string(rune(sym))
+}
 
 // lexBufSize is the lexer's buffer size for stream input. It is what
 // bounds the lexer's memory: whitespace and comments of any length stream
@@ -42,11 +58,12 @@ const maxEmptyReads = 100
 // token is one lexical unit with its source line for diagnostics. text is
 // a view into the lexer's buffer (for strings, without the quotes): it is
 // valid only until the next call to next, so a parser that keeps a name
-// past that copies it.
+// past that copies it. sym is a symbol's byte, and zero for other kinds.
 type token struct {
 	kind tokenKind
-	text []byte
+	sym  byte
 	line int
+	text []byte
 }
 
 func (t token) String() string {
@@ -79,17 +96,20 @@ func isSymbol(c byte) bool {
 	return false
 }
 
-// lexer scans OpenQASM source from a reader through one fixed buffer, for
-// both Parse and Stream. No token spans a newline, but lines may be any
-// length: the buffer holds only the token being scanned, so memory is
-// bounded by the buffer, not by the input. Errors are sticky.
+// lexer scans OpenQASM source, for both Parse and Stream. A stream is read
+// through one fixed buffer: no token spans a newline, but lines may be any
+// length, and the buffer holds only the token being scanned, so memory is
+// bounded by the buffer, not by the input. Parse's source is the buffer
+// itself. Errors are sticky.
 type lexer struct {
 	r   io.Reader
 	buf []byte
 	// The current token starts at tok; pos is the scan position and
 	// buf[pos:end] is read but not yet scanned. A refill keeps
-	// buf[tok:end] and discards everything before it.
+	// buf[tok:end] and discards everything before it; base counts the
+	// bytes discarded so far.
 	tok, pos, end int
+	base          int
 	eof           bool
 	err           error
 	line          int
@@ -102,6 +122,16 @@ func newLexer(r io.Reader, size int) *lexer {
 	return &lexer{r: r, buf: make([]byte, size), line: 1}
 }
 
+// newSourceLexer returns a lexer over src held whole. Its buffer is src's
+// own bytes, which it only reads: a lexer that starts at the end of its
+// input never refills, and a refill is the only write to the buffer.
+func newSourceLexer(src string) *lexer {
+	return &lexer{buf: unsafe.Slice(unsafe.StringData(src), len(src)), end: len(src), eof: true, line: 1}
+}
+
+// offset returns how many bytes of input lie before the scan position.
+func (l *lexer) offset() int { return l.base + l.pos }
+
 // refill reads more input into the buffer after moving the current token
 // to its front. It reports whether new bytes arrived; at end of input or on
 // a read error it reports false, leaving the error in l.err.
@@ -112,6 +142,7 @@ func (l *lexer) refill() bool {
 	if l.tok > 0 {
 		l.end = copy(l.buf, l.buf[l.tok:l.end])
 		l.pos -= l.tok
+		l.base += l.tok
 		l.tok = 0
 	}
 	if l.end == len(l.buf) {
@@ -148,24 +179,19 @@ func (l *lexer) has(k int) bool {
 	return true
 }
 
-// fail records the lexer's terminal error.
-func (l *lexer) fail(err error) (token, error) {
+// fail records the lexer's terminal error and ends the token stream.
+func (l *lexer) fail(t *token, err error) {
 	l.err = err
-	return token{}, err
+	*t = token{line: l.line}
 }
 
-// next returns the next token, skipping whitespace and // comments.
-func (l *lexer) next() (token, error) {
-	for {
-		if l.err != nil {
-			return token{}, l.err
-		}
+// next scans the next token into t, skipping whitespace and // comments.
+// After an error, t is end of input and l.err holds the error.
+func (l *lexer) next(t *token) {
+	for l.err == nil {
 		l.tok = l.pos
-		if !l.has(0) {
-			if l.err != nil {
-				return token{}, l.err
-			}
-			return token{kind: tokEOF, line: l.line}, nil
+		if l.pos >= l.end && !l.has(0) {
+			break
 		}
 		c := l.buf[l.pos]
 		switch {
@@ -180,57 +206,67 @@ func (l *lexer) next() (token, error) {
 				l.tok = l.pos
 			}
 		default:
-			return l.scan(c)
+			l.scan(t, c)
+			return
 		}
 	}
+	*t = token{line: l.line}
 }
 
-// scan reads the token starting with c at the scan position.
-func (l *lexer) scan(c byte) (token, error) {
-	kind := tokSymbol
+// scan reads the token starting with c at the scan position into t.
+func (l *lexer) scan(t *token, c byte) {
+	kind, sym := tokSymbol, c
 	switch {
 	case identStart[c]:
-		kind = tokIdent
+		kind, sym = tokIdent, 0
 		l.pos++
-		for l.pos-l.tok <= maxToken && l.has(0) && identPart[l.buf[l.pos]] {
+		for l.pos-l.tok <= maxToken && (l.pos < l.end || l.has(0)) && identPart[l.buf[l.pos]] {
 			l.pos++
 		}
 	case isDigit(c) || (c == '.' && l.has(1) && isDigit(l.buf[l.pos+1])):
-		kind = tokNumber
+		kind, sym = tokNumber, 0
 		l.scanNumber()
 	case c == '"':
-		kind = tokString
+		kind, sym = tokString, 0
 		l.pos++
 		for l.pos-l.tok <= maxToken && l.has(0) && l.buf[l.pos] != '"' {
 			if l.buf[l.pos] == '\n' {
-				return l.fail(fmt.Errorf("qasm: line %d: unterminated string", l.line))
+				l.fail(t, fmt.Errorf("qasm: line %d: unterminated string", l.line))
+				return
 			}
 			l.pos++
 		}
 		if l.err == nil && l.pos-l.tok <= maxToken {
 			if !l.has(0) {
-				return l.fail(fmt.Errorf("qasm: line %d: unterminated string", l.line))
+				l.fail(t, fmt.Errorf("qasm: line %d: unterminated string", l.line))
+				return
 			}
 			l.pos++ // closing quote
 		}
-	case (c == '-' && l.has(1) && l.buf[l.pos+1] == '>') || (c == '=' && l.has(1) && l.buf[l.pos+1] == '='):
+	case c == '-' && l.has(1) && l.buf[l.pos+1] == '>':
+		sym = symArrow
+		l.pos += 2
+	case c == '=' && l.has(1) && l.buf[l.pos+1] == '=':
+		sym = symEqual
 		l.pos += 2
 	case isSymbol(c):
 		l.pos++
 	default:
-		return l.fail(fmt.Errorf("qasm: line %d: unexpected character %q", l.line, c))
+		l.fail(t, fmt.Errorf("qasm: line %d: unexpected character %q", l.line, c))
+		return
 	}
 	if l.err != nil {
-		return token{}, l.err
+		*t = token{line: l.line}
+		return
 	}
 	if l.pos-l.tok > maxToken {
-		return l.fail(fmt.Errorf("qasm: line %d: %w", l.line, ErrTokenTooLong))
+		l.fail(t, fmt.Errorf("qasm: line %d: %w", l.line, ErrTokenTooLong))
+		return
 	}
-	t := token{kind: kind, text: l.buf[l.tok:l.pos], line: l.line}
+	t.kind, t.sym, t.line, t.text = kind, sym, l.line, l.buf[l.tok:l.pos]
 	if kind == tokString {
 		t.text = t.text[1 : len(t.text)-1]
 	}
-	return t, nil
 }
 
 // scanNumber consumes an integer or real literal (with optional exponent).

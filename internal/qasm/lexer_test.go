@@ -21,10 +21,10 @@ func tokenize(src string) ([]refToken, error) {
 func lexAll(r io.Reader, bufSize int) ([]refToken, error) {
 	l := newLexer(r, bufSize)
 	var out []refToken
+	var t token
 	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+		if l.next(&t); l.err != nil {
+			return nil, l.err
 		}
 		out = append(out, refToken{kind: t.kind, text: string(t.text), line: t.line})
 		if t.kind == tokEOF {
@@ -159,10 +159,10 @@ func TestLexLongLineBoundedByBuffer(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	l := newLexer(r, lexBufSize)
 	toks := 0
+	var tk token
 	for {
-		tk, err := l.next()
-		if err != nil {
-			t.Fatal(err)
+		if l.next(&tk); l.err != nil {
+			t.Fatal(l.err)
 		}
 		if tk.kind == tokEOF {
 			break

@@ -2,7 +2,6 @@ package qasm
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -20,11 +19,29 @@ const maxInlineDepth = 100
 // beyond any device in the registry.
 const maxQubits = 1 << 16
 
+// workBase bounds what a program may cost beyond its length: by any point
+// of the input, the gates emitted plus the definitions expanded may not
+// exceed workBase plus one per byte read. Without it, a few hundred bytes
+// of definitions that each apply the previous one twice expand to more
+// gates than memory holds. Parse and Stream count alike, at the byte after
+// each statement, so they reach the same verdict.
+const workBase = 1 << 19
+
+// maxExprDepth bounds the nesting of a parameter expression (parentheses,
+// function calls, unary signs and exponents), which the parser descends
+// recursively.
+const maxExprDepth = 1000
+
+// regScan is the register count up to which lookups scan the declarations;
+// past it they go through an index by name.
+const regScan = 8
+
 // reg is a declared quantum or classical register with its flat offset.
 type reg struct {
-	name   string
-	offset int
-	size   int
+	name    string
+	offset  int
+	size    int
+	quantum bool
 }
 
 // gateDef is a user-defined gate awaiting inline expansion.
@@ -36,9 +53,13 @@ type gateDef struct {
 }
 
 // bodyStmt is one statement inside a gate body: an application of a named
-// gate to formal arguments, or a barrier over formal arguments.
+// gate to formal arguments, or a barrier over formal arguments. A name that
+// denotes a built-in op is resolved when the body is parsed; any other
+// name is looked up among the definitions when the body is expanded.
 type bodyStmt struct {
 	name    string
+	op      circuit.Op
+	builtin bool
 	expr    expr    // the nodes of every parameter expression
 	params  []int32 // the root node of each parameter
 	args    []string
@@ -47,37 +68,48 @@ type bodyStmt struct {
 
 // parser consumes a token stream and builds a circuit.
 type parser struct {
-	lex    *lexer
-	tok    token // one-token lookahead
+	lex *lexer
+	// tok is the one-token lookahead, which the lexer scans in place. A
+	// lexer failure reads as end of input, so the recursive-descent code
+	// needs no per-take error plumbing; every entry point checks lex.err
+	// before trusting an accept.
+	tok    token
 	primed bool
-	// lexErr records a lexer failure. The failing position is masked as EOF
-	// so the recursive-descent code needs no per-take error plumbing; every
-	// entry point checks lexErr before trusting an accept.
-	lexErr error
+	// line is the line of the statement being parsed.
+	line int
 
-	qregs []reg
-	cregs []reg
-	defs  map[string]*gateDef
-	circ  *circuit.Circuit
+	// regs holds the registers of both kinds in declaration order, one
+	// namespace; regIndex indexes them by name once there are more than
+	// regScan. nq and nc are the running qubit and classical-bit totals.
+	regs     []reg
+	regIndex map[string]int
+	nq, nc   int
+	defs     map[string]*gateDef
+	circ     *circuit.Circuit
 	// gates is the gate capacity the circuit reserves when it is created.
 	gates int
+	// work counts the gates emitted and the definitions expanded (see
+	// workBase); depth is the current expression nesting.
+	work  int
+	depth int
 
-	// Scratch reused by every statement: the applied gate's name (kept past
-	// its token), operands, qubits, evaluated parameters (a stack: gate
-	// inlining pushes each body statement's values above its caller's) and
-	// expression nodes.
+	// Scratch reused by every statement: the applied gate's name when it is
+	// not a built-in (kept past its token), operands, qubits, evaluated parameters (a stack: gate
+	// inlining pushes each body statement's values above its caller's),
+	// expression nodes and their values.
 	name   []byte
 	ops    []operand
 	qs     []int
 	params []float64
 	expr   expr
+	vals   []float64
 	// qubits and floats back the slices of the emitted gates.
 	qubits circuit.IntArena
 	floats circuit.FloatArena
 }
 
-func newParser(r io.Reader, bufSize int) *parser {
-	return &parser{lex: newLexer(r, bufSize), defs: make(map[string]*gateDef)}
+func newParser(lex *lexer) *parser {
+	return &parser{lex: lex, defs: make(map[string]*gateDef)}
 }
 
 // Parse compiles OpenQASM 2.0 source into a flat circuit over all declared
@@ -85,9 +117,7 @@ func newParser(r io.Reader, bufSize int) *parser {
 // flattened the same way. include directives are ignored — the standard
 // qelib1 gates are built in, and user-defined gates are inlined.
 func Parse(src string) (*circuit.Circuit, error) {
-	// A source shorter than the stream buffer is read whole; one spare byte
-	// lets the lexer see the end of input.
-	p := newParser(strings.NewReader(src), min(len(src)+1, lexBufSize))
+	p := newParser(newSourceLexer(src))
 	// Reserve the gate slice once: about one gate per statement, and never
 	// more than one per 8 bytes ("x q[0];\n"), so input that fails to parse
 	// reserves no more than a valid input of its length fills.
@@ -98,46 +128,34 @@ func Parse(src string) (*circuit.Circuit, error) {
 	return p.circ, nil
 }
 
-func (p *parser) peek() token {
+// peek returns the lookahead token, scanning it on first use.
+func (p *parser) peek() *token {
 	if !p.primed {
-		t, err := p.lex.next()
-		if err != nil {
-			if p.lexErr == nil {
-				p.lexErr = err
-			}
-			t = token{kind: tokEOF}
-		}
-		p.tok = t
+		p.lex.next(&p.tok)
 		p.primed = true
 	}
-	return p.tok
+	return &p.tok
 }
 
-func (p *parser) take() token { t := p.peek(); p.primed = false; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+// take consumes the lookahead token and returns it; it stays valid until
+// the next peek.
+func (p *parser) take() *token { t := p.peek(); p.primed = false; return t }
+func (p *parser) atEOF() bool  { return p.peek().kind == tokEOF }
 
-func (p *parser) peekSymbol(s string) bool {
-	t := p.peek()
-	return t.kind == tokSymbol && string(t.text) == s
-}
+func (p *parser) peekSymbol(sym byte) bool { return p.peek().sym == sym }
 
-func (p *parser) peekIdent(s string) bool {
-	t := p.peek()
-	return t.kind == tokIdent && string(t.text) == s
-}
-
-func (p *parser) expectSymbol(s string) error {
+func (p *parser) expectSymbol(sym byte) error {
 	t := p.take()
-	if t.kind != tokSymbol || string(t.text) != s {
-		return fmt.Errorf("qasm: line %d: expected %q, found %s", t.line, s, t)
+	if t.sym != sym {
+		return fmt.Errorf("qasm: line %d: expected %q, found %s", t.line, symText(sym), *t)
 	}
 	return nil
 }
 
-func (p *parser) expectIdent() (token, error) {
+func (p *parser) expectIdent() (*token, error) {
 	t := p.take()
 	if t.kind != tokIdent {
-		return t, fmt.Errorf("qasm: line %d: expected identifier, found %s", t.line, t)
+		return t, fmt.Errorf("qasm: line %d: expected identifier, found %s", t.line, *t)
 	}
 	return t, nil
 }
@@ -145,7 +163,7 @@ func (p *parser) expectIdent() (token, error) {
 func (p *parser) expectInt() (int, error) {
 	t := p.take()
 	if t.kind != tokNumber {
-		return 0, fmt.Errorf("qasm: line %d: expected integer, found %s", t.line, t)
+		return 0, fmt.Errorf("qasm: line %d: expected integer, found %s", t.line, *t)
 	}
 	n, err := strconv.Atoi(string(t.text))
 	if err != nil {
@@ -164,8 +182,8 @@ func (p *parser) parseProgram() error {
 			return p.failure(err)
 		}
 	}
-	if p.lexErr != nil {
-		return p.lexErr
+	if p.lex.err != nil {
+		return p.lex.err
 	}
 	return p.finishProgram()
 }
@@ -174,21 +192,21 @@ func (p *parser) parseProgram() error {
 // surfaces as a masked EOF, so report the lexer's error, not the
 // truncated-statement symptom.
 func (p *parser) failure(err error) error {
-	if p.lexErr != nil {
-		return p.lexErr
+	if p.lex.err != nil {
+		return p.lex.err
 	}
 	return err
 }
 
 // parseHeader consumes the optional "OPENQASM 2.0;" prologue.
 func (p *parser) parseHeader() error {
-	if p.peekIdent("OPENQASM") {
+	if t := p.peek(); t.kind == tokIdent && string(t.text) == "OPENQASM" {
 		p.take()
 		t := p.take()
 		if t.kind != tokNumber {
 			return fmt.Errorf("qasm: line %d: expected version number", t.line)
 		}
-		if err := p.expectSymbol(";"); err != nil {
+		if err := p.expectSymbol(';'); err != nil {
 			return err
 		}
 	}
@@ -198,7 +216,7 @@ func (p *parser) parseHeader() error {
 // finishProgram applies the end-of-input rules once all statements parsed.
 func (p *parser) finishProgram() error {
 	if p.circ == nil {
-		if len(p.qregs) == 0 {
+		if p.nq == 0 {
 			return fmt.Errorf("qasm: no quantum register declared")
 		}
 		// Registers but no operations: a legal (empty) program. Materialise
@@ -213,34 +231,28 @@ func (p *parser) ensureCircuit() error {
 	if p.circ != nil {
 		return nil
 	}
-	total := 0
-	for _, r := range p.qregs {
-		total += r.size
-	}
-	if total == 0 {
+	if p.nq == 0 {
 		return fmt.Errorf("qasm: statement before any qreg declaration")
 	}
-	p.circ = circuit.New(total)
+	p.circ = circuit.New(p.nq)
 	p.circ.Gates = make([]circuit.Gate, 0, p.gates)
-	for _, r := range p.cregs {
-		p.circ.NumClbits += r.size
-	}
+	p.circ.NumClbits = p.nc
 	return nil
 }
 
 func (p *parser) parseStatement() error {
 	t := p.peek()
 	if t.kind != tokIdent {
-		return fmt.Errorf("qasm: line %d: expected statement, found %s", t.line, t)
+		return fmt.Errorf("qasm: line %d: expected statement, found %s", t.line, *t)
 	}
+	p.line = t.line
 	switch string(t.text) {
 	case "include":
 		p.take()
-		s := p.take()
-		if s.kind != tokString {
+		if s := p.take(); s.kind != tokString {
 			return fmt.Errorf("qasm: line %d: expected file name after include", s.line)
 		}
-		return p.expectSymbol(";")
+		return p.expectSymbol(';')
 	case "qreg":
 		return p.parseRegDecl(true)
 	case "creg":
@@ -249,10 +261,10 @@ func (p *parser) parseStatement() error {
 		return p.parseGateDef()
 	case "opaque":
 		// Declaration only; skip to the terminating semicolon.
-		for !p.atEOF() && !p.peekSymbol(";") {
+		for !p.atEOF() && !p.peekSymbol(';') {
 			p.take()
 		}
-		return p.expectSymbol(";")
+		return p.expectSymbol(';')
 	case "barrier":
 		p.take()
 		return p.parseBarrier()
@@ -276,7 +288,7 @@ func (p *parser) parseRegDecl(quantum bool) error {
 		return err
 	}
 	name, line := string(id.text), id.line
-	if err := p.expectSymbol("["); err != nil {
+	if err := p.expectSymbol('['); err != nil {
 		return err
 	}
 	size, err := p.expectInt()
@@ -286,54 +298,53 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	if size <= 0 {
 		return fmt.Errorf("qasm: line %d: register %q has size %d", line, name, size)
 	}
-	if err := p.expectSymbol("]"); err != nil {
+	if err := p.expectSymbol(']'); err != nil {
 		return err
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return err
 	}
 	if p.circ != nil {
 		return fmt.Errorf("qasm: line %d: register %q declared after first operation", line, name)
 	}
-	if _, ok := p.findReg([]byte(name), true); ok {
+	if p.lookupReg([]byte(name)) != nil {
 		return fmt.Errorf("qasm: line %d: register %q redeclared", line, name)
 	}
-	if _, ok := p.findReg([]byte(name), false); ok {
-		return fmt.Errorf("qasm: line %d: register %q redeclared", line, name)
+	total, kind := &p.nq, "qubits"
+	if !quantum {
+		total, kind = &p.nc, "classical bits"
 	}
-	if quantum {
-		offset := 0
-		for _, r := range p.qregs {
-			offset += r.size
+	if size > maxQubits-*total {
+		return fmt.Errorf("qasm: line %d: register %q pushes the program past %d %s", line, name, maxQubits, kind)
+	}
+	p.regs = append(p.regs, reg{name: name, offset: *total, size: size, quantum: quantum})
+	*total += size
+	if len(p.regs) > regScan {
+		if p.regIndex == nil {
+			p.regIndex = make(map[string]int, 2*len(p.regs))
+			for i, r := range p.regs {
+				p.regIndex[r.name] = i
+			}
 		}
-		if size > maxQubits-offset {
-			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d qubits", line, name, maxQubits)
-		}
-		p.qregs = append(p.qregs, reg{name: name, offset: offset, size: size})
-	} else {
-		offset := 0
-		for _, r := range p.cregs {
-			offset += r.size
-		}
-		if size > maxQubits-offset {
-			return fmt.Errorf("qasm: line %d: register %q pushes the program past %d classical bits", line, name, maxQubits)
-		}
-		p.cregs = append(p.cregs, reg{name: name, offset: offset, size: size})
+		p.regIndex[name] = len(p.regs) - 1
 	}
 	return nil
 }
 
-func (p *parser) findReg(name []byte, quantum bool) (reg, bool) {
-	regs := p.qregs
-	if !quantum {
-		regs = p.cregs
+// lookupReg returns the register of either kind declared as name, or nil.
+func (p *parser) lookupReg(name []byte) *reg {
+	if p.regIndex != nil {
+		if i, ok := p.regIndex[string(name)]; ok {
+			return &p.regs[i]
+		}
+		return nil
 	}
-	for _, r := range regs {
-		if r.name == string(name) {
-			return r, true
+	for i := range p.regs {
+		if p.regs[i].name == string(name) {
+			return &p.regs[i]
 		}
 	}
-	return reg{}, false
+	return nil
 }
 
 // operand is a parsed register reference: whole register (index < 0) or a
@@ -362,26 +373,26 @@ func (o operand) at(k int) int {
 }
 
 func (p *parser) parseOperand(quantum bool) (operand, error) {
-	name, err := p.expectIdent()
+	id, err := p.expectIdent()
 	if err != nil {
 		return operand{}, err
 	}
-	r, ok := p.findReg(name.text, quantum)
-	if !ok {
+	r := p.lookupReg(id.text)
+	if r == nil || r.quantum != quantum {
 		kind := "quantum"
 		if !quantum {
 			kind = "classical"
 		}
-		return operand{}, fmt.Errorf("qasm: line %d: unknown %s register %q", name.line, kind, name.text)
+		return operand{}, fmt.Errorf("qasm: line %d: unknown %s register %q", id.line, kind, id.text)
 	}
-	o := operand{offset: r.offset, size: r.size, index: -1, line: name.line}
-	if p.peekSymbol("[") {
+	o := operand{offset: r.offset, size: r.size, index: -1, line: id.line}
+	if p.peekSymbol('[') {
 		p.take()
 		idx, err := p.expectInt()
 		if err != nil {
 			return operand{}, err
 		}
-		if err := p.expectSymbol("]"); err != nil {
+		if err := p.expectSymbol(']'); err != nil {
 			return operand{}, err
 		}
 		if idx < 0 || idx >= r.size {
@@ -412,18 +423,18 @@ func (p *parser) parseBarrier() error {
 		for k := 0; k < o.count(); k++ {
 			p.qs = append(p.qs, o.at(k))
 		}
-		if p.peekSymbol(",") {
+		if p.peekSymbol(',') {
 			p.take()
 			continue
 		}
 		break
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return err
 	}
 	qs := p.qubits.Take(len(p.qs))
 	copy(qs, p.qs)
-	return p.addGate(circuit.Gate{Op: circuit.OpBarrier, Qubits: qs})
+	return p.emit(circuit.OpBarrier, nil, qs, 0)
 }
 
 func (p *parser) parseMeasure() error {
@@ -434,21 +445,24 @@ func (p *parser) parseMeasure() error {
 	if err != nil {
 		return err
 	}
-	if err := p.expectSymbol("->"); err != nil {
+	if err := p.expectSymbol(symArrow); err != nil {
 		return err
 	}
 	c, err := p.parseOperand(false)
 	if err != nil {
 		return err
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return err
 	}
 	if q.count() != c.count() {
 		return fmt.Errorf("qasm: line %d: measure size mismatch (%d qubits -> %d bits)", q.line, q.count(), c.count())
 	}
 	for k := 0; k < q.count(); k++ {
-		if err := p.addGate(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}); err != nil {
+		if err := p.spend(); err != nil {
+			return err
+		}
+		if err := p.append(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}, 0); err != nil {
 			return err
 		}
 	}
@@ -463,51 +477,98 @@ func (p *parser) parseReset() error {
 	if err != nil {
 		return err
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return err
 	}
 	for k := 0; k < o.count(); k++ {
-		if err := p.addGate(circuit.Gate{Op: circuit.OpReset, Qubits: p.take1(o.at(k))}); err != nil {
+		if err := p.emit(circuit.OpReset, nil, p.take1(o.at(k)), 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// parseApplication handles "name(params)? operands ;" statements.
+// parseApplication handles "name(params)? operands ;" statements. The
+// statement's name resolves once, to a built-in op or else a definition;
+// its parameters and operands come from the lexer's buffer when the
+// statement has the canonical shape, and from the token stream otherwise.
 func (p *parser) parseApplication() error {
-	id, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
+	id := p.take()
 	line := id.line
-	p.name = append(p.name[:0], id.text...)
 	if err := p.ensureCircuit(); err != nil {
 		return err
 	}
+	op, builtin := circuit.OpByName(string(id.text))
+	var def *gateDef
+	if !builtin {
+		// Errors after the arguments name the gate, so keep the name.
+		p.name = append(p.name[:0], id.text...)
+		def = p.defs[string(p.name)]
+	}
+	if !p.canonical(line) {
+		if err := p.parseArguments(line); err != nil {
+			return err
+		}
+	}
+	// Expand whole-register operands: every full-register operand must
+	// have the same size, and the gate is applied element-wise; indexed
+	// operands stay fixed.
+	bsize := -1
+	for _, o := range p.ops {
+		if o.index < 0 {
+			if bsize >= 0 && o.size != bsize {
+				return fmt.Errorf("qasm: line %d: broadcast register sizes differ (%d vs %d)", line, bsize, o.size)
+			}
+			bsize = o.size
+		}
+	}
+	if !builtin && def == nil {
+		return fmt.Errorf("qasm: line %d: unknown gate %q", line, p.name)
+	}
+	for k := 0; k < max(bsize, 1); k++ {
+		qs := p.qubits.Take(len(p.ops))
+		for i, o := range p.ops {
+			qs[i] = o.at(k)
+		}
+		var err error
+		if builtin {
+			err = p.emit(op, p.params, qs, line)
+		} else {
+			err = p.expand(def, line, p.params, qs, 0)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parseArguments parses an application's parameters and operands, through
+// its semicolon, from the token stream into p.params and p.ops.
+func (p *parser) parseArguments(line int) error {
 	p.params = p.params[:0]
-	if p.peekSymbol("(") {
+	if p.peekSymbol('(') {
 		p.take()
-		if !p.peekSymbol(")") {
+		if !p.peekSymbol(')') {
 			for {
 				p.expr = p.expr[:0]
 				root, err := p.parseExpr()
 				if err != nil {
 					return err
 				}
-				v, err := p.expr.value(root, bindings{})
+				v, err := p.value(p.expr, 0, root, bindings{})
 				if err != nil {
 					return fmt.Errorf("qasm: line %d: %w", line, err)
 				}
 				p.params = append(p.params, v)
-				if p.peekSymbol(",") {
+				if p.peekSymbol(',') {
 					p.take()
 					continue
 				}
 				break
 			}
 		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectSymbol(')'); err != nil {
 			return err
 		}
 	}
@@ -518,94 +579,188 @@ func (p *parser) parseApplication() error {
 			return err
 		}
 		p.ops = append(p.ops, o)
-		if p.peekSymbol(",") {
+		if p.peekSymbol(',') {
 			p.take()
 			continue
 		}
 		break
 	}
-	if err := p.expectSymbol(";"); err != nil {
-		return err
-	}
-	return p.applyBroadcast(p.gateName(p.name), line, p.params, p.ops)
+	return p.expectSymbol(';')
 }
 
-// gateName returns the string applyGate resolves name by, without
-// allocating when the name denotes a built-in op or a defined gate: the
-// op's canonical mnemonic resolves to the same op, and a definition's own
-// name to itself.
-func (p *parser) gateName(name []byte) string {
-	if op, ok := circuit.OpByName(string(name)); ok {
-		return op.Name()
-	}
-	if def, ok := p.defs[string(name)]; ok {
-		return def.name
-	}
-	return string(name)
-}
-
-// applyBroadcast expands whole-register operands: every full-register
-// operand must have the same size, and the gate is applied element-wise;
-// indexed operands stay fixed.
-func (p *parser) applyBroadcast(name string, line int, params []float64, ops []operand) error {
-	bsize := -1
-	for _, o := range ops {
-		if o.index < 0 {
-			if bsize >= 0 && o.size != bsize {
-				return fmt.Errorf("qasm: line %d: broadcast register sizes differ (%d vs %d)", line, bsize, o.size)
+// canonical reads an application's parameters and operands straight from
+// the lexer's buffer when the rest of the statement has the one shape
+// Write emits: "(num,num) reg[i],reg[j];" after the name, the parameters
+// optional, numbers optionally negated, a single space before the first
+// operand and nothing else between tokens. It fills p.params and p.ops as
+// parseArguments would and consumes the statement through its semicolon.
+// On any other shape (whitespace elsewhere, an expression, a broadcast, an
+// unknown register or an index out of range, a statement that crosses a
+// line or the end of the buffered bytes) it consumes nothing and reports
+// false, and the token path, the reference for the language, takes the
+// statement. No token read here can exceed maxToken: with the name, the
+// space and "[0];" the statement would not fit the buffer.
+func (p *parser) canonical(line int) bool {
+	l := p.lex
+	b := l.buf[l.pos:l.end]
+	i := 0
+	p.params = p.params[:0]
+	if len(b) > 0 && b[0] == '(' {
+		for {
+			v, n := number(b[i+1:])
+			if n == 0 {
+				return false
 			}
-			bsize = o.size
+			p.params = append(p.params, v)
+			i += 1 + n
+			if i == len(b) || (b[i] != ',' && b[i] != ')') {
+				return false
+			}
+			if b[i] == ')' {
+				i++
+				break
+			}
 		}
 	}
-	for k := 0; k < max(bsize, 1); k++ {
-		qs := p.qubits.Take(len(ops))
-		for i, o := range ops {
-			qs[i] = o.at(k)
+	if i == len(b) || b[i] != ' ' {
+		return false
+	}
+	p.ops = p.ops[:0]
+	for {
+		i++ // the space or comma before the operand
+		j := i
+		for j < len(b) && identPart[b[j]] {
+			j++
 		}
-		if err := p.applyGate(name, line, params, qs, 0); err != nil {
-			return err
+		if j == i || !identStart[b[i]] || j == len(b) || b[j] != '[' {
+			return false
 		}
+		r := p.lookupReg(b[i:j])
+		if r == nil || !r.quantum {
+			return false
+		}
+		idx, k := 0, j+1
+		for k < len(b) && isDigit(b[k]) && idx < r.size {
+			idx = 10*idx + int(b[k]-'0')
+			k++
+		}
+		if k == j+1 || k == len(b) || b[k] != ']' || idx >= r.size {
+			return false
+		}
+		p.ops = append(p.ops, operand{offset: r.offset, size: r.size, index: idx, line: line})
+		i = k + 1
+		if i == len(b) || (b[i] != ',' && b[i] != ';') {
+			return false
+		}
+		if b[i] == ';' {
+			break
+		}
+	}
+	l.pos += i + 1
+	return true
+}
+
+// number reads an optionally negated numeric literal, as the lexer scans
+// one, from the front of b and returns its value and length. The length is
+// 0 when b does not start with one, or when its value is out of range.
+func number(b []byte) (float64, int) {
+	i := 0
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
+	}
+	start, digits := i, 0
+	for ; i < len(b) && isDigit(b[i]); i++ {
+		digits++
+	}
+	if i < len(b) && b[i] == '.' {
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+			digits++
+		}
+	}
+	if digits == 0 {
+		return 0, 0
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if j < len(b) && isDigit(b[j]) {
+			for j < len(b) && isDigit(b[j]) {
+				j++
+			}
+			i = j
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[start:i]), 64)
+	if err != nil {
+		return 0, 0
+	}
+	if start == 1 {
+		v = -v
+	}
+	return v, i
+}
+
+// spend counts one unit of work, a gate emitted or a definition expanded,
+// and fails once the program has cost more than workBase plus one per byte
+// read through the current statement.
+func (p *parser) spend() error {
+	p.work++
+	if limit := workBase + p.lex.offset(); p.work > limit {
+		return fmt.Errorf("qasm: line %d: program applies more than %d gates (%d plus one per input byte)", p.line, limit, workBase)
 	}
 	return nil
 }
 
-// applyGate resolves a gate name to a builtin op or a user definition and
-// emits / inlines it. qubits must be the gate's own slice; params may be
-// scratch.
-func (p *parser) applyGate(name string, line int, params []float64, qubits []int, depth int) error {
-	if depth > maxInlineDepth {
-		return fmt.Errorf("qasm: line %d: gate %q expands too deep (recursive definition?)", line, name)
+// emit appends one built-in gate. qubits must be the gate's own slice;
+// params may be scratch. line is the line a failed gate check reports.
+func (p *parser) emit(op circuit.Op, params []float64, qubits []int, line int) error {
+	if err := p.spend(); err != nil {
+		return err
 	}
-	if op, ok := circuit.OpByName(name); ok {
-		g := circuit.Gate{Op: op, Qubits: qubits}
-		if len(params) > 0 {
-			g.Params = p.floats.Take(len(params))
-			copy(g.Params, params)
-		}
-		return p.addGateAt(g, line)
+	g := circuit.Gate{Op: op, Qubits: qubits}
+	if len(params) > 0 {
+		g.Params = p.floats.Take(len(params))
+		copy(g.Params, params)
 	}
-	def, ok := p.defs[name]
-	if !ok {
-		return fmt.Errorf("qasm: line %d: unknown gate %q", line, name)
+	return p.append(g, line)
+}
+
+// append adds g to the circuit, reporting a failed gate check at line.
+func (p *parser) append(g circuit.Gate, line int) error {
+	if err := p.circ.Append(g); err != nil {
+		return fmt.Errorf("qasm: line %d: %v", line, err)
+	}
+	return nil
+}
+
+// expand inlines one application of def on qubits, at the given depth of
+// nested definitions. qubits must be the application's own slice; params
+// may be scratch.
+func (p *parser) expand(def *gateDef, line int, params []float64, qubits []int, depth int) error {
+	if err := p.spend(); err != nil {
+		return err
 	}
 	if len(params) != len(def.params) {
-		return fmt.Errorf("qasm: line %d: gate %q expects %d params, got %d", line, name, len(def.params), len(params))
+		return fmt.Errorf("qasm: line %d: gate %q expects %d params, got %d", line, def.name, len(def.params), len(params))
 	}
 	if len(qubits) != len(def.args) {
-		return fmt.Errorf("qasm: line %d: gate %q expects %d qubits, got %d", line, name, len(def.args), len(qubits))
+		return fmt.Errorf("qasm: line %d: gate %q expects %d qubits, got %d", line, def.name, len(def.args), len(qubits))
 	}
 	env := bindings{names: def.params, vals: params}
-	for _, st := range def.body {
+	for i := range def.body {
+		st := &def.body[i]
 		qs := p.qubits.Take(len(st.args))
 		for i, an := range st.args {
 			k := lastIndex(def.args, an)
 			if k < 0 {
-				return fmt.Errorf("qasm: gate %q: unbound argument %q", name, an)
+				return fmt.Errorf("qasm: gate %q: unbound argument %q", def.name, an)
 			}
 			qs[i] = qubits[k]
 		}
 		if st.barrier {
-			if err := p.addGateAt(circuit.Gate{Op: circuit.OpBarrier, Qubits: qs}, line); err != nil {
+			if err := p.emit(circuit.OpBarrier, nil, qs, line); err != nil {
 				return err
 			}
 			continue
@@ -614,20 +769,37 @@ func (p *parser) applyGate(name string, line int, params []float64, qubits []int
 		// parameter stack; an append that moves the stack leaves the
 		// caller's view intact.
 		base := len(p.params)
+		lo := int32(0)
 		for _, root := range st.params {
-			v, err := st.expr.value(root, env)
+			v, err := p.value(st.expr, lo, root, env)
 			if err != nil {
-				return fmt.Errorf("qasm: line %d: gate %q: %w", line, name, err)
+				return fmt.Errorf("qasm: line %d: gate %q: %w", line, def.name, err)
 			}
 			p.params = append(p.params, v)
+			lo = root + 1
 		}
-		err := p.applyGate(st.name, line, p.params[base:], qs, depth+1)
+		err := p.applyBody(st, line, p.params[base:], qs, depth+1)
 		p.params = p.params[:base]
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// applyBody applies one body statement's gate at the given depth.
+func (p *parser) applyBody(st *bodyStmt, line int, params []float64, qubits []int, depth int) error {
+	if depth > maxInlineDepth {
+		return fmt.Errorf("qasm: line %d: gate %q expands too deep (recursive definition?)", line, st.name)
+	}
+	if st.builtin {
+		return p.emit(st.op, params, qubits, line)
+	}
+	def, ok := p.defs[st.name]
+	if !ok {
+		return fmt.Errorf("qasm: line %d: unknown gate %q", line, st.name)
+	}
+	return p.expand(def, line, params, qubits, depth)
 }
 
 // lastIndex returns the index of the last occurrence of s in list, or -1:
@@ -641,18 +813,6 @@ func lastIndex(list []string, s string) int {
 	return -1
 }
 
-func (p *parser) addGate(g circuit.Gate) error { return p.addGateAt(g, 0) }
-
-func (p *parser) addGateAt(g circuit.Gate, line int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("qasm: line %d: %v", line, r)
-		}
-	}()
-	p.circ.Add(g)
-	return nil
-}
-
 // parseGateDef parses "gate name(params)? args { body }".
 func (p *parser) parseGateDef() error {
 	p.take() // gate
@@ -661,23 +821,23 @@ func (p *parser) parseGateDef() error {
 		return err
 	}
 	def := &gateDef{name: string(id.text)}
-	if p.peekSymbol("(") {
+	if p.peekSymbol('(') {
 		p.take()
-		if !p.peekSymbol(")") {
+		if !p.peekSymbol(')') {
 			for {
 				id, err := p.expectIdent()
 				if err != nil {
 					return err
 				}
 				def.params = append(def.params, string(id.text))
-				if p.peekSymbol(",") {
+				if p.peekSymbol(',') {
 					p.take()
 					continue
 				}
 				break
 			}
 		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectSymbol(')'); err != nil {
 			return err
 		}
 	}
@@ -687,16 +847,16 @@ func (p *parser) parseGateDef() error {
 			return err
 		}
 		def.args = append(def.args, string(id.text))
-		if p.peekSymbol(",") {
+		if p.peekSymbol(',') {
 			p.take()
 			continue
 		}
 		break
 	}
-	if err := p.expectSymbol("{"); err != nil {
+	if err := p.expectSymbol('{'); err != nil {
 		return err
 	}
-	for !p.peekSymbol("}") {
+	for !p.peekSymbol('}') {
 		if p.atEOF() {
 			return fmt.Errorf("qasm: unterminated body of gate %q", def.name)
 		}
@@ -718,26 +878,27 @@ func (p *parser) parseBodyStmt() (bodyStmt, error) {
 		return bodyStmt{}, err
 	}
 	st := bodyStmt{name: string(id.text)}
+	st.op, st.builtin = circuit.OpByName(st.name)
 	p.expr = p.expr[:0]
 	if st.name == "barrier" {
 		st.barrier = true
-	} else if p.peekSymbol("(") {
+	} else if p.peekSymbol('(') {
 		p.take()
-		if !p.peekSymbol(")") {
+		if !p.peekSymbol(')') {
 			for {
 				root, err := p.parseExpr()
 				if err != nil {
 					return bodyStmt{}, err
 				}
 				st.params = append(st.params, root)
-				if p.peekSymbol(",") {
+				if p.peekSymbol(',') {
 					p.take()
 					continue
 				}
 				break
 			}
 		}
-		if err := p.expectSymbol(")"); err != nil {
+		if err := p.expectSymbol(')'); err != nil {
 			return bodyStmt{}, err
 		}
 	}
@@ -748,13 +909,13 @@ func (p *parser) parseBodyStmt() (bodyStmt, error) {
 			return bodyStmt{}, err
 		}
 		st.args = append(st.args, string(arg.text))
-		if p.peekSymbol(",") {
+		if p.peekSymbol(',') {
 			p.take()
 			continue
 		}
 		break
 	}
-	if err := p.expectSymbol(";"); err != nil {
+	if err := p.expectSymbol(';'); err != nil {
 		return bodyStmt{}, err
 	}
 	return st, nil

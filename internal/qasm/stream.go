@@ -13,7 +13,8 @@ import (
 // the 65536-qubit cap and the token-length cap) and, for accepted
 // programs, yields the identical gate sequence — the FuzzStreamQASM
 // differential fuzzer pins this. Memory is bounded by the lexer's 64 KiB
-// buffer plus one statement's gates, whatever the line lengths.
+// buffer plus one statement's gates, whatever the line lengths, and the
+// parser's work bound caps those gates.
 //
 // Register declarations are frozen at the first operation (an OpenQASM
 // rule), so NumQubits and NumClbits are known as soon as NewStream
@@ -35,7 +36,7 @@ type Stream struct {
 // end of input, or an error; programs that fail before their first gate
 // are rejected here rather than from Next.
 func NewStream(r io.Reader) (*Stream, error) {
-	s := &Stream{p: newParser(r, lexBufSize)}
+	s := &Stream{p: newParser(newLexer(r, lexBufSize))}
 	s.pump()
 	if s.err != nil {
 		return nil, s.err
@@ -94,8 +95,8 @@ func (s *Stream) pump() {
 	s.qpos = 0
 	for {
 		if p.atEOF() {
-			if p.lexErr != nil {
-				s.fail(p.lexErr)
+			if p.lex.err != nil {
+				s.fail(p.lex.err)
 				return
 			}
 			if err := p.finishProgram(); err != nil {

@@ -6,15 +6,22 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"codar/internal/circuit"
 	"codar/internal/testutil"
 	"codar/internal/workloads"
 )
 
-// drainStream collects every gate a Stream yields, or the terminal error.
+// drainStream collects every gate a Stream over src yields, or the
+// terminal error.
 func drainStream(src string) (*circuit.Circuit, error) {
-	s, err := NewStream(strings.NewReader(src))
+	return drain(strings.NewReader(src))
+}
+
+// drain collects every gate a Stream over r yields, or the terminal error.
+func drain(r io.Reader) (*circuit.Circuit, error) {
+	s, err := NewStream(r)
 	if err != nil {
 		return nil, err
 	}
@@ -33,29 +40,40 @@ func drainStream(src string) (*circuit.Circuit, error) {
 	}
 }
 
-// checkStreamMatchesParse pins the streaming front end's contract: same
-// accept/reject verdict as Parse and, on accept, the identical gate
-// sequence and register totals.
+// checkStreamMatchesParse pins the streaming front end's contract: the
+// same verdict as Parse, with the same error text, and on accept the
+// identical gate sequence and register totals. The stream runs twice: over
+// the whole source, and one byte per Read. With one byte buffered at a
+// time, none of the parser's buffer shortcuts can fire, so the second run
+// compares them with the token path.
 func checkStreamMatchesParse(t *testing.T, src string) {
 	t.Helper()
 	want, werr := Parse(src)
-	got, gerr := drainStream(src)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("verdict mismatch: Parse err=%v, Stream err=%v\nsource:\n%s", werr, gerr, src)
-	}
-	if werr != nil {
-		return
-	}
-	if got.NumQubits != want.NumQubits || got.NumClbits != want.NumClbits {
-		t.Fatalf("register mismatch: stream %d/%d, batch %d/%d",
-			got.NumQubits, got.NumClbits, want.NumQubits, want.NumClbits)
-	}
-	if len(got.Gates) != len(want.Gates) {
-		t.Fatalf("gate count mismatch: stream %d, batch %d", len(got.Gates), len(want.Gates))
-	}
-	for i := range got.Gates {
-		if !got.Gates[i].Equal(want.Gates[i]) {
-			t.Fatalf("gate %d mismatch: stream %v, batch %v", i, got.Gates[i], want.Gates[i])
+	for _, in := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"whole", strings.NewReader(src)},
+		{"one byte", iotest.OneByteReader(strings.NewReader(src))},
+	} {
+		got, gerr := drain(in.r)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%s: verdict mismatch: Parse err=%v, Stream err=%v\nsource:\n%s", in.name, werr, gerr, src)
+		}
+		if werr != nil {
+			continue
+		}
+		if got.NumQubits != want.NumQubits || got.NumClbits != want.NumClbits {
+			t.Fatalf("%s: register mismatch: stream %d/%d, batch %d/%d",
+				in.name, got.NumQubits, got.NumClbits, want.NumQubits, want.NumClbits)
+		}
+		if len(got.Gates) != len(want.Gates) {
+			t.Fatalf("%s: gate count mismatch: stream %d, batch %d", in.name, len(got.Gates), len(want.Gates))
+		}
+		for i := range got.Gates {
+			if !got.Gates[i].Equal(want.Gates[i]) {
+				t.Fatalf("%s: gate %d mismatch: stream %v, batch %v", in.name, i, got.Gates[i], want.Gates[i])
+			}
 		}
 	}
 }
@@ -90,6 +108,9 @@ func TestStreamMatchesParse(t *testing.T) {
 		t.Run(strings.ReplaceAll(src[:min(len(src), 24)], "\n", "¶")+"#"+string(rune('a'+i)), func(t *testing.T) {
 			checkStreamMatchesParse(t, src)
 		})
+	}
+	for _, c := range frontEndCases(t) {
+		t.Run(c.name, func(t *testing.T) { checkStreamMatchesParse(t, c.src) })
 	}
 }
 
