@@ -171,3 +171,19 @@ func TestStringContainsSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendReportsCheck: Append returns the gate check's error without
+// appending, and Add panics with the same error.
+func TestAppendReportsCheck(t *testing.T) {
+	c := New(2)
+	err := c.Append(New2Q(OpCX, 1, 1))
+	if err == nil || c.Len() != 0 {
+		t.Fatalf("Append accepted a duplicate operand: %v", err)
+	}
+	defer func() {
+		if r := recover(); r == nil || r.(error).Error() != err.Error() {
+			t.Fatalf("Add panicked with %v, want %v", r, err)
+		}
+	}()
+	c.Add(New2Q(OpCX, 1, 1))
+}

@@ -180,26 +180,20 @@ var opNames [64]struct {
 func opSlot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> 58) }
 
 func init() {
-	aliases := []struct {
-		name string
-		op   Op
-	}{
-		{"cnot", OpCX}, {"p", OpU1}, {"phase", OpU1}, {"u", OpU3}, {"tof", OpCCX}, {"toffoli", OpCCX},
-		{"cphase", OpCP}, {"cu1", OpCP}, {"xx", OpRXX}, {"ms", OpRXX},
+	names := map[string]Op{
+		"cnot": OpCX, "p": OpU1, "phase": OpU1, "u": OpU3, "tof": OpCCX, "toffoli": OpCCX,
+		"cphase": OpCP, "cu1": OpCP, "xx": OpRXX, "ms": OpRXX,
 	}
 	for o := Op(0); o < numOps; o++ {
-		aliases = append(aliases, struct {
-			name string
-			op   Op
-		}{opTable[o].name, o})
+		names[opTable[o].name] = o
 	}
-	for _, a := range aliases {
-		k, _ := opKey(a.name)
+	for name, op := range names {
+		k, _ := opKey(name)
 		i := opSlot(k)
 		for opNames[i].key != 0 {
 			i = (i + 1) % len(opNames)
 		}
-		opNames[i].key, opNames[i].op = k, a.op
+		opNames[i].key, opNames[i].op = k, op
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"codar/internal/circuit"
 	"codar/internal/testutil"
 )
 
@@ -207,20 +206,4 @@ func TestExpressionNestingCapped(t *testing.T) {
 		t.Fatalf("params %v, want [-1 %d]", got, maxExprDepth)
 	}
 	checkStreamMatchesParse(t, src)
-}
-
-// TestCircuitAppendReportsCheck: the parser reports a failed gate check
-// through Circuit.Append, whose error Add panics with.
-func TestCircuitAppendReportsCheck(t *testing.T) {
-	c := circuit.New(2)
-	err := c.Append(circuit.New2Q(circuit.OpCX, 1, 1))
-	if err == nil || c.Len() != 0 {
-		t.Fatalf("Append accepted a duplicate operand: %v", err)
-	}
-	defer func() {
-		if r := recover(); r == nil || r.(error).Error() != err.Error() {
-			t.Fatalf("Add panicked with %v, want %v", r, err)
-		}
-	}()
-	c.Add(circuit.New2Q(circuit.OpCX, 1, 1))
 }

@@ -93,10 +93,10 @@ type parser struct {
 	work  int
 	depth int
 
-	// Scratch reused by every statement: the applied gate's name when it is
-	// not a built-in (kept past its token), operands, qubits, evaluated parameters (a stack: gate
-	// inlining pushes each body statement's values above its caller's),
-	// expression nodes and their values.
+	// Scratch reused by every statement: the applied gate's name when it
+	// is not a built-in (kept past its token), operands, qubits, evaluated
+	// parameters (a stack: gate inlining pushes each body statement's
+	// values above its caller's), expression nodes and their values.
 	name   []byte
 	ops    []operand
 	qs     []int
@@ -249,7 +249,8 @@ func (p *parser) parseStatement() error {
 	switch string(t.text) {
 	case "include":
 		p.take()
-		if s := p.take(); s.kind != tokString {
+		s := p.take()
+		if s.kind != tokString {
 			return fmt.Errorf("qasm: line %d: expected file name after include", s.line)
 		}
 		return p.expectSymbol(';')
@@ -373,19 +374,19 @@ func (o operand) at(k int) int {
 }
 
 func (p *parser) parseOperand(quantum bool) (operand, error) {
-	id, err := p.expectIdent()
+	name, err := p.expectIdent()
 	if err != nil {
 		return operand{}, err
 	}
-	r := p.lookupReg(id.text)
+	r := p.lookupReg(name.text)
 	if r == nil || r.quantum != quantum {
 		kind := "quantum"
 		if !quantum {
 			kind = "classical"
 		}
-		return operand{}, fmt.Errorf("qasm: line %d: unknown %s register %q", id.line, kind, id.text)
+		return operand{}, fmt.Errorf("qasm: line %d: unknown %s register %q", name.line, kind, name.text)
 	}
-	o := operand{offset: r.offset, size: r.size, index: -1, line: id.line}
+	o := operand{offset: r.offset, size: r.size, index: -1, line: name.line}
 	if p.peekSymbol('[') {
 		p.take()
 		idx, err := p.expectInt()
@@ -462,7 +463,7 @@ func (p *parser) parseMeasure() error {
 		if err := p.spend(); err != nil {
 			return err
 		}
-		if err := p.append(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}, 0); err != nil {
+		if err := p.add(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}, 0); err != nil {
 			return err
 		}
 	}
@@ -724,11 +725,11 @@ func (p *parser) emit(op circuit.Op, params []float64, qubits []int, line int) e
 		g.Params = p.floats.Take(len(params))
 		copy(g.Params, params)
 	}
-	return p.append(g, line)
+	return p.add(g, line)
 }
 
-// append adds g to the circuit, reporting a failed gate check at line.
-func (p *parser) append(g circuit.Gate, line int) error {
+// add appends g to the circuit, reporting a failed gate check at line.
+func (p *parser) add(g circuit.Gate, line int) error {
 	if err := p.circ.Append(g); err != nil {
 		return fmt.Errorf("qasm: line %d: %v", line, err)
 	}
@@ -752,12 +753,12 @@ func (p *parser) expand(def *gateDef, line int, params []float64, qubits []int, 
 	for i := range def.body {
 		st := &def.body[i]
 		qs := p.qubits.Take(len(st.args))
-		for i, an := range st.args {
+		for j, an := range st.args {
 			k := lastIndex(def.args, an)
 			if k < 0 {
 				return fmt.Errorf("qasm: gate %q: unbound argument %q", def.name, an)
 			}
-			qs[i] = qubits[k]
+			qs[j] = qubits[k]
 		}
 		if st.barrier {
 			if err := p.emit(circuit.OpBarrier, nil, qs, line); err != nil {
