@@ -101,6 +101,8 @@ func errorCases() []goldenCase {
 		{"lex-unterminated-string-eof", "qreg q[1];\ninclude \"qelib1.inc"},
 		{"lex-long-identifier", "qreg q[1];\nh q[0];\nh " + long + "[0];\n"},
 		{"lex-long-number", "qreg q[1];\nrz(" + strings.Repeat("1", maxToken+1) + ") q[0];\n"},
+		{"lex-long-zero-number", "qreg q[1];\nrz(" + strings.Repeat("0", maxToken+1) + ") q[0];\n"},
+		{"lex-long-zero-index", "qreg q[1];\nh q[" + strings.Repeat("0", maxToken+1) + "];\n"},
 		{"lex-long-string", "include \"" + long + "\";\nqreg q[1];\n"},
 		{"lex-error-after-gates", "qreg q[2];\nh q[0];\n\"unterminated\nh q[1];\n"},
 		// parser.go: the token expectations
@@ -282,6 +284,8 @@ func edgeCases() []goldenCase {
 		{"deep-chain-at-limit", deepChain(100)},
 		{"qelib1", qelib1 + "qreg q[3];\ncy q[0],q[1];\nch q[1],q[2];\ncrz(pi/2) q[0],q[2];\ncu3(0.1,0.2,0.3) q[0],q[1];\ncswap q[0],q[1],q[2];\n"},
 		{"token-at-cap", "qreg " + strings.Repeat("a", maxToken) + "[1];\nh " + strings.Repeat("a", maxToken) + "[0];\n"},
+		{"zero-number-at-cap", "qreg q[1];\nrz(" + strings.Repeat("0", maxToken) + ") q[0];\n"},
+		{"zero-index-at-cap", "qreg q[1];\nh q[" + strings.Repeat("0", maxToken) + "];\n"},
 	}...)
 }
 

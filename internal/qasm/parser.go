@@ -599,11 +599,14 @@ func (p *parser) parseArguments(line int) error {
 // unknown register or an index out of range, a statement that crosses a
 // line or the end of the buffered bytes) it consumes nothing and reports
 // false, and the token path, the reference for the language, takes the
-// statement. No token read here can exceed maxToken: with the name, the
-// space and "[0];" the statement would not fit the buffer.
+// statement. It looks at most lexBufSize-1 bytes ahead, all that a
+// stream's buffer holds after a one-byte name, also when the buffer is
+// Parse's whole source. So no number or index read here is longer than
+// maxToken: with the brackets, the space and "q[0];" it would not fit, and
+// a longer one is left to the token path, which rejects it.
 func (p *parser) canonical(line int) bool {
 	l := p.lex
-	b := l.buf[l.pos:l.end]
+	b := l.buf[l.pos:min(l.end, l.pos+lexBufSize-1)]
 	i := 0
 	p.params = p.params[:0]
 	if len(b) > 0 && b[0] == '(' {
