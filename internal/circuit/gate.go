@@ -139,14 +139,8 @@ func OpByName(name string) (Op, bool) {
 		// (U+0130 to 'i'), so such a name is folded first.
 		k, _ = opKey(strings.ToLower(name))
 	}
-	if k != 0 {
-		for i := opSlot(k); opNames[i].key != 0; i = (i + 1) % len(opNames) {
-			if opNames[i].key == k {
-				return opNames[i].op, true
-			}
-		}
-	}
-	return OpID, false
+	op, ok := opNames[k]
+	return op, ok
 }
 
 // opKey packs a name of one to 8 ASCII bytes, none of them NUL, lower-cased
@@ -170,14 +164,9 @@ func opKey(name string) (k uint64, ascii bool) {
 	return k, true
 }
 
-// opNames is an open-addressed hash table of every name OpByName accepts,
-// by key, built at init.
-var opNames [64]struct {
-	key uint64
-	op  Op
-}
-
-func opSlot(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> 58) }
+// opNames maps the key of every name OpByName accepts to its op, built at
+// init.
+var opNames = map[uint64]Op{}
 
 func init() {
 	names := map[string]Op{
@@ -189,11 +178,10 @@ func init() {
 	}
 	for name, op := range names {
 		k, _ := opKey(name)
-		i := opSlot(k)
-		for opNames[i].key != 0 {
-			i = (i + 1) % len(opNames)
+		if k == 0 {
+			panic("circuit: op name " + name + " does not pack into a key")
 		}
-		opNames[i].key, opNames[i].op = k, op
+		opNames[k] = op
 	}
 }
 
