@@ -13,6 +13,7 @@ package codar
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"codar/internal/arch"
@@ -335,34 +336,48 @@ func BenchmarkNoisyTrajectory(b *testing.B) {
 }
 
 // BenchmarkQASMParse times the OpenQASM front end over every suite
-// circuit as Write renders it (the texts fig8-suite parses), and reports
-// the time and the bytes allocated per parsed gate.
+// circuit, and reports the time and the bytes allocated per parsed gate.
+// "write" parses the texts as Write renders them, the texts every perfbench
+// workload parses, whose statements all have the canonical shape the
+// parser reads straight from its buffer. "spaced" parses the same texts
+// with a space after each comma and before each semicolon, which sends
+// every statement down the token path.
 func BenchmarkQASMParse(b *testing.B) {
-	var srcs []string
-	gates, size := 0, 0
-	for _, bench := range workloads.Suite() {
-		c := bench.Circuit()
-		src := qasm.Write(c)
-		srcs = append(srcs, src)
-		gates += c.Len()
-		size += len(src)
-	}
-	b.SetBytes(int64(size))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, src := range srcs {
-			if _, err := qasm.Parse(src); err != nil {
-				b.Fatal(err)
+	for _, shape := range []struct {
+		name   string
+		render *strings.Replacer
+	}{
+		{"write", strings.NewReplacer()},
+		{"spaced", strings.NewReplacer(",", ", ", ";", " ;")},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			var srcs []string
+			gates, size := 0, 0
+			for _, bench := range workloads.Suite() {
+				c := bench.Circuit()
+				src := shape.render.Replace(qasm.Write(c))
+				srcs = append(srcs, src)
+				gates += c.Len()
+				size += len(src)
 			}
-		}
+			b.SetBytes(int64(size))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, src := range srcs {
+					if _, err := qasm.Parse(src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			parsed := float64(b.N) * float64(gates)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/parsed, "ns/gate")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/parsed, "B/gate")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	parsed := float64(b.N) * float64(gates)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/parsed, "ns/gate")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/parsed, "B/gate")
 }
 
 // BenchmarkSABREInitialLayout times the shared reverse-traversal
