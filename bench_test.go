@@ -338,10 +338,10 @@ func BenchmarkNoisyTrajectory(b *testing.B) {
 // BenchmarkQASMParse times the OpenQASM front end over every suite
 // circuit, and reports the time and the bytes allocated per parsed gate.
 // "write" parses the texts as Write renders them, the texts every perfbench
-// workload parses, whose statements all have the canonical shape the
-// parser reads straight from its buffer. "spaced" parses the same texts
-// with a space after each comma and before each semicolon, which sends
-// every statement down the token path.
+// workload parses, whose gate applications all have the canonical shape
+// the parser reads straight from its buffer. "spaced" parses the same
+// texts with a space after each comma and before each semicolon, which
+// sends every statement down the token path.
 func BenchmarkQASMParse(b *testing.B) {
 	for _, shape := range []struct {
 		name   string
