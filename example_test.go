@@ -37,6 +37,45 @@ func ExampleRemap() {
 	// weighted depth 9 cycles, 0 swaps, verified
 }
 
+// ExampleResult_Schedule prints the timed view of the quickstart mapping:
+// each gate starts when CODAR's qubit locks let it, and runs for its
+// duration on the device (one cycle for H and T, two for CX on Tokyo).
+func ExampleResult_Schedule() {
+	c := codar.NewNamedCircuit("quickstart", 5)
+	c.H(0).CX(0, 1).CX(0, 2).CX(0, 3).CX(0, 4).T(2).CX(3, 1)
+
+	dev, err := codar.DeviceByName("tokyo")
+	if err != nil {
+		panic(err)
+	}
+	initial, err := codar.SABREInitialLayout(c, dev, 1)
+	if err != nil {
+		panic(err)
+	}
+	res, err := codar.Remap(c, dev, initial, codar.Options{})
+	if err != nil {
+		panic(err)
+	}
+	s := res.Schedule
+	fmt.Print(s)
+	fmt.Print(s.Gantt(72))
+	// Output:
+	// schedule: 20 qubits, 7 gates, makespan 9
+	//   [   0,   1) h q[12]
+	//   [   1,   3) cx q[12],q[8]
+	//   [   3,   5) cx q[12],q[7]
+	//   [   5,   7) cx q[12],q[13]
+	//   [   5,   6) t q[7]
+	//   [   7,   9) cx q[12],q[11]
+	//   [   7,   9) cx q[13],q[8]
+	// time 0..9 cycles (1 col ≈ 1.0 cycles)
+	// q7   |...CCt...|
+	// q8   |.CC....CC|
+	// q11  |.......CC|
+	// q12  |hCCCCCCCC|
+	// q13  |.....CCCC|
+}
+
 // ExampleMapPortfolio runs the multi-start portfolio search: every seed ×
 // placement × algorithm candidate is mapped, the objective scores them, and
 // selection is deterministic (objective, then depth, swaps, candidate
