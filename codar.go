@@ -21,6 +21,7 @@
 //	dev, _ := codar.DeviceByName("tokyo")
 //	res, _ := codar.Remap(c, dev, nil, codar.Options{})
 //	fmt.Println(res.Makespan, res.SwapCount)
+//	fmt.Print(res.Schedule()) // each gate's start cycle and duration
 package codar
 
 import (

@@ -56,7 +56,7 @@ func ExampleResult_Schedule() {
 	if err != nil {
 		panic(err)
 	}
-	s := res.Schedule
+	s := res.Schedule()
 	fmt.Print(s)
 	fmt.Print(s.Gantt(72))
 	// Output:
@@ -139,7 +139,7 @@ func ExampleLoadCalibration() {
 	if err != nil {
 		panic(err)
 	}
-	esp, err := codar.EstimateSuccess(loaded, res.Schedule, dev)
+	esp, err := codar.EstimateSuccess(loaded, res.Schedule(), dev)
 	if err != nil {
 		panic(err)
 	}

@@ -31,10 +31,11 @@ func fig1() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Schedule)
+	sched := res.Schedule() // each gate's start cycle and duration
+	fmt.Print(sched)
 	fmt.Printf("-> SWAP avoids the busy Q2 and starts at cycle 0; makespan %d (the\n", res.Makespan)
 	fmt.Println("   context-blind alternative would serialise after T and finish at 9)")
-	fmt.Println(res.Schedule.Gantt(60))
+	fmt.Println(sched.Gantt(60))
 }
 
 // fig2 — duration-awareness: with τ(T)=1 and τ(CX)=2, the SWAP on (Q1,Q3)
@@ -53,10 +54,11 @@ func fig2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Schedule)
+	sched := res.Schedule() // each gate's start cycle and duration
+	fmt.Print(sched)
 	fmt.Println("-> T frees Q1 at cycle 1 while CX still holds Q0/Q2 until 2: the")
 	fmt.Println("   duration-aware SWAP launches a cycle early (Fig 2(d) timeline)")
-	fmt.Println(res.Schedule.Gantt(60))
+	fmt.Println(sched.Gantt(60))
 }
 
 // fig7 — the §IV-E worked example: CX q0,q2; T q1; CX q0,q3 on a 6-qubit
@@ -78,9 +80,10 @@ func fig7() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.Schedule)
+	sched := res.Schedule() // each gate's start cycle and duration
+	fmt.Print(sched)
 	fmt.Printf("-> SWAP Q1,Q3 at cycle 1 (locks -> 7), blocked CX runs at 7; makespan %d\n", res.Makespan)
-	fmt.Println(res.Schedule.Gantt(60))
+	fmt.Println(sched.Gantt(60))
 
 	if err := codar.Verify(c, res.Circuit, dev, res.InitialLayout, res.FinalLayout); err != nil {
 		log.Fatal(err)

@@ -42,9 +42,10 @@ func main() {
 	fmt.Printf("mapped %d gates with %d swaps, weighted depth %d cycles\n",
 		res.Circuit.Len(), res.SwapCount, res.Makespan)
 	fmt.Println("\ntimed schedule:")
-	fmt.Print(res.Schedule)
+	sched := res.Schedule() // each gate's start cycle and duration
+	fmt.Print(sched)
 	fmt.Println("\nper-qubit timeline:")
-	fmt.Print(res.Schedule.Gantt(72))
+	fmt.Print(sched.Gantt(72))
 
 	// Every mapping is independently checkable.
 	if err := codar.Verify(c, res.Circuit, dev, res.InitialLayout, res.FinalLayout); err != nil {

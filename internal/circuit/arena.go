@@ -46,8 +46,8 @@ func (a *IntArena) Reset() {
 }
 
 // FloatArena is IntArena over float64 blocks: batch storage for per-gate
-// parameter slices when a whole circuit is copied at once (Schedule.Circuit),
-// where one allocation per gate would dominate the copy.
+// parameter slices when a whole circuit is built at once (the parser,
+// Decompose), where one allocation per gate would dominate.
 type FloatArena struct {
 	buf []float64
 }

@@ -100,6 +100,18 @@ func (s *SoA) LoadReversed(src *SoA) {
 // Len returns the number of gates.
 func (s *SoA) Len() int { return len(s.Ops) }
 
+// TwoQubitGates returns the number of two-qubit gates, from which both
+// routers size their output.
+func (s *SoA) TwoQubitGates() int {
+	n := 0
+	for _, two := range s.Is2Q {
+		if two {
+			n++
+		}
+	}
+	return n
+}
+
 // NumQubits returns gate i's operand count.
 func (s *SoA) NumQubits(i int) int { return int(s.QOff[i+1] - s.QOff[i]) }
 

@@ -43,3 +43,58 @@ func TestRemapStreamMarginalAllocation(t *testing.T) {
 		t.Fatalf("RemapStream allocates %.1f B per extra gate, want <= 87", perGate)
 	}
 }
+
+// TestRemapStreamFlushReusesChunk guards the stream's flush path: every
+// flush renders the settled prefix into one chunk buffer, sized from the
+// engine's output buffer at the first flush, and settling the prefix
+// reuses the output's memory, so after the first flush a flush allocates
+// nothing. It checks both halves: a whole stream's chunks all share the
+// first chunk's backing array, and a steady emit-flush-settle cycle
+// allocates nothing.
+func TestRemapStreamFlushReusesChunk(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race perturbs allocation counts")
+	}
+	dev := arch.IBMQ20Tokyo()
+	var first *schedule.ScheduledGate
+	flushes, moved := 0, 0
+	sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
+		if p := &chunk[:1][0]; first == nil {
+			first = p
+		} else if p != first {
+			moved++
+		}
+		flushes++
+		return nil
+	})
+	c := workloads.Random(16, 100_000, 45, 7)
+	if _, err := RemapStream(circuit.NewSliceSource(c), dev, nil, Options{}, sink); err != nil {
+		t.Fatal(err)
+	}
+	if flushes < 2 || moved > 0 {
+		t.Fatalf("%d of %d flushes rendered into a new chunk buffer, want 0 of at least 2", moved, flushes)
+	}
+
+	r := newEngine(dev.NumQubits, dev, arch.NewTrivialLayout(dev.NumQubits, dev.NumQubits), Options{})
+	discard := schedule.FuncSink(func([]schedule.ScheduledGate) error { return nil })
+	var chunk []schedule.ScheduledGate
+	start := 0
+	cycle := func() {
+		for i := 0; i < 300; i++ {
+			qs := r.arena.Take(2)
+			qs[0], qs[1] = i%dev.NumQubits, (i+1)%dev.NumQubits
+			r.emit(circuit.Gate{Op: circuit.OpCX, Qubits: qs}, start+i/2, 2)
+		}
+		start += 150
+		cut := len(r.out) - 100
+		var err error
+		if chunk, err = r.flush(discard, chunk, cut); err != nil {
+			t.Fatal(err)
+		}
+		r.settle(cut)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("an emit-flush-settle cycle after the first allocated %.1f times, want 0", allocs)
+	}
+}

@@ -84,9 +84,10 @@ func TestDepthBoundExactTieCompletes(t *testing.T) {
 
 func weightedDepthOf(t *testing.T, res *Result) int {
 	t.Helper()
-	free := make([]int, res.Schedule.NumQubits)
+	s := res.Schedule()
+	free := make([]int, s.NumQubits)
 	makespan := 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range s.Gates {
 		start := 0
 		for _, q := range sg.Gate.Qubits {
 			if free[q] > start {

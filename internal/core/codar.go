@@ -122,10 +122,8 @@ func (o Options) lookahead() int {
 
 // Result is the output of a remapping run.
 type Result struct {
-	// Schedule is the timed physical execution (start times, durations).
-	Schedule *schedule.Schedule
 	// Circuit is the physical gate sequence in start order; qubit indices
-	// are physical.
+	// are physical. Schedule adds each gate's start cycle and duration.
 	Circuit *circuit.Circuit
 	// InitialLayout and FinalLayout are the logical→physical maps before
 	// and after execution.
@@ -145,6 +143,32 @@ type Result struct {
 	ForcedSwaps int
 	// DirectRoutes counts deadlock-escape shortest-path routings.
 	DirectRoutes int
+
+	// starts[i] is the cycle Circuit.Gates[i] starts at, and durations
+	// the device's gate durations: with the circuit, the timed view.
+	starts    []int
+	durations arch.Durations
+}
+
+// Schedule returns the timed physical execution: each gate of Circuit with
+// the cycle CODAR launched it at and its duration on the device, in start
+// order, and the lock schedule's makespan. It is built on each call, and
+// its gates share their qubit and parameter slices with Circuit.
+func (res *Result) Schedule() *schedule.Schedule {
+	return &schedule.Schedule{
+		NumQubits: res.Circuit.NumQubits,
+		Gates:     timed(make([]schedule.ScheduledGate, 0, len(res.starts)), res.Circuit.Gates, res.starts, res.durations),
+		Makespan:  res.Makespan,
+	}
+}
+
+// timed appends to dst the scheduled view of gates launched at starts,
+// each running for its duration under d.
+func timed(dst []schedule.ScheduledGate, gates []circuit.Gate, starts []int, d arch.Durations) []schedule.ScheduledGate {
+	for i, g := range gates {
+		dst = append(dst, schedule.ScheduledGate{Gate: g, Start: starts[i], Duration: d.Of(g.Op)})
+	}
+	return dst
 }
 
 // Remap runs CODAR on circuit c targeting device dev, starting from the
@@ -216,7 +240,11 @@ type remapper struct {
 	// thousands of times per mapping and the duration never changes.
 	swapDur int
 
-	out       []schedule.ScheduledGate
+	// out is the output in start order and starts[i] the cycle out[i]
+	// starts at (emit). A batch run returns both as its Result; a stream
+	// renders each settled prefix for the sink and drops it (settle).
+	out       []circuit.Gate
+	starts    []int
 	makespan  int
 	swapCount int
 	cycles    int
@@ -292,11 +320,11 @@ type remapper struct {
 // assembly.
 func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
 	r := newEngine(a.Circ.NumQubits, dev, initial, opts)
-	n := len(a.Circ.Gates)
-	// Pre-size the schedule for the input plus a typical swap overhead;
-	// growing a 30k-gate output mid-run showed up in the allocation
-	// profile.
-	r.out = make([]schedule.ScheduledGate, 0, n+n/4+16)
+	// Reserve the output once: the input plus one SWAP per two-qubit gate,
+	// about what CODAR inserts on the Fig 8 suite (DESIGN.md §10).
+	size := len(a.Circ.Gates) + a.SoA.TwoQubitGates() + 16
+	r.out = make([]circuit.Gate, 0, size)
+	r.starts = make([]int, 0, size)
 	r.load(a.Circ.Gates, a.SoA)
 	return r
 }
@@ -518,7 +546,7 @@ func (r *remapper) launchGate(i, t int) {
 			r.pushLock(p, end)
 		}
 	}
-	r.emit(schedule.ScheduledGate{Gate: phys, Start: t, Duration: dur})
+	r.emit(phys, t, dur)
 	if end > r.makespan {
 		r.makespan = end
 	}
@@ -539,11 +567,7 @@ func (r *remapper) launchSwap(a, b, start int) {
 	r.pushLock(b, end)
 	qs := r.arena.Take(2)
 	qs[0], qs[1] = a, b
-	r.emit(schedule.ScheduledGate{
-		Gate:     circuit.Gate{Op: circuit.OpSwap, Qubits: qs},
-		Start:    start,
-		Duration: dur,
-	})
+	r.emit(circuit.Gate{Op: circuit.OpSwap, Qubits: qs}, start, dur)
 	if end > r.makespan {
 		r.makespan = end
 	}
@@ -552,25 +576,28 @@ func (r *remapper) launchSwap(a, b, start int) {
 	r.swapCount++
 }
 
-// emit appends sg to the output keeping it sorted by start time, with
-// equal starts in emission order — the ordering the final
-// sort.SliceStable pass used to establish. Gates arrive almost sorted
-// (cycles launch at non-decreasing t; only directRoute schedules into the
-// future), so the common case is a plain append and the rare out-of-order
-// gate is placed by binary search plus shift.
-func (r *remapper) emit(sg schedule.ScheduledGate) {
+// emit appends gate g, launched at start for dur cycles, to the output,
+// keeping it sorted by start time with equal starts in emission order —
+// the ordering a final stable sort by start would establish. Gates arrive
+// almost sorted (cycles launch at non-decreasing t; only directRoute
+// schedules into the future), so the common case is a plain append and
+// the rare out-of-order gate is placed by binary search plus shift, in
+// both parallel slices.
+func (r *remapper) emit(g circuit.Gate, start, dur int) {
 	if r.asap != nil {
-		if span := r.asap.Note(sg.Gate.Qubits, sg.Duration); r.opts.DepthBound.Exceeded(span) {
+		if span := r.asap.Note(g.Qubits, dur); r.opts.DepthBound.Exceeded(span) {
 			r.exceeded = true
 		}
 	}
-	out := append(r.out, sg)
-	if n := len(out) - 1; n > 0 && out[n-1].Start > sg.Start {
-		i := sort.Search(n, func(k int) bool { return out[k].Start > sg.Start })
+	out, starts := append(r.out, g), append(r.starts, start)
+	if n := len(starts) - 1; n > 0 && starts[n-1] > start {
+		i := sort.Search(n, func(k int) bool { return starts[k] > start })
 		copy(out[i+1:], out[i:n])
-		out[i] = sg
+		out[i] = g
+		copy(starts[i+1:], starts[i:n])
+		starts[i] = start
 	}
-	r.out = out
+	r.out, r.starts = out, starts
 }
 
 // lockHeap entries pack (end, qubit) into one int64 ordered by end first.
@@ -683,18 +710,21 @@ func (r *remapper) directRoute(front []int, t int) {
 
 // result packages the outcome of a batch run over a circuit of numClbits
 // classical bits, which the output circuit declares too: a bit no measure
-// writes is still part of the program's register.
+// writes is still part of the program's register. The output gates and
+// their starts become the Result's, without a copy.
 func (r *remapper) result(numClbits int) *Result {
-	s := &schedule.Schedule{
-		NumQubits: r.dev.NumQubits,
-		Gates:     r.out,
-		Makespan:  r.makespan,
+	for i := range r.out {
+		if g := &r.out[i]; g.Op == circuit.OpMeasure && g.Cbit >= numClbits {
+			numClbits = g.Cbit + 1
+		}
 	}
-	circ := s.Circuit("codar")
-	circ.NumClbits = max(circ.NumClbits, numClbits)
 	return &Result{
-		Schedule:      s,
-		Circuit:       circ,
+		Circuit: &circuit.Circuit{
+			Name:      "codar",
+			NumQubits: r.dev.NumQubits,
+			NumClbits: numClbits,
+			Gates:     r.out,
+		},
 		InitialLayout: r.initial,
 		FinalLayout:   r.layout.Clone(),
 		SwapCount:     r.swapCount,
@@ -702,5 +732,7 @@ func (r *remapper) result(numClbits int) *Result {
 		Cycles:        r.cycles,
 		ForcedSwaps:   r.forced,
 		DirectRoutes:  r.routed,
+		starts:        r.starts,
+		durations:     r.dev.Durations,
 	}
 }

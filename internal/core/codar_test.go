@@ -26,7 +26,7 @@ func mustRemap(t *testing.T, c *circuit.Circuit, dev *arch.Device, initial *arch
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Validate(dev.Durations); err != nil {
+	if err := res.Schedule().Validate(dev.Durations); err != nil {
 		t.Fatalf("schedule invalid: %v", err)
 	}
 	checkCompliant(t, res, dev)
@@ -37,7 +37,7 @@ func mustRemap(t *testing.T, c *circuit.Circuit, dev *arch.Device, initial *arch
 // coupled pair.
 func checkCompliant(t *testing.T, res *Result, dev *arch.Device) {
 	t.Helper()
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		g := sg.Gate
 		if g.Op.TwoQubit() && !dev.Adjacent(g.Qubits[0], g.Qubits[1]) {
 			t.Fatalf("output gate %v on uncoupled pair", g)
@@ -60,7 +60,7 @@ func TestFig1ContextSensitivity(t *testing.T) {
 		t.Fatalf("SwapCount = %d, want 1", res.SwapCount)
 	}
 	var swap schedule.ScheduledGate
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpSwap {
 			swap = sg
 		}
@@ -93,7 +93,7 @@ func TestFig2DurationAwareness(t *testing.T) {
 		t.Fatalf("SwapCount = %d, want 1", res.SwapCount)
 	}
 	var swap schedule.ScheduledGate
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpSwap {
 			swap = sg
 		}
@@ -134,7 +134,7 @@ func TestFig7WorkedExample(t *testing.T) {
 		t.Fatalf("SwapCount = %d, want 1", res.SwapCount)
 	}
 	byOp := map[circuit.Op][]schedule.ScheduledGate{}
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		byOp[sg.Gate.Op] = append(byOp[sg.Gate.Op], sg)
 	}
 	// Cycle 0: CX q0,q2 and T q1 launch together.
@@ -178,14 +178,14 @@ func TestFig6HfinePrefersBalancedRoutes(t *testing.T) {
 	layout := arch.NewTrivialLayout(8, 9)
 
 	res := mustRemap(t, c, dev, layout, Options{})
-	first := res.Schedule.Gates[0]
+	first := res.Schedule().Gates[0]
 	if first.Gate.Op != circuit.OpSwap || !(first.Gate.On(0) && first.Gate.On(3)) {
 		t.Errorf("with Hfine: first swap = %v, want SWAP Q0,Q3 (balanced)", first.Gate)
 	}
 
 	// Ablation: without Hfine the tie breaks by edge index, picking (0,1).
 	res2 := mustRemap(t, c, dev, layout, Options{DisableHfine: true})
-	first2 := res2.Schedule.Gates[0]
+	first2 := res2.Schedule().Gates[0]
 	if first2.Gate.Op != circuit.OpSwap || !(first2.Gate.On(0) && first2.Gate.On(1)) {
 		t.Errorf("without Hfine: first swap = %v, want SWAP Q0,Q1 (edge order)", first2.Gate)
 	}
@@ -206,7 +206,7 @@ func TestCommutativityExposesParallelism(t *testing.T) {
 	res := mustRemap(t, c, dev, nil, Options{})
 	// The directly executable CX q1,q2 must start at cycle 0.
 	foundEarly := false
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpCX && sg.Start == 0 {
 			foundEarly = true
 		}
@@ -217,7 +217,7 @@ func TestCommutativityExposesParallelism(t *testing.T) {
 
 	// Ablation: with commutativity disabled the second CX cannot start at 0.
 	res2 := mustRemap(t, c, dev, nil, Options{DisableCommutativity: true})
-	for _, sg := range res2.Schedule.Gates {
+	for _, sg := range res2.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpCX && sg.Start == 0 {
 			t.Error("without commutativity no CX should launch at cycle 0")
 		}
@@ -247,7 +247,7 @@ func TestCompliantCircuitNeedsNoSwaps(t *testing.T) {
 func TestEmptyCircuit(t *testing.T) {
 	dev := arch.Linear(3)
 	res := mustRemap(t, circuit.New(3), dev, nil, Options{})
-	if res.Makespan != 0 || len(res.Schedule.Gates) != 0 {
+	if res.Makespan != 0 || len(res.Schedule().Gates) != 0 {
 		t.Error("empty circuit should produce an empty schedule")
 	}
 }
@@ -305,7 +305,7 @@ func TestInitialLayoutRespected(t *testing.T) {
 	if res.SwapCount != 0 {
 		t.Errorf("SwapCount = %d, want 0", res.SwapCount)
 	}
-	g := res.Schedule.Gates[0].Gate
+	g := res.Schedule().Gates[0].Gate
 	if !(g.On(3) && g.On(2)) {
 		t.Errorf("CX mapped to %v, want physical (3,2)", g.Qubits)
 	}
@@ -316,7 +316,7 @@ func TestMeasureAndBarrierFlow(t *testing.T) {
 	c := circuit.New(3).H(0).CX(0, 1).Barrier(0, 1, 2).Measure(0, 0).Measure(1, 1)
 	res := mustRemap(t, c, dev, nil, Options{})
 	nMeasure, nBarrier := 0, 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		switch sg.Gate.Op {
 		case circuit.OpMeasure:
 			nMeasure++
@@ -331,7 +331,7 @@ func TestMeasureAndBarrierFlow(t *testing.T) {
 		t.Errorf("measure/barrier counts = %d/%d", nMeasure, nBarrier)
 	}
 	// Measures must come after the barrier's start (which follows CX end).
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpMeasure && sg.Start < 3 {
 			t.Errorf("measure at %d precedes barrier sync at 3", sg.Start)
 		}
@@ -347,7 +347,7 @@ func TestLongDistanceRouting(t *testing.T) {
 	}
 	// Exactly one CX in the output, on an adjacent pair.
 	n := 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpCX {
 			n++
 		}
@@ -364,10 +364,10 @@ func TestResultDiagnostics(t *testing.T) {
 	if res.Cycles <= 0 {
 		t.Error("Cycles should be positive")
 	}
-	if res.Makespan != res.Schedule.Makespan {
+	if res.Makespan != res.Schedule().Makespan {
 		t.Error("Makespan mismatch between Result and Schedule")
 	}
-	if res.Circuit.Len() != len(res.Schedule.Gates) {
+	if res.Circuit.Len() != len(res.Schedule().Gates) {
 		t.Error("Circuit/Schedule length mismatch")
 	}
 }
@@ -387,7 +387,7 @@ func TestFinalLayoutTracksSwaps(t *testing.T) {
 	}
 	// Replaying the swaps over the initial layout must yield FinalLayout.
 	replay := res.InitialLayout.Clone()
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpSwap {
 			replay.SwapPhysical(sg.Gate.Qubits[0], sg.Gate.Qubits[1])
 		}

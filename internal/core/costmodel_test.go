@@ -186,7 +186,7 @@ func TestCalibratedRoutingAvoidsBadCoupler(t *testing.T) {
 		t.Fatal(err)
 	}
 	usesBadEdge := func(r *Result) bool {
-		for _, sg := range r.Schedule.Gates {
+		for _, sg := range r.Schedule().Gates {
 			q := sg.Gate.Qubits
 			if len(q) == 2 {
 				a, b := q[0], q[1]

@@ -89,11 +89,12 @@ func resultsIdentical(a, b *Result) error {
 			a.SwapCount, b.SwapCount, a.Makespan, b.Makespan, a.Cycles, b.Cycles,
 			a.ForcedSwaps, b.ForcedSwaps, a.DirectRoutes, b.DirectRoutes)
 	}
-	if len(a.Schedule.Gates) != len(b.Schedule.Gates) {
-		return fmt.Errorf("schedule lengths differ: %d vs %d", len(a.Schedule.Gates), len(b.Schedule.Gates))
+	sa, sb := a.Schedule(), b.Schedule()
+	if len(sa.Gates) != len(sb.Gates) {
+		return fmt.Errorf("schedule lengths differ: %d vs %d", len(sa.Gates), len(sb.Gates))
 	}
-	for i := range a.Schedule.Gates {
-		ga, gb := a.Schedule.Gates[i], b.Schedule.Gates[i]
+	for i := range sa.Gates {
+		ga, gb := sa.Gates[i], sb.Gates[i]
 		if ga.Start != gb.Start || ga.Duration != gb.Duration || !ga.Gate.Equal(gb.Gate) {
 			return fmt.Errorf("scheduled gate %d differs: %v@%d vs %v@%d", i, ga.Gate, ga.Start, gb.Gate, gb.Start)
 		}

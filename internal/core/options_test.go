@@ -65,11 +65,11 @@ func TestAllOptionCombinationsStayCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
-		if err := res.Schedule.Validate(dev.Durations); err != nil {
+		if err := res.Schedule().Validate(dev.Durations); err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
 		nonSwap := 0
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			g := sg.Gate
 			if g.Op.TwoQubit() && !dev.Adjacent(g.Qubits[0], g.Qubits[1]) {
 				t.Fatalf("variant %d: non-compliant %v", i, g)
@@ -119,7 +119,7 @@ func TestDisableCommutativityPreservesOrder(t *testing.T) {
 	}
 	l := res.InitialLayout.Clone()
 	i := 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		g := sg.Gate
 		if g.Op == circuit.OpSwap {
 			l.SwapPhysical(g.Qubits[0], g.Qubits[1])
@@ -165,7 +165,7 @@ func project(gates []circuit.Gate, n int) [][]circuit.Gate {
 func recoverLogical(res *Result, n int) []circuit.Gate {
 	l := res.InitialLayout.Clone()
 	var out []circuit.Gate
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		g := sg.Gate
 		if g.Op == circuit.OpSwap {
 			l.SwapPhysical(g.Qubits[0], g.Qubits[1])
@@ -193,7 +193,7 @@ func TestDeadlockStreakEscape(t *testing.T) {
 		t.Fatal(err)
 	}
 	nCX := 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		if sg.Gate.Op == circuit.OpCX {
 			nCX++
 		}
@@ -209,7 +209,7 @@ func TestDeadlockStreakEscape(t *testing.T) {
 	if res.DirectRoutes == 0 || res.ForcedSwaps != 0 {
 		t.Errorf("streak 1: %d direct routes and %d forced SWAPs, want some and none", res.DirectRoutes, res.ForcedSwaps)
 	}
-	if err := res.Schedule.Validate(dev.Durations); err != nil {
+	if err := res.Schedule().Validate(dev.Durations); err != nil {
 		t.Error(err)
 	}
 }
@@ -263,7 +263,7 @@ func TestWeightedDepthNeverWorseThanSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := 0
-	for _, sg := range res.Schedule.Gates {
+	for _, sg := range res.Schedule().Gates {
 		serial += sg.Duration
 	}
 	if res.Makespan > serial {

@@ -79,7 +79,7 @@ func TestRemapInvariants(t *testing.T) {
 			return false
 		}
 		// (1) hardware compliance
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			if sg.Gate.Op.TwoQubit() && !dev.Adjacent(sg.Gate.Qubits[0], sg.Gate.Qubits[1]) {
 				t.Logf("non-compliant gate %v", sg.Gate)
 				return false
@@ -88,7 +88,7 @@ func TestRemapInvariants(t *testing.T) {
 		// (2) gate conservation: non-swap op histogram must match input.
 		inOps := c.CountOps()
 		outOps := map[circuit.Op]int{}
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			if sg.Gate.Op != circuit.OpSwap {
 				outOps[sg.Gate.Op]++
 			}
@@ -100,7 +100,7 @@ func TestRemapInvariants(t *testing.T) {
 			}
 		}
 		swaps := 0
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			if sg.Gate.Op == circuit.OpSwap {
 				swaps++
 			}
@@ -110,7 +110,7 @@ func TestRemapInvariants(t *testing.T) {
 			return false
 		}
 		// (3) schedule validity
-		if err := res.Schedule.Validate(dev.Durations); err != nil {
+		if err := res.Schedule().Validate(dev.Durations); err != nil {
 			t.Logf("schedule: %v", err)
 			return false
 		}
@@ -148,11 +148,11 @@ func TestRemapTerminatesOnAdversarialShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dev.Name, err)
 		}
-		if err := res.Schedule.Validate(dev.Durations); err != nil {
+		if err := res.Schedule().Validate(dev.Durations); err != nil {
 			t.Fatalf("%s: %v", dev.Name, err)
 		}
 		nCX := 0
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			if sg.Gate.Op == circuit.OpCX {
 				nCX++
 			}
@@ -174,7 +174,7 @@ func TestWindowDoesNotAffectCorrectness(t *testing.T) {
 			t.Fatalf("window %d: %v", w, err)
 		}
 		nonSwap := 0
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			if sg.Gate.Op != circuit.OpSwap {
 				nonSwap++
 			}
@@ -232,7 +232,7 @@ func TestSwapChainEquivalence(t *testing.T) {
 		// Un-map: physical -> logical via evolving inverse layout.
 		l := res.InitialLayout.Clone()
 		var logical []circuit.Gate
-		for _, sg := range res.Schedule.Gates {
+		for _, sg := range res.Schedule().Gates {
 			g := sg.Gate
 			if g.Op == circuit.OpSwap {
 				l.SwapPhysical(g.Qubits[0], g.Qubits[1])

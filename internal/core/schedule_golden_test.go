@@ -45,7 +45,7 @@ func TestScheduleGoldenFig8(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name, dev.Name, err)
 			}
-			s := res.Schedule
+			s := res.Schedule()
 			fmt.Fprintf(h, "%s %d\n", b.Name, len(s.Gates))
 			for _, sg := range s.Gates {
 				g := sg.Gate

@@ -106,10 +106,11 @@ func TestRemapIdenticalToNaiveScoreOnBenchmarks(t *testing.T) {
 }
 
 // TestEmitMatchesStableSort: the ordered-insert emit path must reproduce
-// exactly what the old final sort.SliceStable pass produced — sorted by
+// exactly what a final sort.SliceStable pass would produce — sorted by
 // start, equal starts in emission order — including on the out-of-order
-// arrivals only directRoute generates in real runs. Each gate carries a
-// unique Duration so stability violations are visible.
+// arrivals only directRoute generates in real runs, and must move each
+// gate together with its start. Each gate carries a unique Cbit so
+// stability violations are visible.
 func TestEmitMatchesStableSort(t *testing.T) {
 	r := &remapper{}
 	s := uint64(0xDECAFBAD)
@@ -122,14 +123,18 @@ func TestEmitMatchesStableSort(t *testing.T) {
 		if s%7 == 0 {
 			start += int(s % 11) // ...with occasional future emissions
 		}
-		sg := schedule.ScheduledGate{Start: start, Duration: i}
-		r.emit(sg)
-		ref = append(ref, sg)
+		g := circuit.Gate{Cbit: i}
+		r.emit(g, start, 0)
+		ref = append(ref, schedule.ScheduledGate{Gate: g, Start: start})
 	}
 	sort.SliceStable(ref, func(i, j int) bool { return ref[i].Start < ref[j].Start })
+	if len(r.out) != len(ref) || len(r.starts) != len(ref) {
+		t.Fatalf("emitted %d gates and %d starts, want %d", len(r.out), len(r.starts), len(ref))
+	}
 	for i := range ref {
-		if r.out[i].Start != ref[i].Start || r.out[i].Duration != ref[i].Duration {
-			t.Fatalf("emit order diverges from stable sort at %d: %+v vs %+v", i, r.out[i], ref[i])
+		if r.starts[i] != ref[i].Start || r.out[i].Cbit != ref[i].Gate.Cbit {
+			t.Fatalf("emit order diverges from stable sort at %d: gate %d at %d, want gate %d at %d",
+				i, r.out[i].Cbit, r.starts[i], ref[i].Gate.Cbit, ref[i].Start)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // StreamResult summarizes a RemapStream run. The schedule itself went to
 // the sink chunk by chunk; the concatenation of those chunks is exactly the
-// Gates slice of the batch Remap schedule for the same input and options
+// Gates slice of the batch Remap's Schedule for the same input and options
 // (the differential test grid pins this byte for byte).
 type StreamResult struct {
 	// NumQubits is the device qubit count (the schedule's qubit space).
@@ -55,28 +55,43 @@ func streamBatch(o Options) int {
 	return b
 }
 
-// settle drops the flushed schedule prefix out[:cut] and recycles its
-// memory. The sink only borrowed the prefix, so the unflushed carry moves
-// down to the front of the schedule buffer, and its qubit slices move to
-// the front of the rewound arena (stashed first: a carry slice may sit
-// where the rewound arena writes next).
+// settle drops the flushed output prefix out[:cut] and its starts, and
+// recycles their memory. The sink only borrowed its rendering of the
+// prefix, so the unflushed carry moves down to the front of both slices,
+// and its qubit slices move to the front of the rewound arena (stashed
+// first: a carry slice may sit where the rewound arena writes next).
 func (r *remapper) settle(cut int) {
 	carry := r.out[cut:]
 	r.carryQ = r.carryQ[:0]
 	for i := range carry {
-		r.carryQ = append(r.carryQ, carry[i].Gate.Qubits...)
+		r.carryQ = append(r.carryQ, carry[i].Qubits...)
 	}
 	n := copy(r.out, carry)
 	clear(r.out[n:])
 	r.out = r.out[:n]
+	r.starts = r.starts[:copy(r.starts, r.starts[cut:])]
 	r.arena.Reset()
 	off := 0
 	for i := range r.out {
-		g := &r.out[i].Gate
+		g := &r.out[i]
 		qs := r.arena.Take(len(g.Qubits))
 		off += copy(qs, r.carryQ[off:])
 		g.Qubits = qs
 	}
+}
+
+// flush renders the output prefix out[:cut] into chunk and hands it to
+// the sink, returning the buffer for the next flush. The buffer matches
+// the output's capacity, so it is reallocated only when the output grew.
+func (r *remapper) flush(sink schedule.Sink, chunk []schedule.ScheduledGate, cut int) ([]schedule.ScheduledGate, error) {
+	if cap(chunk) < cut {
+		chunk = make([]schedule.ScheduledGate, 0, cap(r.out))
+	}
+	chunk = timed(chunk[:0], r.out[:cut], r.starts[:cut], r.dev.Durations)
+	if err := sink.Flush(chunk[:cut:cut]); err != nil {
+		return chunk, fmt.Errorf("codar: sink: %w", err)
+	}
+	return chunk, nil
 }
 
 // RemapStream runs CODAR over a gate stream, holding only a bounded window
@@ -121,6 +136,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		soa             circuit.SoA
 		cur             cursor
 		keep            []int
+		chunk           []schedule.ScheduledGate
 		flushed, chunks int
 	)
 	for {
@@ -143,10 +159,10 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		// emission starts at or after cur.t, and an equal-start emission
 		// sorts after entries with earlier starts and before entries with
 		// later ones, so entries with Start <= cur.t are final.
-		cut := sort.Search(len(r.out), func(k int) bool { return r.out[k].Start > cur.t })
+		cut := sort.Search(len(r.starts), func(k int) bool { return r.starts[k] > cur.t })
 		if cut > 0 {
-			if err := sink.Flush(r.out[:cut:cut]); err != nil {
-				return nil, fmt.Errorf("codar: sink: %w", err)
+			if chunk, err = r.flush(sink, chunk, cut); err != nil {
+				return nil, err
 			}
 			flushed += cut
 			chunks++
@@ -165,8 +181,8 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	}
 
 	if len(r.out) > 0 {
-		if err := sink.Flush(r.out); err != nil {
-			return nil, fmt.Errorf("codar: sink: %w", err)
+		if _, err := r.flush(sink, chunk, len(r.out)); err != nil {
+			return nil, err
 		}
 		flushed += len(r.out)
 		chunks++

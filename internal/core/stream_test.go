@@ -39,18 +39,19 @@ func checkStreamEqualsBatch(t *testing.T, c *circuit.Circuit, dev *arch.Device, 
 		t.Fatalf("Remap: %v", err)
 	}
 	res, col := runStream(t, c, dev, nil, opts)
-	if len(col.Gates) != len(want.Schedule.Gates) {
-		t.Fatalf("streamed %d scheduled gates, batch %d", len(col.Gates), len(want.Schedule.Gates))
+	ws := want.Schedule()
+	if len(col.Gates) != len(ws.Gates) {
+		t.Fatalf("streamed %d scheduled gates, batch %d", len(col.Gates), len(ws.Gates))
 	}
 	for i := range col.Gates {
-		g, w := col.Gates[i], want.Schedule.Gates[i]
+		g, w := col.Gates[i], ws.Gates[i]
 		if g.Start != w.Start || g.Duration != w.Duration || !g.Gate.Equal(w.Gate) {
 			t.Fatalf("scheduled gate %d: stream {%v %d %d}, batch {%v %d %d}",
 				i, g.Gate, g.Start, g.Duration, w.Gate, w.Start, w.Duration)
 		}
 	}
-	if res.Gates != len(want.Schedule.Gates) {
-		t.Errorf("StreamResult.Gates = %d, want %d", res.Gates, len(want.Schedule.Gates))
+	if res.Gates != len(ws.Gates) {
+		t.Errorf("StreamResult.Gates = %d, want %d", res.Gates, len(ws.Gates))
 	}
 	if res.Makespan != want.Makespan || res.SwapCount != want.SwapCount ||
 		res.Cycles != want.Cycles || res.ForcedSwaps != want.ForcedSwaps ||
@@ -288,27 +289,24 @@ func TestSettleMovesCarryOutOfTheArena(t *testing.T) {
 	emit := func(start, a, b int) {
 		qs := r.arena.Take(2)
 		qs[0], qs[1] = a, b
-		r.emit(schedule.ScheduledGate{Gate: circuit.Gate{Op: circuit.OpSwap, Qubits: qs}, Start: start, Duration: 6})
+		r.emit(circuit.Gate{Op: circuit.OpSwap, Qubits: qs}, start, 6)
 	}
 	emit(9, 0, 1) // scheduled into the future first, as directRoute does
 	emit(1, 2, 3)
 	emit(2, 4, 5)
 	emit(7, 6, 7)
-	want := []schedule.ScheduledGate{r.out[2], r.out[3]}
-	for i := range want {
-		want[i].Gate = want[i].Gate.Clone()
-	}
+	want := []schedule.ScheduledGate{{Gate: r.out[2].Clone(), Start: r.starts[2]}, {Gate: r.out[3].Clone(), Start: r.starts[3]}}
 	r.settle(2)
 	for i := 0; i < 16; i++ {
 		qs := r.arena.Take(2)
 		qs[0], qs[1] = -1, -1
 	}
-	if len(r.out) != len(want) {
-		t.Fatalf("carry has %d gates, want %d", len(r.out), len(want))
+	if len(r.out) != len(want) || len(r.starts) != len(want) {
+		t.Fatalf("carry has %d gates and %d starts, want %d", len(r.out), len(r.starts), len(want))
 	}
 	for i := range want {
-		if g := r.out[i]; g.Start != want[i].Start || !g.Gate.Equal(want[i].Gate) {
-			t.Fatalf("carry gate %d = %v at %d, want %v at %d", i, g.Gate, g.Start, want[i].Gate, want[i].Start)
+		if g, start := r.out[i], r.starts[i]; start != want[i].Start || !g.Equal(want[i].Gate) {
+			t.Fatalf("carry gate %d = %v at %d, want %v at %d", i, g, start, want[i].Gate, want[i].Start)
 		}
 	}
 }

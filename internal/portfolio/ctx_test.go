@@ -8,6 +8,7 @@ import (
 
 	"codar/internal/arch"
 	"codar/internal/testutil"
+	"codar/internal/workloads"
 )
 
 // TestCtxPreCanceled: a dead context aborts the run before any candidate is
@@ -28,15 +29,18 @@ func TestCtxPreCanceled(t *testing.T) {
 
 // TestCtxCancelMidRun: canceling a running portfolio aborts every in-flight
 // candidate, stops dispatching queued ones, returns the typed error promptly
-// and — the leak check — strands no pool worker.
+// and — the leak check — strands no pool worker. The 5,000-gate circuit
+// keeps the uncanceled grid running about 35 times longer than the head
+// start before the cancel (0.35 s on 2 vCPUs), so the cancel always lands
+// mid-run; qft_16's grid took about 10 ms, as long as the head start.
 func TestCtxCancelMidRun(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	b := benchCircuit(t, "qft_16")
+	c := workloads.Random(54, 5000, 45, 1)
 	dev := arch.SycamoreQ54()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(b.Circuit(), dev, Spec{Ctx: ctx, Workers: 4, Seeds: []int64{1, 2, 3, 4}})
+		_, err := Run(c, dev, Spec{Ctx: ctx, Workers: 4, Seeds: []int64{1, 2, 3, 4}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

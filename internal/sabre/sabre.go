@@ -327,10 +327,10 @@ func (m *mapper) load(c *circuit.Circuit, soa *circuit.SoA, sourceOpen bool) {
 	m.extValid, m.idxValid = false, false
 	m.out.NumClbits = c.NumClbits
 	if !m.discard {
-		// Pre-size for the input plus a typical swap overhead; resizing
-		// a 30k-gate output mid-run showed up in the allocation profile.
-		// The previous load's gates were flushed, so the arena rewinds.
-		m.out.Gates = slices.Grow(m.out.Gates[:0], n+n/4+16)
+		// Reserve the input plus one SWAP per two-qubit gate, more than
+		// SABRE inserts on most of the Fig 8 suite (DESIGN.md §10). The
+		// previous load's gates were flushed, so the arena rewinds.
+		m.out.Gates = slices.Grow(m.out.Gates[:0], n+soa.TwoQubitGates()+16)
 		m.arena.Reset()
 	}
 	m.sourceOpen, m.starved = sourceOpen, false

@@ -99,36 +99,6 @@ func (s *Schedule) Validate(durations arch.Durations) error {
 	return nil
 }
 
-// Circuit reconstructs the plain gate sequence in start order.
-func (s *Schedule) Circuit(name string) *circuit.Circuit {
-	// The copy is independent of the schedule's (often arena-shared) gate
-	// storage, but batches the per-gate qubit and parameter slices through
-	// arenas: one allocation per few thousand gates instead of two per gate.
-	c := &circuit.Circuit{
-		Name:      name,
-		NumQubits: s.NumQubits,
-		Gates:     make([]circuit.Gate, 0, len(s.Gates)),
-	}
-	var qubits circuit.IntArena
-	var params circuit.FloatArena
-	for _, sg := range s.Gates {
-		g := sg.Gate
-		qs := qubits.Take(len(g.Qubits))
-		copy(qs, g.Qubits)
-		g.Qubits = qs
-		if g.Params != nil {
-			ps := params.Take(len(g.Params))
-			copy(ps, g.Params)
-			g.Params = ps
-		}
-		if g.Op == circuit.OpMeasure && g.Cbit >= c.NumClbits {
-			c.NumClbits = g.Cbit + 1
-		}
-		c.Gates = append(c.Gates, g)
-	}
-	return c
-}
-
 // BusyCycles returns, per qubit, the total number of cycles the qubit is
 // occupied by gates. Used by fidelity analysis (idle time = makespan - busy).
 func (s *Schedule) BusyCycles() []int {

@@ -131,22 +131,6 @@ func TestScheduleValidateCatchesWrongDuration(t *testing.T) {
 	}
 }
 
-func TestScheduleCircuitRoundTrip(t *testing.T) {
-	c := circuit.New(3).H(0).CX(0, 1).CX(1, 2).Measure(2, 0)
-	s := ASAP(c, sc())
-	back := s.Circuit("rt")
-	if back.Len() != c.Len() {
-		t.Fatalf("round trip lost gates: %d vs %d", back.Len(), c.Len())
-	}
-	if back.NumClbits != 1 {
-		t.Errorf("NumClbits = %d, want 1", back.NumClbits)
-	}
-	// Re-scheduling the reconstructed circuit preserves the makespan.
-	if got := ASAP(back, sc()).Makespan; got != s.Makespan {
-		t.Errorf("re-scheduled makespan %d != %d", got, s.Makespan)
-	}
-}
-
 func TestBusyCycles(t *testing.T) {
 	c := circuit.New(2).H(0).CX(0, 1)
 	s := ASAP(c, sc())
