@@ -162,7 +162,7 @@ func errorCases() []goldenCase {
 		{"check-duplicate-operand", "qreg q[2];\ncx q[0],q[0];\n"},
 		{"check-barrier-duplicate", "qreg q[2];\nbarrier q[0],q[0];\n"},
 		{"check-barrier-duplicate-in-body", "qreg q[2];\ngate g a,b { barrier a,b; }\ng q[1],q[1];\n"},
-		{"check-measure-params", "qreg q[1];\nMEASURE(1) q[0];\n"},
+		{"check-measure-params", "qreg q[1];\nMEASURE(1) q[0];\n"}, // a directive in any case, so a parse error
 		{"check-in-body", "qreg q[2];\ngate g a,b { cx a,b; }\ng q[1],q[1];\n"},
 		// expr.go
 		{"eval-non-finite", "qreg q[1];\nrz(2^2000) q[0];\n"},

@@ -267,15 +267,6 @@ func (p *parser) parseStatement() error {
 			p.take()
 		}
 		return p.expectSymbol(';')
-	case "barrier":
-		p.take()
-		return p.parseBarrier()
-	case "measure":
-		p.take()
-		return p.parseMeasure()
-	case "reset":
-		p.take()
-		return p.parseReset()
 	case "if":
 		return fmt.Errorf("qasm: line %d: classical control (if) is not supported", t.line)
 	default:
@@ -412,10 +403,9 @@ func (p *parser) take1(q int) []int {
 	return qs
 }
 
-func (p *parser) parseBarrier() error {
-	if err := p.ensureCircuit(); err != nil {
-		return err
-	}
+// parseBarrier, parseMeasure and parseReset read the rest of a directive
+// statement at line, whose name parseApplication has taken.
+func (p *parser) parseBarrier(line int) error {
 	p.qs = p.qs[:0]
 	for {
 		o, err := p.parseOperand(true)
@@ -436,13 +426,10 @@ func (p *parser) parseBarrier() error {
 	}
 	qs := p.qubits.Take(len(p.qs))
 	copy(qs, p.qs)
-	return p.emit(circuit.OpBarrier, nil, qs, 0)
+	return p.emit(circuit.OpBarrier, nil, qs, line)
 }
 
-func (p *parser) parseMeasure() error {
-	if err := p.ensureCircuit(); err != nil {
-		return err
-	}
+func (p *parser) parseMeasure(line int) error {
 	q, err := p.parseOperand(true)
 	if err != nil {
 		return err
@@ -464,17 +451,14 @@ func (p *parser) parseMeasure() error {
 		if err := p.spend(); err != nil {
 			return err
 		}
-		if err := p.add(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}, 0); err != nil {
+		if err := p.add(circuit.Gate{Op: circuit.OpMeasure, Qubits: p.take1(q.at(k)), Cbit: c.at(k)}, line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (p *parser) parseReset() error {
-	if err := p.ensureCircuit(); err != nil {
-		return err
-	}
+func (p *parser) parseReset(line int) error {
 	o, err := p.parseOperand(true)
 	if err != nil {
 		return err
@@ -483,7 +467,7 @@ func (p *parser) parseReset() error {
 		return err
 	}
 	for k := 0; k < o.count(); k++ {
-		if err := p.emit(circuit.OpReset, nil, p.take1(o.at(k)), 0); err != nil {
+		if err := p.emit(circuit.OpReset, nil, p.take1(o.at(k)), line); err != nil {
 			return err
 		}
 	}
@@ -494,6 +478,8 @@ func (p *parser) parseReset() error {
 // statement's name resolves once, to a built-in op or else a definition;
 // its parameters and operands come from the lexer's buffer when the
 // statement has the canonical shape, and from the token stream otherwise.
+// A name that resolves to measure, reset or barrier, in any case, is that
+// directive.
 func (p *parser) parseApplication() error {
 	id := p.take()
 	line := id.line
@@ -501,6 +487,15 @@ func (p *parser) parseApplication() error {
 		return err
 	}
 	op, builtin := circuit.OpByName(string(id.text))
+	switch {
+	case !builtin:
+	case op == circuit.OpMeasure:
+		return p.parseMeasure(line)
+	case op == circuit.OpReset:
+		return p.parseReset(line)
+	case op == circuit.OpBarrier:
+		return p.parseBarrier(line)
+	}
 	var def *gateDef
 	if !builtin {
 		// Errors after the arguments name the gate, so keep the name.
