@@ -268,6 +268,11 @@ func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 	case spec.Codar.DepthBound != nil:
 		return nil, errors.New("portfolio: Spec.Codar.DepthBound is set; set Spec.EarlyAbandon instead")
 	}
+	for _, m := range spec.Placements {
+		if _, err := placement.ParseMethod(string(m)); err != nil {
+			return nil, err
+		}
+	}
 	for _, a := range spec.Algorithms {
 		if _, err := compile.ParseAlgorithm(string(a)); err != nil {
 			return nil, err

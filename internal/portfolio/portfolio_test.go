@@ -326,6 +326,12 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := Run(c, dev, Spec{Algorithms: []compile.Algorithm{"astar"}}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	// An unknown placement is rejected before any candidate runs, even
+	// beside placements that would produce a winner.
+	bad := []placement.Method{placement.MethodTrivial, "bogus", placement.MethodSabreReverse}
+	if res, err := Run(c, dev, Spec{Placements: bad}); err == nil || !strings.Contains(err.Error(), `unknown method "bogus"`) {
+		t.Errorf("unknown placement: result %v, error %v; want the placement's error", res != nil, err)
+	}
 	if _, err := ParseObjective("min-depth"); err != nil {
 		t.Error(err)
 	}

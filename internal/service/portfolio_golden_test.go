@@ -28,7 +28,7 @@ var goldenPortfolioHashes = map[string]string{
 	"library/default":       "1d1fd1f93e0e9fcf605d91c6ab9c5fc72aa2180ed9c99d203458f14ff7588e8a",
 	"library/min-swaps":     "e8cc9d8dc32ea43e38059189f7af9099c38c44421bfd652d788bfe06b364b55a",
 	"library/max-esp":       "9801a15143d9d8b5e95376185fd22308dcc6582b5b5235e47a52950ae521882e",
-	"library/bad-placement": "99cb4c2a5cab4ee474d15f28044c86e093257fcad8e47b9a6c1cd921ffe2ec65",
+	"library/bad-placement": "e09b300fb266bb73b28b68a57f9ca62c3787d2bde534f91bb3d0f03be9d94021",
 	"library/no-fit":        "d4d078cc25437c9b7aa3e9a39e6f5ebc507e35e9a7f7ab2f4029f5617effaa52",
 	"codard/default":        "2af470df73fcc289320c22360c6cb808308d596c0107c42e1719c69feff7b0bd",
 	"codard/min-swaps":      "d60c28497e0db34834d1516fa7e6ad773c550ead522f605731aa99de1b92c498",
@@ -54,9 +54,9 @@ func portfolioFingerprint(t *testing.T, res *portfolio.Result, err error) string
 
 // TestPortfolioGoldenBytes pins the portfolio's output bytes: the library
 // result on five suite circuits on Tokyo (4 workers, early abandon off)
-// for the default grid, min-swaps, calibrated max-esp and a grid with a
-// failing placement, the error of a grid where nothing fits, and the
-// codard /v1/map portfolio response bodies for the first three grids.
+// for the default grid, min-swaps and calibrated max-esp, the error of a
+// grid naming an unknown placement and of a grid where nothing fits, and
+// the codard /v1/map portfolio response bodies for the first three grids.
 func TestPortfolioGoldenBytes(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	snap := calib.Synthetic(dev, 1)
