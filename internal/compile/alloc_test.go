@@ -15,8 +15,8 @@ import (
 
 // batchAllocLimit bounds the bytes a batch compile allocates per input
 // gate on Tokyo's Fig 8 suite. The figure repeats exactly from run to run
-// (713.4 when the bound was set), so the bound sits about 10% above it.
-const batchAllocLimit = 785
+// (590.3 when the bound was set), so the bound sits about 10% above it.
+const batchAllocLimit = 650
 
 // TestBatchCompileAllocs guards the batch path's allocation: every Tokyo
 // Fig 8 circuit through qasm.Parse, circuit.Decompose, compile.Run (CODAR
