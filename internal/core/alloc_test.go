@@ -77,7 +77,6 @@ func TestRemapStreamFlushReusesChunk(t *testing.T) {
 
 	r := newEngine(dev.NumQubits, dev, arch.NewTrivialLayout(dev.NumQubits, dev.NumQubits), Options{})
 	discard := schedule.FuncSink(func([]schedule.ScheduledGate) error { return nil })
-	var chunk []schedule.ScheduledGate
 	start := 0
 	cycle := func() {
 		for i := 0; i < 300; i++ {
@@ -87,8 +86,7 @@ func TestRemapStreamFlushReusesChunk(t *testing.T) {
 		}
 		start += 150
 		cut := len(r.out) - 100
-		var err error
-		if chunk, err = r.flush(discard, chunk, cut); err != nil {
+		if err := r.flush(discard, cut); err != nil {
 			t.Fatal(err)
 		}
 		r.settle(cut)

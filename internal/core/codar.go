@@ -304,9 +304,11 @@ type remapper struct {
 
 	// arena backs the physical-qubit slices of emitted gates. The
 	// streaming driver rewinds it after every flush (settle), staging the
-	// unflushed gates' qubits in carryQ.
+	// unflushed gates' qubits in carryQ, and renders every flushed prefix
+	// into the one chunk buffer (flush).
 	arena  circuit.IntArena
 	carryQ []int
+	chunk  []schedule.ScheduledGate
 
 	// Scratch buffers for the front handed to the cycle and the
 	// SWAP-candidate search.

@@ -80,18 +80,18 @@ func (r *remapper) settle(cut int) {
 	}
 }
 
-// flush renders the output prefix out[:cut] into chunk and hands it to
-// the sink, returning the buffer for the next flush. The buffer matches
-// the output's capacity, so it is reallocated only when the output grew.
-func (r *remapper) flush(sink schedule.Sink, chunk []schedule.ScheduledGate, cut int) ([]schedule.ScheduledGate, error) {
-	if cap(chunk) < cut {
-		chunk = make([]schedule.ScheduledGate, 0, cap(r.out))
+// flush renders the output prefix out[:cut] into the chunk buffer and
+// hands it to the sink. The buffer takes the output's capacity, so it is
+// reallocated only when the output has grown past it.
+func (r *remapper) flush(sink schedule.Sink, cut int) error {
+	if cap(r.chunk) < cut {
+		r.chunk = make([]schedule.ScheduledGate, 0, cap(r.out))
 	}
-	chunk = timed(chunk[:0], r.out[:cut], r.starts[:cut], r.dev.Durations)
-	if err := sink.Flush(chunk[:cut:cut]); err != nil {
-		return chunk, fmt.Errorf("codar: sink: %w", err)
+	r.chunk = timed(r.chunk[:0], r.out[:cut], r.starts[:cut], r.dev.Durations)
+	if err := sink.Flush(r.chunk[:cut:cut]); err != nil {
+		return fmt.Errorf("codar: sink: %w", err)
 	}
-	return chunk, nil
+	return nil
 }
 
 // RemapStream runs CODAR over a gate stream, holding only a bounded window
@@ -136,7 +136,6 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		soa             circuit.SoA
 		cur             cursor
 		keep            []int
-		chunk           []schedule.ScheduledGate
 		flushed, chunks int
 	)
 	for {
@@ -161,7 +160,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		// later ones, so entries with Start <= cur.t are final.
 		cut := sort.Search(len(r.starts), func(k int) bool { return r.starts[k] > cur.t })
 		if cut > 0 {
-			if chunk, err = r.flush(sink, chunk, cut); err != nil {
+			if err := r.flush(sink, cut); err != nil {
 				return nil, err
 			}
 			flushed += cut
@@ -181,7 +180,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	}
 
 	if len(r.out) > 0 {
-		if _, err := r.flush(sink, chunk, len(r.out)); err != nil {
+		if err := r.flush(sink, len(r.out)); err != nil {
 			return nil, err
 		}
 		flushed += len(r.out)
