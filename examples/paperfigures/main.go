@@ -31,7 +31,7 @@ func fig1() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched := res.Schedule() // each gate's start cycle and duration
+	sched := res.Schedule()
 	fmt.Print(sched)
 	fmt.Printf("-> SWAP avoids the busy Q2 and starts at cycle 0; makespan %d (the\n", res.Makespan)
 	fmt.Println("   context-blind alternative would serialise after T and finish at 9)")
@@ -54,7 +54,7 @@ func fig2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched := res.Schedule() // each gate's start cycle and duration
+	sched := res.Schedule()
 	fmt.Print(sched)
 	fmt.Println("-> T frees Q1 at cycle 1 while CX still holds Q0/Q2 until 2: the")
 	fmt.Println("   duration-aware SWAP launches a cycle early (Fig 2(d) timeline)")
@@ -80,7 +80,7 @@ func fig7() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched := res.Schedule() // each gate's start cycle and duration
+	sched := res.Schedule()
 	fmt.Print(sched)
 	fmt.Printf("-> SWAP Q1,Q3 at cycle 1 (locks -> 7), blocked CX runs at 7; makespan %d\n", res.Makespan)
 	fmt.Println(sched.Gantt(60))

@@ -487,14 +487,15 @@ func (p *parser) parseApplication() error {
 		return err
 	}
 	op, builtin := circuit.OpByName(string(id.text))
-	switch {
-	case !builtin:
-	case op == circuit.OpMeasure:
-		return p.parseMeasure(line)
-	case op == circuit.OpReset:
-		return p.parseReset(line)
-	case op == circuit.OpBarrier:
-		return p.parseBarrier(line)
+	if builtin {
+		switch op {
+		case circuit.OpMeasure:
+			return p.parseMeasure(line)
+		case circuit.OpReset:
+			return p.parseReset(line)
+		case circuit.OpBarrier:
+			return p.parseBarrier(line)
+		}
 	}
 	var def *gateDef
 	if !builtin {
