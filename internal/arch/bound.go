@@ -3,6 +3,8 @@ package arch
 import (
 	"errors"
 	"sync/atomic"
+
+	"codar/internal/circuit"
 )
 
 // ErrDepthBound is the one sentinel both mappers return when a run is
@@ -85,6 +87,13 @@ type ASAPTracker struct {
 // NewASAPTracker sizes the tracker for a device's physical qubits.
 func NewASAPTracker(numQubits int) *ASAPTracker {
 	return &ASAPTracker{free: make([]int, numQubits)}
+}
+
+// Reset empties the tracker for numQubits physical qubits, reusing its
+// memory.
+func (t *ASAPTracker) Reset(numQubits int) {
+	t.free = circuit.Reuse(t.free, numQubits)
+	t.span = 0
 }
 
 // Place schedules one gate of the given duration on qs and returns its

@@ -59,7 +59,14 @@ func (d Durations) WithOverride(op circuit.Op, cycles int) Durations {
 	return out
 }
 
-// Validate rejects non-positive class durations.
+// MaxDuration bounds every duration, in cycles. It is over 1,800 times the
+// longest preset duration, the ion-trap SWAP at 36 cycles, and keeps a
+// mapping's schedule far inside the cycle range the CODAR engine's lock
+// queue can hold.
+const MaxDuration = 1 << 16
+
+// Validate rejects non-positive class durations and any duration above
+// MaxDuration.
 func (d Durations) Validate() error {
 	if d.Single <= 0 || d.Two <= 0 || d.Swap <= 0 {
 		return fmt.Errorf("durations must be positive: single=%d two=%d swap=%d", d.Single, d.Two, d.Swap)
@@ -71,6 +78,12 @@ func (d Durations) Validate() error {
 		if t < 0 {
 			return fmt.Errorf("negative override for %v: %d", op, t)
 		}
+		if t > MaxDuration {
+			return fmt.Errorf("override for %v is %d cycles, above the %d-cycle bound", op, t, MaxDuration)
+		}
+	}
+	if longest := max(d.Single, d.Two, d.Swap, d.Measure); longest > MaxDuration {
+		return fmt.Errorf("durations must be at most %d cycles: single=%d two=%d swap=%d measure=%d", MaxDuration, d.Single, d.Two, d.Swap, d.Measure)
 	}
 	return nil
 }

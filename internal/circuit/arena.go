@@ -9,6 +9,9 @@ package circuit
 // written twice.
 type IntArena struct {
 	buf []int
+	// spill counts the elements taken from blocks left behind since the
+	// last Reset or Rewind.
+	spill int
 }
 
 // Block sizes double from arenaMin to arenaBlock, so a small circuit does
@@ -28,6 +31,7 @@ func blockSize(prev, n int) int {
 // Take returns a zeroed slice of length n from the arena.
 func (a *IntArena) Take(n int) []int {
 	if len(a.buf)+n > cap(a.buf) {
+		a.spill += len(a.buf)
 		a.buf = make([]int, 0, blockSize(cap(a.buf), n))
 	}
 	off := len(a.buf)
@@ -42,24 +46,49 @@ func (a *IntArena) Take(n int) []int {
 // the streaming remapper resets once per flush, after moving its unflushed
 // gates' slices out (remapper.settle).
 func (a *IntArena) Reset() {
-	a.buf = a.buf[:0]
+	a.buf, a.spill = a.buf[:0], 0
+}
+
+// Rewind is Reset for an arena reused from circuit to circuit: when the
+// takes since the last rewind spilled past the current block, the next
+// block holds them all, so an arena serving circuits of similar sizes
+// settles on one block and stops allocating. The caller must hold no
+// slice taken from the arena.
+func (a *IntArena) Rewind() {
+	a.buf, a.spill = rewind(a.buf, a.spill), 0
+}
+
+// rewind returns buf emptied, or a new empty block when the spill plus
+// buf's own takes outgrew it.
+func rewind[T any](buf []T, spill int) []T {
+	if need := spill + len(buf); need > cap(buf) {
+		return make([]T, 0, need)
+	}
+	return buf[:0]
 }
 
 // FloatArena is IntArena over float64 blocks: batch storage for per-gate
 // parameter slices when a whole circuit is built at once (the parser,
 // Decompose), where one allocation per gate would dominate.
 type FloatArena struct {
-	buf []float64
+	buf   []float64
+	spill int
 }
 
-// Take returns a zeroed slice of length n from the arena.
+// Take returns a slice of length n from the arena, for the caller to fill.
 func (a *FloatArena) Take(n int) []float64 {
 	if len(a.buf)+n > cap(a.buf) {
+		a.spill += len(a.buf)
 		a.buf = make([]float64, 0, blockSize(cap(a.buf), n))
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]
 	return a.buf[off : off+n : off+n]
+}
+
+// Rewind is IntArena.Rewind.
+func (a *FloatArena) Rewind() {
+	a.buf, a.spill = rewind(a.buf, a.spill), 0
 }
 
 // Reuse returns s resized to n zeroed elements, keeping its backing array

@@ -29,6 +29,19 @@ func Assemble(c *Circuit) *Assembly {
 	return &Assembly{Circ: c, SoA: NewSoA(c)}
 }
 
+// Load points a at c, rebuilding the SoA layout in the memory of the
+// previous load and forgetting the cached check: a reused compile context
+// (compile.Worker) assembles every circuit into one Assembly. No goroutine
+// may be using a.
+func (a *Assembly) Load(c *Circuit) {
+	if a.SoA == nil {
+		a.SoA = new(SoA)
+	}
+	a.SoA.Load(c.Gates)
+	a.Circ = c
+	a.chkOnce, a.chkErr = sync.Once{}, nil
+}
+
 // Checked reports whether the circuit is valid and lowered to the base
 // gate set, running the two O(gates) walks once and caching the verdict.
 // Callers wrap the error with their own prefix ("codar:", "sabre:"), which

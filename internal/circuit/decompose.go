@@ -1,5 +1,7 @@
 package circuit
 
+import "slices"
+
 // Decompose lowers a circuit to the base gate set the remappers operate on:
 // arbitrary single-qubit gates plus CX (and CZ, which every built-in device
 // supports natively). Compound ops are expanded:
@@ -13,16 +15,36 @@ package circuit
 // Barriers, measurements and resets pass through unchanged. The original
 // circuit is not modified.
 func Decompose(c *Circuit) *Circuit {
-	out := &Circuit{
+	var l Lowerer
+	return l.Decompose(c)
+}
+
+// Lowerer is Decompose with its memory kept from one call to the next:
+// the output's gate slice and the arenas behind its qubit and parameter
+// slices. The circuit Decompose returns is valid only until the next call.
+// The zero value is ready to use; a Lowerer serves one goroutine at a time.
+type Lowerer struct {
+	d decomposer
+}
+
+// Decompose is the package's Decompose into l's memory.
+func (l *Lowerer) Decompose(c *Circuit) *Circuit {
+	out := l.d.out
+	if out == nil {
+		out = new(Circuit)
+	}
+	*out = Circuit{
 		Name:      c.Name,
 		NumQubits: c.NumQubits,
 		NumClbits: c.NumClbits,
 		// Lower bound: every input gate yields at least one output gate.
-		Gates: make([]Gate, 0, len(c.Gates)),
+		Gates: slices.Grow(out.Gates[:0], len(c.Gates)),
 	}
-	d := decomposer{out: out}
+	l.d.out = out
+	l.d.qubits.Rewind()
+	l.d.params.Rewind()
 	for _, g := range c.Gates {
-		decomposeInto(&d, g)
+		decomposeInto(&l.d, g)
 	}
 	return out
 }

@@ -139,26 +139,40 @@ type Window struct {
 // goroutine may run at once (GOMAXPROCS > 1) and src is not a SliceSource,
 // whose Next does no work.
 func NewWindow(src Source, batch int) *Window {
+	w := new(Window)
+	w.Reset(src, batch)
+	return w
+}
+
+// Reset points a closed window at a new source, as NewWindow does, and
+// keeps the gate buffer of its previous stream: a reused mapping engine
+// holds one window for all its streams.
+func (w *Window) Reset(src Source, batch int) {
 	_, inMemory := src.(*SliceSource)
-	return newWindow(src, batch, !inMemory && runtime.GOMAXPROCS(0) > 1)
+	w.reset(src, batch, !inMemory && runtime.GOMAXPROCS(0) > 1)
 }
 
 // newWindow builds the window, with the read-ahead stage when readAhead is
 // set.
 func newWindow(src Source, batch int, readAhead bool) *Window {
-	if batch < 1 {
-		batch = 1
-	}
-	w := &Window{
+	w := new(Window)
+	w.reset(src, batch, readAhead)
+	return w
+}
+
+// reset is Reset with the read-ahead choice made.
+func (w *Window) reset(src Source, batch int, readAhead bool) {
+	clear(w.gates)
+	*w = Window{
 		src:   src,
-		batch: batch,
+		batch: max(batch, 1),
+		gates: w.gates[:0],
 		open:  true,
 		chk:   Circuit{NumQubits: src.NumQubits(), NumClbits: src.NumClbits()},
 	}
 	if readAhead {
-		w.ra = startReadAhead(src, batch)
+		w.ra = startReadAhead(src, w.batch)
 	}
-	return w
 }
 
 // errWindowClosed is Fill's error after Close on a window still open.

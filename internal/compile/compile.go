@@ -18,6 +18,7 @@ import (
 	"codar/internal/circuit"
 	"codar/internal/core"
 	"codar/internal/placement"
+	"codar/internal/qasm"
 	"codar/internal/sabre"
 	"codar/internal/schedule"
 )
@@ -107,59 +108,199 @@ type Result struct {
 }
 
 // Run maps a whole lowered circuit that fits dev: Place, then Route, over
-// one circuit.Assembly.
+// one circuit.Assembly. It runs on a fresh Worker, so its result stays
+// valid.
 func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
-	if err := spec.checkCodar(); err != nil {
-		return nil, err
-	}
-	a := circuit.Assemble(c)
-	initial, err := Place(a, dev, spec)
-	if err != nil {
-		return nil, err
-	}
-	return Route(a, dev, initial, spec)
+	return oneShot().Run(c, dev, spec)
 }
 
 // Place computes the initial layout of Spec.Placement at Spec.Seed, under
-// the Spec's Ctx and Cost.
+// the Spec's Ctx and Cost, on a fresh Worker.
 func Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	initial, err := placement.Generate(spec.Placement, a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
-	if err != nil {
-		return nil, &Error{StageLayout, err}
-	}
-	return initial, nil
+	return oneShot().Place(a, dev, spec)
 }
 
 // Route maps the assembly from initial with Spec.Algorithm, and the
-// baseline from the same layout. The layout is only read.
+// baseline from the same layout, on a fresh Worker. The layout is only
+// read.
 func Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
+	return oneShot().Route(a, dev, initial, spec)
+}
+
+// Stream maps a lowered gate stream that fits dev, on a fresh Worker. A
+// stream is never whole, so it takes only the trivial placement and needs
+// a sink; its output and summary equal Run's under the same Spec.
+func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
+	return oneShot().Stream(src, dev, spec)
+}
+
+// retainGates caps the circuits whose memory a Worker keeps: a call on a
+// larger circuit drops every buffer when it returns, so a worker that
+// once compiled a huge circuit does not hold its memory for good. It is
+// four times the largest circuit of the service benchmark's mix.
+const retainGates = 1 << 14
+
+// Worker is one goroutine's compile context (DESIGN.md §15): the parser's
+// and the lowering's storage, the assembly, one SABRE mapper for both
+// placement passes and the baseline, one CODAR engine for batch and
+// stream runs, the meter and the rendered output. Every call reloads this
+// memory instead of allocating it. What a call returns (a parsed circuit,
+// a Result and its circuit, rendered text) lives in the worker's memory
+// and is valid only until the next call on the worker; a caller that
+// keeps a result uses the package functions, each of which runs on a
+// fresh Worker. The zero value is ready to use; a Worker serves one
+// goroutine at a time.
+type Worker struct {
+	parser qasm.Parser
+	lower  circuit.Lowerer
+	asm    circuit.Assembly
+	sabre  sabre.Mapper
+	codar  core.Engine
+	meter  meter
+	text   []byte
+	// oneShot marks the fresh worker of a package function, whose caller
+	// keeps the baseline's circuit; a reused worker measures the baseline
+	// through the meter instead, unless a snapshot needs its schedule.
+	oneShot bool
+	// busy is set while a call runs. A call that finds it set follows one
+	// that panicked and starts from fresh memory.
+	busy bool
+}
+
+// oneShot returns the fresh worker of one package-level call.
+func oneShot() *Worker { return &Worker{oneShot: true} }
+
+// begin marks a call on w.
+func (w *Worker) begin() {
+	if w.busy {
+		*w = Worker{}
+	}
+	w.busy = true
+}
+
+// end closes a call over a circuit of the given gate count, dropping
+// every buffer when the call grew them past retainGates.
+func (w *Worker) end(gates int) {
+	w.busy = false
+	if gates > retainGates {
+		*w = Worker{oneShot: w.oneShot}
+	}
+}
+
+// Parse reads OpenQASM source and lowers it to the base gate set: qasm.Parse
+// and then circuit.Decompose, into the worker's memory.
+func (w *Worker) Parse(src string) (*circuit.Circuit, error) {
+	w.begin()
+	parsed, err := w.parser.Parse(src)
+	if err != nil {
+		w.end(0)
+		return nil, err
+	}
+	c := w.lower.Decompose(parsed)
+	w.end(max(len(parsed.Gates), len(c.Gates)))
+	return c, nil
+}
+
+// Write renders c as qasm.Write does, into the worker's memory.
+func (w *Worker) Write(c *circuit.Circuit) []byte {
+	w.text = qasm.Append(w.text[:0], c)
+	return w.text
+}
+
+// Run is the package's Run on w: Place, then Route, over the worker's
+// assembly of c.
+func (w *Worker) Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 	if err := spec.checkCodar(); err != nil {
 		return nil, err
 	}
-	if spec.Sink != nil {
-		return spec.route(spec.Algorithm, string(spec.Algorithm), nil, circuit.NewSliceSource(a.Circ), dev, initial)
+	w.begin()
+	w.asm.Load(c)
+	initial, err := w.place(&w.asm, dev, spec)
+	var res *Result
+	if err == nil {
+		res, err = w.route(&w.asm, dev, initial, spec)
 	}
-	res, err := spec.route(spec.Algorithm, string(spec.Algorithm), a, nil, dev, initial)
-	if err == nil && spec.Baseline {
-		res.Baseline, err = spec.route(Sabre, StageBaseline, a, nil, dev, initial)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	w.end(len(c.Gates))
+	return res, err
 }
 
-// Stream maps a lowered gate stream that fits dev. A stream is never
-// whole, so it takes only the trivial placement and needs a sink; its
-// output and summary equal Run's under the same Spec.
-func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
+// Place is the package's Place on w.
+func (w *Worker) Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
+	w.begin()
+	initial, err := w.place(a, dev, spec)
+	w.end(len(a.Circ.Gates))
+	return initial, err
+}
+
+// Route is the package's Route on w.
+func (w *Worker) Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
+	w.begin()
+	res, err := w.route(a, dev, initial, spec)
+	w.end(len(a.Circ.Gates))
+	return res, err
+}
+
+// Stream is the package's Stream on w. Its buffers are bounded by the
+// stream's window, not its length.
+func (w *Worker) Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
 	if spec.Placement != placement.MethodTrivial || spec.Sink == nil {
 		return nil, errors.New("compile: a stream takes the trivial placement and needs a sink")
 	}
 	if err := spec.checkCodar(); err != nil {
 		return nil, err
 	}
-	return spec.route(spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
+	w.begin()
+	res, err := w.mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
+	w.end(0)
+	return res, err
+}
+
+// place computes the initial layout; SABRE's reverse traversal runs on
+// the worker's mapper.
+func (w *Worker) place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
+	opts := sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost}
+	var initial *arch.Layout
+	var err error
+	if spec.Placement == placement.MethodSabreReverse && a.Circ.NumQubits <= dev.NumQubits {
+		initial, err = w.sabre.InitialLayoutAssembled(a, dev, spec.Seed, opts)
+	} else {
+		initial, err = placement.Generate(spec.Placement, a, dev, spec.Seed, opts)
+	}
+	if err != nil {
+		return nil, &Error{StageLayout, err}
+	}
+	return initial, nil
+}
+
+// route maps the assembly from initial with Spec.Algorithm, whole or
+// through the Spec's sink, and the baseline from the same layout.
+func (w *Worker) route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
+	if spec.Sink != nil {
+		return w.mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, circuit.NewSliceSource(a.Circ), dev, initial)
+	}
+	res, err := w.mapWith(&spec, spec.Algorithm, string(spec.Algorithm), a, nil, dev, initial)
+	if err != nil || !spec.Baseline {
+		return res, err
+	}
+	if spec.Algorithm == Sabre {
+		// The baseline is the same SABRE run from the same layout.
+		b := *res
+		res.Baseline = &b
+		return res, nil
+	}
+	// A reused worker keeps only the baseline's measurements, unless the
+	// snapshot needs its schedule.
+	algo := Sabre
+	if !w.oneShot && spec.Snapshot == nil {
+		algo = meteredSabre
+	}
+	if res.Baseline, err = w.mapWith(&spec, algo, StageBaseline, a, nil, dev, initial); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // checkCodar rejects a Spec that sets, in Codar, a field the pipeline
@@ -179,37 +320,49 @@ func (s *Spec) checkCodar() error {
 	return fmt.Errorf("compile: Spec.Codar.%s is set; set Spec.%s instead", field, field)
 }
 
-// route maps from initial with algo, failing as stage: the assembly whole,
-// or src through a meter into the Spec's sink.
-func (s *Spec) route(algo Algorithm, stage string, a *circuit.Assembly, src circuit.Source, dev *arch.Device, initial *arch.Layout) (*Result, error) {
+// meteredSabre is the SABRE router run through the meter alone, with no
+// output circuit: the reused worker's baseline.
+const meteredSabre Algorithm = "sabre (metered)"
+
+// mapWith maps from initial with algo on the worker's mappers, failing as
+// stage: the assembly whole, or src through the meter into the Spec's
+// sink. A whole output is measured after the run; a metered SABRE run and
+// a stream are measured as they emit.
+func (w *Worker) mapWith(s *Spec, algo Algorithm, stage string, a *circuit.Assembly, src circuit.Source, dev *arch.Device, initial *arch.Layout) (*Result, error) {
 	copts := s.Codar
 	copts.Ctx, copts.Cost, copts.DepthBound = s.Ctx, s.Cost, s.DepthBound
 	sopts := sabre.Options{Ctx: s.Ctx, Cost: s.Cost, DepthBound: s.DepthBound}
-	var m *meter
-	if a == nil {
-		m = newMeter(dev.NumQubits, dev.Durations, s.Sink)
+	m := &w.meter
+	metered := a == nil || algo == meteredSabre
+	if metered {
+		m.reset(dev.NumQubits, dev.Durations, s.Sink)
 	}
 	res := &Result{}
 	var err error
 	switch {
 	case algo == Codar && a != nil:
 		var r *core.Result
-		if r, err = core.RemapAssembled(a, dev, initial, copts); err == nil {
+		if r, err = w.codar.RemapAssembled(a, dev, initial, copts); err == nil {
 			res.Circuit, res.InitialLayout, res.FinalLayout, res.Swaps = r.Circuit, r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Sabre && a != nil:
 		var r *sabre.Result
-		if r, err = sabre.RemapAssembled(a, dev, initial, sopts); err == nil {
+		if r, err = w.sabre.RemapAssembled(a, dev, initial, sopts); err == nil {
 			res.Circuit, res.InitialLayout, res.FinalLayout, res.Swaps = r.Circuit, r.InitialLayout, r.FinalLayout, r.SwapCount
+		}
+	case algo == meteredSabre:
+		var r *sabre.Result
+		if r, err = w.sabre.MeasureAssembled(a, dev, initial, sopts, m.add); err == nil {
+			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Codar:
 		var r *core.StreamResult
-		if r, err = core.RemapStream(src, dev, initial, copts, m); err == nil {
+		if r, err = w.codar.RemapStream(src, dev, initial, copts, m); err == nil {
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Sabre:
 		var r *sabre.StreamResult
-		if r, err = sabre.RemapStream(src, dev, initial, sopts, m); err == nil {
+		if r, err = w.sabre.RemapStream(src, dev, initial, sopts, m); err == nil {
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	default:
@@ -218,29 +371,19 @@ func (s *Spec) route(algo Algorithm, stage string, a *circuit.Assembly, src circ
 	if err != nil {
 		return nil, &Error{stage, err}
 	}
-	if m != nil {
+	if metered {
 		res.Metrics, res.Chunks = m.Metrics, m.chunks
 		return res, nil
 	}
-	res.Metrics, err = Measure(res.Circuit, dev, s.Snapshot)
+	res.Metrics, err = m.measure(res.Circuit, dev, s.Snapshot)
 	return res, err
 }
 
 // Measure returns the metrics of a whole output, with the ESP under snap
 // when snap is non-nil, from one ASAP schedule.
 func Measure(c *circuit.Circuit, dev *arch.Device, snap *calib.Snapshot) (Metrics, error) {
-	m := newMeter(c.NumQubits, dev.Durations, nil)
-	for _, g := range c.Gates {
-		m.add(g)
-	}
-	if snap != nil {
-		esp, err := snap.Success(schedule.ASAP(c, dev.Durations), dev)
-		if err != nil {
-			return m.Metrics, &Error{StageEstimate, err}
-		}
-		m.ESP = &esp
-	}
-	return m.Metrics, nil
+	var m meter
+	return m.measure(c, dev, snap)
 }
 
 // meter measures an output gate by gate in emission order: the count, the
@@ -257,8 +400,28 @@ type meter struct {
 	chunks int
 }
 
-func newMeter(qubits int, dur arch.Durations, sink schedule.Sink) *meter {
-	return &meter{dur: dur, level: make([]int, qubits), asap: *arch.NewASAPTracker(qubits), sink: sink}
+// reset empties the meter for an output on qubits qubits under dur,
+// passing chunks on to sink, and keeps its memory.
+func (m *meter) reset(qubits int, dur arch.Durations, sink schedule.Sink) {
+	*m = meter{dur: dur, level: circuit.Reuse(m.level, qubits), asap: m.asap, sink: sink}
+	m.asap.Reset(qubits)
+}
+
+// measure resets the meter and measures the whole output c, with the ESP
+// under snap when snap is non-nil, from one ASAP schedule.
+func (m *meter) measure(c *circuit.Circuit, dev *arch.Device, snap *calib.Snapshot) (Metrics, error) {
+	m.reset(c.NumQubits, dev.Durations, nil)
+	for _, g := range c.Gates {
+		m.add(g)
+	}
+	if snap != nil {
+		esp, err := snap.Success(schedule.ASAP(c, dev.Durations), dev)
+		if err != nil {
+			return m.Metrics, &Error{StageEstimate, err}
+		}
+		m.ESP = &esp
+	}
+	return m.Metrics, nil
 }
 
 func (m *meter) add(g circuit.Gate) {

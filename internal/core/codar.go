@@ -20,6 +20,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -184,6 +185,27 @@ func Remap(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Opti
 // share one assembly so the SoA gate layout and the validity walk are paid
 // once; the output is byte-identical to Remap.
 func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
+	return new(Engine).RemapAssembled(a, dev, initial, opts)
+}
+
+// Engine is a CODAR engine kept from one run to the next: its per-gate
+// index structures, its output and start buffers, and a stream's window
+// and chunk buffers. Each run reloads that memory instead of allocating
+// it, so a compile context (compile.Worker) holds one engine for all its
+// mappings. What a run returns, the Result's circuit and timed view, lives
+// in the engine's memory and is valid only until its next run. The zero
+// value is ready to use; an Engine serves one goroutine at a time.
+type Engine struct {
+	r remapper
+	// The stream driver's window over its source, the window's SoA view
+	// and the indices of the gates an epoch keeps.
+	win  circuit.Window
+	soa  circuit.SoA
+	keep []int
+}
+
+// RemapAssembled is the package's RemapAssembled on e.
+func (e *Engine) RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
 	if err := a.Checked(); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
@@ -194,10 +216,12 @@ func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout,
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
 	}
-	r := newRemapper(a, dev, initial, opts)
+	r := &e.r
+	r.reset(a.Circ.NumQubits, dev, initial, opts)
+	r.loadBatch(a)
 	r.run(&cursor{})
-	if r.ctxErr != nil {
-		return nil, fmt.Errorf("codar: %w", r.ctxErr)
+	if r.err != nil {
+		return nil, fmt.Errorf("codar: %w", r.err)
 	}
 	if r.exceeded {
 		return nil, ErrDepthBound
@@ -265,10 +289,10 @@ type remapper struct {
 	exceeded bool
 
 	// Cancellation state (Options.Ctx): the amortized context checker the
-	// cycle loop polls, and the sticky typed error a fired context leaves
-	// behind (DESIGN.md §11).
-	check  interrupt.Checker
-	ctxErr error
+	// cycle loop polls (DESIGN.md §11). err is the sticky error that ends
+	// a run: a fired context's typed error, or ErrLockOverflow.
+	check interrupt.Checker
+	err   error
 
 	initial *arch.Layout
 
@@ -322,42 +346,83 @@ type remapper struct {
 // assembly.
 func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
 	r := newEngine(a.Circ.NumQubits, dev, initial, opts)
-	// Reserve the output once: the input plus one SWAP per two-qubit gate,
-	// about what CODAR inserts on the Fig 8 suite (DESIGN.md §10).
-	size := len(a.Circ.Gates) + a.SoA.TwoQubitGates() + 16
-	r.out = make([]circuit.Gate, 0, size)
-	r.starts = make([]int, 0, size)
-	r.load(a.Circ.Gates, a.SoA)
+	r.loadBatch(a)
 	return r
 }
 
-// newEngine allocates the state whose size depends only on the device and
-// the logical qubit count. The per-gate index structures come from load.
+// loadBatch reserves the output of a batch run over a and loads its gates.
+func (r *remapper) loadBatch(a *circuit.Assembly) {
+	// Reserve the output once: the input plus one SWAP per two-qubit gate,
+	// about what CODAR inserts on the Fig 8 suite (DESIGN.md §10).
+	size := len(a.Circ.Gates) + a.SoA.TwoQubitGates() + 16
+	if cap(r.out) < size {
+		r.out = make([]circuit.Gate, 0, size)
+		r.starts = make([]int, 0, size)
+	}
+	r.load(a.Circ.Gates, a.SoA)
+}
+
+// newEngine returns a fresh engine after reset.
 func newEngine(numLogical int, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
-	r := &remapper{
+	r := new(remapper)
+	r.reset(numLogical, dev, initial, opts)
+	return r
+}
+
+// reset starts a run: it sets the state whose size depends only on the
+// device and the logical qubit count, clears every count, flag and hook of
+// the previous run, and empties the output, keeping the memory of all
+// buffers. The per-gate index structures come from load.
+func (r *remapper) reset(numLogical int, dev *arch.Device, initial *arch.Layout, opts Options) {
+	*r = remapper{
 		opts:           opts,
 		dev:            dev,
 		layout:         initial.Clone(),
 		initial:        initial.Clone(),
-		locks:          make([]int, dev.NumQubits),
+		locks:          circuit.Reuse(r.locks, dev.NumQubits),
+		nq:             dev.NumQubits,
+		swapDur:        dev.Durations.Of(circuit.OpSwap),
+		hopTab:         dev.DistTable(),
 		deadlockStreak: DefaultDeadlockStreak,
+		check:          interrupt.NewChecker(opts.Ctx, ctxCheckEvery),
+		// Memory kept from the previous run.
+		next:      r.next,
+		prev:      r.prev,
+		out:       r.out[:0],
+		starts:    r.starts[:0],
+		lockHeap:  r.lockHeap[:0],
+		arena:     r.arena,
+		carryQ:    r.carryQ[:0],
+		chunk:     r.chunk[:0],
+		front:     r.front[:0],
+		cands:     r.cands[:0],
+		edgeStamp: r.edgeStamp,
+		f:         r.f,
+		sc:        r.sc,
+		asap:      r.asap,
 	}
-	r.nq = dev.NumQubits
-	r.swapDur = dev.Durations.Of(circuit.OpSwap)
-	r.hopTab = dev.DistTable()
+	r.arena.Rewind()
+	r.distTab = r.hopTab
 	if opts.Cost != nil {
 		r.distTab = opts.Cost.Table()
 		r.weighted = true
+	}
+	if r.f == nil {
+		r.f = new(frontier)
+	}
+	r.f.reset(r, numLogical)
+	if r.sc == nil {
+		r.sc = new(scorer)
+	}
+	r.sc.reset(r)
+	if opts.DepthBound == nil {
+		r.asap = nil
 	} else {
-		r.distTab = r.hopTab
+		if r.asap == nil {
+			r.asap = new(arch.ASAPTracker)
+		}
+		r.asap.Reset(dev.NumQubits)
 	}
-	r.f = newFrontier(r, numLogical)
-	r.sc = newScorer(r)
-	if opts.DepthBound != nil {
-		r.asap = arch.NewASAPTracker(dev.NumQubits)
-	}
-	r.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
-	return r
 }
 
 // load points the engine at a gate sequence and its SoA view and rebuilds
@@ -382,6 +447,10 @@ func (r *remapper) load(gates []circuit.Gate, soa *circuit.SoA) {
 		r.next[n-1] = -1
 	}
 	r.live = n
+	// The candidate search's edge stamps restart with their epoch, so no
+	// run is long enough to wrap it.
+	r.edgeStamp = circuit.Reuse(r.edgeStamp, len(r.dev.Edges))
+	r.edgeEpoch = 0
 	r.sc.load()
 	r.f.load()
 }
@@ -424,11 +493,11 @@ type cursor struct {
 func (r *remapper) run(cur *cursor) {
 	t := cur.t
 	for r.live > 0 {
-		if r.exceeded {
+		if r.exceeded || r.err != nil {
 			return
 		}
 		if err := r.check.Check(); err != nil {
-			r.ctxErr = err
+			r.err = err
 			return
 		}
 		launchedAny := false
@@ -603,12 +672,27 @@ func (r *remapper) emit(g circuit.Gate, start, dur int) {
 }
 
 // lockHeap entries pack (end, qubit) into one int64 ordered by end first.
-// The qubit field is wide enough for any realistic device; ends stay far
-// below 2^43 (makespans are bounded by Σ gate durations).
+// The qubit field is wide enough for any realistic device, and the end
+// field holds ends up to maxLockEnd.
 const lockQubitBits = 20
 
-// pushLock records a new lock expiry for qubit q in the event heap.
+// maxLockEnd is the last lock end an entry can pack: 2^43 − 1 cycles. A
+// package test lowers it to reach the limit quickly.
+var maxLockEnd = 1<<(63-lockQubitBits) - 1
+
+// ErrLockOverflow is returned when a run's schedule passes the last cycle
+// the engine's lock queue can hold. Durations within arch.MaxDuration
+// reach it only on streams of billions of gates.
+var ErrLockOverflow = errors.New("lock schedule passed its last packable cycle")
+
+// pushLock records a new lock expiry for qubit q in the event heap. An end
+// past maxLockEnd cannot be packed: it ends the run with ErrLockOverflow
+// instead of wrapping.
 func (r *remapper) pushLock(q, end int) {
+	if end > maxLockEnd {
+		r.err = ErrLockOverflow
+		return
+	}
 	h := append(r.lockHeap, int64(end)<<lockQubitBits|int64(q))
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2

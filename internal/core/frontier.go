@@ -88,14 +88,14 @@ type frontier struct {
 	lookLast  int
 }
 
-func newFrontier(r *remapper, numQubits int) *frontier {
-	return &frontier{
-		r:      r,
-		window: r.opts.window(),
-		look:   r.opts.lookahead(),
-		qhead:  make([]int32, numQubits),
-		qtail:  make([]int32, numQubits),
-	}
+// reset points the engine at remapper r for a run over numQubits logical
+// qubits, keeping its memory; load does the rest.
+func (f *frontier) reset(r *remapper, numQubits int) {
+	f.r = r
+	f.window = r.opts.window()
+	f.look = r.opts.lookahead()
+	f.qhead = circuit.Reuse(f.qhead, numQubits)
+	f.qtail = circuit.Reuse(f.qtail, numQubits)
 }
 
 // load resets the engine to an empty window over the remapper's current

@@ -35,11 +35,8 @@ type swapCand struct {
 // The candidate buffer and the edge-dedup stamps are reused across cycles:
 // an edge is "seen" this call when its stamp equals the current epoch, so
 // clearing costs nothing and the hot loop allocates only on first growth.
+// load restarts the epoch and the stamps.
 func (r *remapper) collectCandidates(front []int, t int) []swapCand {
-	if r.edgeStamp == nil {
-		r.edgeStamp = make([]int32, len(r.dev.Edges))
-		r.edgeEpoch = 0
-	}
 	r.edgeEpoch++
 	epoch := r.edgeEpoch
 	cands := r.cands[:0]

@@ -1,5 +1,7 @@
 package core
 
+import "codar/internal/circuit"
+
 // scorer is the delta-scoring engine for the SWAP-candidate search
 // (DESIGN.md §6). The reference selection (pickBest in reference_test.go,
 // which the equivalence tests compare every pick with) recomputes
@@ -70,16 +72,17 @@ const (
 	allParts   = frontParts | lookValid
 )
 
-func newScorer(r *remapper) *scorer {
-	nq := r.dev.NumQubits
-	return &scorer{
-		r:        r,
-		inc2q:    make([][]int32, nq),
-		incLook:  make([][]int32, nq),
-		parts:    make([]edgeScore, len(r.dev.Edges)),
-		valid:    make([]uint8, len(r.dev.Edges)),
-		wantFine: !r.opts.DisableHfine && r.dev.HasCoords(),
+// reset points the scorer at remapper r for a run on its device, keeping
+// its memory; load empties the sets.
+func (s *scorer) reset(r *remapper) {
+	s.r = r
+	if nq := r.dev.NumQubits; len(s.inc2q) != nq {
+		s.inc2q = make([][]int32, nq)
+		s.incLook = make([][]int32, nq)
 	}
+	s.parts = circuit.Reuse(s.parts, len(r.dev.Edges))
+	s.valid = circuit.Reuse(s.valid, len(r.dev.Edges))
+	s.wantFine = !r.opts.DisableHfine && r.dev.HasCoords()
 }
 
 // load empties both sets and the score cache, reusing the memory of the

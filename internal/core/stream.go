@@ -113,6 +113,11 @@ func (r *remapper) flush(sink schedule.Sink, cut int) error {
 // another goroutine (circuit.Window); it is released, and that goroutine
 // gone, on every return.
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
+	return new(Engine).RemapStream(src, dev, initial, opts, sink)
+}
+
+// RemapStream is the package's RemapStream on e.
+func (e *Engine) RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
 	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
 	if err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
@@ -121,7 +126,8 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		return nil, fmt.Errorf("codar: %w", err)
 	}
 
-	win := circuit.NewWindow(src, streamBatch(opts))
+	win := &e.win
+	win.Reset(src, streamBatch(opts))
 	defer win.Close()
 	if err := win.Fill(); err != nil {
 		return nil, fmt.Errorf("codar: %w", err)
@@ -131,21 +137,20 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	// window's gates into the memory of the previous epoch's structures:
 	// the window owns the gate slice and the SoA and the engine index into
 	// it positionally, so eviction requires a re-index.
-	r := newEngine(win.NumQubits(), dev, initial, opts)
+	r := &e.r
+	r.reset(win.NumQubits(), dev, initial, opts)
 	var (
-		soa             circuit.SoA
 		cur             cursor
-		keep            []int
 		flushed, chunks int
 	)
 	for {
-		soa.Load(win.Gates())
-		r.load(win.Gates(), &soa)
+		e.soa.Load(win.Gates())
+		r.load(win.Gates(), &e.soa)
 		r.sourceOpen, r.starved = win.Open(), false
 
 		r.run(&cur)
-		if r.ctxErr != nil {
-			return nil, fmt.Errorf("codar: %w", r.ctxErr)
+		if r.err != nil {
+			return nil, fmt.Errorf("codar: %w", r.err)
 		}
 		if r.exceeded {
 			return nil, ErrDepthBound
@@ -169,11 +174,11 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		r.settle(cut)
 
 		// Evict executed gates from the window and pull the next batch.
-		keep = keep[:0]
+		e.keep = e.keep[:0]
 		for i := r.head; i >= 0; i = r.next[i] {
-			keep = append(keep, i)
+			e.keep = append(e.keep, i)
 		}
-		win.Compact(keep)
+		win.Compact(e.keep)
 		if err := win.Fill(); err != nil {
 			return nil, fmt.Errorf("codar: %w", err)
 		}

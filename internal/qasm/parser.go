@@ -2,6 +2,7 @@ package qasm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -107,6 +108,9 @@ type parser struct {
 	// qubits and floats back the slices of the emitted gates.
 	qubits circuit.IntArena
 	floats circuit.FloatArena
+	// out, when set, is the circuit the program is built into, reusing its
+	// gate slice (Parser).
+	out *circuit.Circuit
 }
 
 func newParser(lex *lexer) *parser {
@@ -118,7 +122,11 @@ func newParser(lex *lexer) *parser {
 // flattened the same way. include directives are ignored — the standard
 // qelib1 gates are built in, and user-defined gates are inlined.
 func Parse(src string) (*circuit.Circuit, error) {
-	p := newParser(newSourceLexer(src))
+	return newParser(newSourceLexer(src)).parseSource(src)
+}
+
+// parseSource parses src, which the parser's lexer reads.
+func (p *parser) parseSource(src string) (*circuit.Circuit, error) {
 	// Reserve the gate slice once: about one gate per statement, and never
 	// more than one per 8 bytes ("x q[0];\n"), so input that fails to parse
 	// reserves no more than a valid input of its length fills.
@@ -127,6 +135,48 @@ func Parse(src string) (*circuit.Circuit, error) {
 		return nil, err
 	}
 	return p.circ, nil
+}
+
+// Parser is Parse with its memory kept from one call to the next: the
+// circuit's gate slice, the arenas behind the gates' qubit and parameter
+// slices, and the statement scratch. The circuit Parse returns is valid
+// only until the next call. The zero value is ready to use; a Parser
+// serves one goroutine at a time.
+type Parser struct {
+	p   parser
+	lex lexer
+	out *circuit.Circuit
+}
+
+// Parse is the package's Parse into x's memory.
+func (x *Parser) Parse(src string) (*circuit.Circuit, error) {
+	x.lex = *newSourceLexer(src)
+	p := &x.p
+	defs := p.defs
+	if defs == nil {
+		defs = make(map[string]*gateDef)
+	}
+	clear(defs)
+	if x.out == nil {
+		x.out = new(circuit.Circuit)
+	}
+	*p = parser{
+		lex:    &x.lex,
+		defs:   defs,
+		regs:   p.regs[:0],
+		name:   p.name[:0],
+		ops:    p.ops[:0],
+		qs:     p.qs[:0],
+		params: p.params[:0],
+		expr:   p.expr[:0],
+		vals:   p.vals[:0],
+		qubits: p.qubits,
+		floats: p.floats,
+		out:    x.out,
+	}
+	p.qubits.Rewind()
+	p.floats.Rewind()
+	return p.parseSource(src)
 }
 
 // peek returns the lookahead token, scanning it on first use.
@@ -235,9 +285,13 @@ func (p *parser) ensureCircuit() error {
 	if p.nq == 0 {
 		return fmt.Errorf("qasm: statement before any qreg declaration")
 	}
-	p.circ = circuit.New(p.nq)
-	p.circ.Gates = make([]circuit.Gate, 0, p.gates)
-	p.circ.NumClbits = p.nc
+	if p.out == nil {
+		p.circ = &circuit.Circuit{Gates: make([]circuit.Gate, 0, p.gates)}
+	} else {
+		*p.out = circuit.Circuit{Gates: slices.Grow(p.out.Gates[:0], p.gates)}
+		p.circ = p.out
+	}
+	p.circ.NumQubits, p.circ.NumClbits = p.nq, p.nc
 	return nil
 }
 

@@ -26,6 +26,16 @@ func Write(c *circuit.Circuit) string {
 	return b.String()
 }
 
+// Append appends Write's rendering of c to b and returns the extended
+// slice.
+func Append(b []byte, c *circuit.Circuit) []byte {
+	b = appendHeader(b, c.Name, c.NumQubits, c.NumClbits)
+	for _, g := range c.Gates {
+		b = AppendGate(b, g)
+	}
+	return b
+}
+
 func appendHeader(b []byte, name string, numQubits, numClbits int) []byte {
 	b = append(b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"...)
 	if name != "" {

@@ -111,15 +111,22 @@ func (o *observer) checked(swaps int) error {
 	return o.err
 }
 
+// prepared returns a mapper prepared for a batch run over a, as the entry
+// points prepare theirs.
+func prepared(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (*mapper, error) {
+	m := new(mapper)
+	return m, m.prepare(a, dev, initial, opts, discard, nil)
+}
+
 // remapObserved maps c as Remap does, with the reference observing every
 // pick.
 func remapObserved(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
 	a := circuit.Assemble(c)
-	m, err := prepare(a, dev, initial, opts, false)
+	m, err := prepared(a, dev, initial, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	o := observe(&m)
+	o := observe(m)
 	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
 	}
@@ -138,11 +145,11 @@ func initialLayoutObserved(c *circuit.Circuit, dev *arch.Device, seed int64, opt
 	if err != nil {
 		return nil, err
 	}
-	m, err := prepare(a, dev, start, opts, true)
+	m, err := prepared(a, dev, start, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	o := observe(&m)
+	o := observe(m)
 	l, err := m.reverseTraversal(a)
 	if err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 	"codar/internal/arch"
 	"codar/internal/circuit"
 	"codar/internal/interrupt"
+	"codar/internal/schedule"
 )
 
 // ErrDepthBound is returned by Remap when Options.DepthBound is set and the
@@ -99,35 +100,75 @@ func Remap(c *circuit.Circuit, dev *arch.Device, initial *arch.Layout, opts Opti
 // one assembly so the SoA gate layout and the validity walk are paid once;
 // the output is byte-identical to Remap.
 func RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
-	m, err := prepare(a, dev, initial, opts, false)
-	if err != nil {
+	return new(Mapper).RemapAssembled(a, dev, initial, opts)
+}
+
+// Mapper is a SABRE mapper kept from one run to the next: the DAG, the
+// search scratch, the reversed view of the placement pass, the output
+// buffers and a stream's window and chunk buffers. Each run reloads that
+// memory instead of allocating it, so a compile context (compile.Worker)
+// holds one mapper for both placement passes and the baseline. What a run
+// returns, the Result's circuit included, is valid only until its next
+// run. The zero value is ready to use; a Mapper serves one goroutine at a
+// time.
+type Mapper struct {
+	m mapper
+	// The stream driver's window, SoA view, chunk buffer, ASAP recurrence
+	// and compaction scratch.
+	win            circuit.Window
+	soa            circuit.SoA
+	chunk          []schedule.ScheduledGate
+	asap           arch.ASAPTracker
+	oldToNew, keep []int
+}
+
+// RemapAssembled is the package's RemapAssembled on x.
+func (x *Mapper) RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
+	return x.remap(a, dev, initial, opts, nil)
+}
+
+// MeasureAssembled is RemapAssembled without the output circuit: each
+// mapped gate goes to add in emission order, and its qubit slice is valid
+// only during the call. The Result's Circuit is nil.
+func (x *Mapper) MeasureAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, add func(circuit.Gate)) (*Result, error) {
+	return x.remap(a, dev, initial, opts, add)
+}
+
+// remap runs one batch mapping, metered when meter is set.
+func (x *Mapper) remap(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, meter func(circuit.Gate)) (*Result, error) {
+	m := &x.m
+	if err := m.prepare(a, dev, initial, opts, false, meter); err != nil {
 		return nil, err
 	}
 	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Circuit:       m.out,
+	res := &Result{
 		InitialLayout: m.initial,
 		FinalLayout:   m.layout,
 		SwapCount:     m.swaps,
-	}, nil
+	}
+	if meter == nil {
+		res.Circuit = m.out
+	}
+	return res, nil
 }
 
-// prepare runs the input checks of a batch run over a and builds its
-// mapper; discard selects layout-only mode (see newMapper).
-func prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (mapper, error) {
+// prepare runs the input checks of a batch run over a and resets m for
+// it; discard selects layout-only mode and meter metered mode (see reset).
+func (m *mapper) prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool, meter func(circuit.Gate)) error {
 	if err := a.Checked(); err != nil {
-		return mapper{}, fmt.Errorf("sabre: %w", err)
+		return fmt.Errorf("sabre: %w", err)
 	}
 	initial, err := arch.StartLayout(a.Circ.NumQubits, dev, initial, opts.Cost)
 	if err != nil {
-		return mapper{}, fmt.Errorf("sabre: %w", err)
+		return fmt.Errorf("sabre: %w", err)
 	}
 	if err := interrupt.Classify(opts.Ctx); err != nil {
-		return mapper{}, fmt.Errorf("sabre: %w", err)
+		return fmt.Errorf("sabre: %w", err)
 	}
-	return newMapper(dev, initial, opts, discard), nil
+	m.reset(dev, initial, opts, discard, meter)
+	return nil
 }
 
 // pass loads the gates of c, laid out in soa, and runs them to completion
@@ -164,11 +205,17 @@ type mapper struct {
 	// appended to out. Routing never reads out, so FinalLayout is
 	// unaffected.
 	discard bool
+	// meter, when set, receives every mapped gate instead of out, with its
+	// qubits in scratch (MeasureAssembled).
+	meter   func(circuit.Gate)
+	scratch []int
 	layout  *arch.Layout
 	initial *arch.Layout
 	decay   []float64
 	out     *circuit.Circuit
 	swaps   int
+	// rev is the reversed view of the backward placement pass.
+	rev circuit.SoA
 
 	// distTab is the flat distance matrix H scores against: the device hop
 	// matrix, or the calibration-weighted one when Options.Cost is set.
@@ -277,44 +324,85 @@ func (m *mapper) resetDecay() {
 	}
 }
 
-// newMapper builds the state whose size depends only on the device: the
-// layouts, decay, distance table, ASAP tracker and context checker. The
+// reset starts a run: it sets the state whose size depends only on the
+// device (the layouts, decay, distance table, ASAP tracker, context
+// checker and the device-sized search state) and clears every count, flag
+// and hook of the previous run, keeping the memory of all buffers. The
 // gate-indexed state comes from load. A discard mapper runs layout-only
 // passes: it materialises no output circuit — no presized gate buffer, no
 // arena, no per-gate physical images — and every routing decision is a
 // function of the layout and the DAG, never of the emitted output, so its
-// final layout is byte-identical to a full run's. A DepthBound overrides
-// discard, since the bound tracks the emitted gates. The mapper is
-// returned by value so that a batch run keeps it on the stack.
-func newMapper(dev *arch.Device, initial *arch.Layout, opts Options, discard bool) mapper {
-	m := mapper{
+// final layout is byte-identical to a full run's. A metered mapper hands
+// each gate to meter instead of the output circuit, which it leaves alone.
+// A DepthBound overrides discard, since the bound tracks the emitted gates.
+func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, discard bool, meter func(circuit.Gate)) {
+	nq := dev.NumQubits
+	*m = mapper{
 		opts:    opts,
 		dev:     dev,
 		discard: discard && opts.DepthBound == nil,
+		meter:   meter,
 		layout:  initial.Clone(),
 		initial: initial.Clone(),
-		decay:   make([]float64, dev.NumQubits),
-		out:     &circuit.Circuit{Name: "sabre", NumQubits: dev.NumQubits},
-		nq:      dev.NumQubits,
-		spare:   make([]int, 0, 16),
+		decay:   circuit.Reuse(m.decay, nq),
+		nq:      nq,
+		distTab: dev.DistTable(),
+		check:   interrupt.NewChecker(opts.Ctx, ctxCheckEvery),
+		// Memory kept from the previous run.
+		dag:          m.dag,
+		indeg:        m.indeg,
+		scratch:      m.scratch,
+		out:          m.out,
+		rev:          m.rev,
+		spare:        m.spare[:0],
+		extBuf:       m.extBuf,
+		queue:        m.queue,
+		visitStamp:   m.visitStamp,
+		edgeStamp:    m.edgeStamp,
+		candBuf:      m.candBuf,
+		arena:        m.arena,
+		incF:         m.incF,
+		incE:         m.incE,
+		incStamp:     m.incStamp,
+		dFCache:      circuit.Reuse(m.dFCache, len(dev.Edges)),
+		dECache:      circuit.Reuse(m.dECache, len(dev.Edges)),
+		hStamp:       m.hStamp,
+		asap:         m.asap,
+		lastOn:       m.lastOn,
+		executedMark: m.executedMark,
 	}
 	if opts.Cost != nil {
 		m.distTab = opts.Cost.Table()
+	}
+	if m.spare == nil {
+		m.spare = make([]int, 0, 16)
+	}
+	if len(m.incF) != nq {
+		m.incF = make([][]int32, nq)
+		m.incE = make([][]int32, nq)
+	}
+	if opts.DepthBound == nil {
+		m.asap = nil
 	} else {
-		m.distTab = dev.DistTable()
+		if m.asap == nil {
+			m.asap = new(arch.ASAPTracker)
+		}
+		m.asap.Reset(nq)
 	}
-	if opts.DepthBound != nil {
-		m.asap = arch.NewASAPTracker(dev.NumQubits)
+	if !m.discard && meter == nil {
+		if m.out == nil {
+			m.out = new(circuit.Circuit)
+		}
+		*m.out = circuit.Circuit{Name: "sabre", NumQubits: nq, Gates: m.out.Gates[:0]}
+		m.arena.Rewind()
 	}
-	m.check = interrupt.NewChecker(opts.Ctx, ctxCheckEvery)
 	m.resetDecay()
-	return m
 }
 
 // load points the mapper at the gates of c, laid out in soa, and resets
 // the gate-indexed state: the DAG and gate views, the output gates and
-// their qubit arena, and the extended-set and incidence memos. The output
-// declares c's classical bits. sourceOpen marks the gates as a prefix of a
+// their qubit arena, the extended-set and incidence memos, and the
+// epoch-stamped search state. The output declares c's classical bits. sourceOpen marks the gates as a prefix of a
 // longer stream (see run); only then are the chain tails and the executed
 // marks tracked. Everything else — layout, decay, swap count, ASAP tracker,
 // context checker — carries over, so the stream driver reloads one mapper
@@ -323,10 +411,15 @@ func (m *mapper) load(c *circuit.Circuit, soa *circuit.SoA, sourceOpen bool) {
 	n := soa.Len()
 	m.soa, m.gates = soa, c.Gates
 	m.dag.Load(soa, c.NumQubits)
-	m.visitStamp = circuit.Reuse(m.visitStamp, n)
+	// Every epoch-stamped array restarts with its epoch, so no load runs
+	// long enough to wrap one.
+	m.visitStamp, m.visitEpoch = circuit.Reuse(m.visitStamp, n), 0
+	m.edgeStamp, m.edgeEpoch = circuit.Reuse(m.edgeStamp, len(m.dev.Edges)), 0
+	m.incStamp, m.incEpoch = circuit.Reuse(m.incStamp, m.nq), 0
+	m.hStamp, m.hEpoch = circuit.Reuse(m.hStamp, len(m.dev.Edges)), 0
 	m.extValid, m.idxValid = false, false
-	m.out.NumClbits = c.NumClbits
-	if !m.discard {
+	if !m.discard && m.meter == nil {
+		m.out.NumClbits = c.NumClbits
 		// Reserve the input plus one SWAP per two-qubit gate, more than
 		// SABRE inserts on most of the Fig 8 suite (DESIGN.md §10). The
 		// previous load's gates were flushed, so the arena rewinds.
@@ -511,16 +604,38 @@ func (m *mapper) emit(k int) {
 	}
 	phys := m.gates[k]
 	ops := m.soa.Operands(k)
-	phys.Qubits = m.arena.Take(len(ops))
+	phys.Qubits = m.take(len(ops))
 	for i, q := range ops {
 		phys.Qubits[i] = m.layout.Phys(int(q))
 	}
-	if phys.Op == circuit.OpMeasure && phys.Cbit >= m.out.NumClbits {
-		m.out.NumClbits = phys.Cbit + 1
+	m.put(phys)
+}
+
+// take returns the qubit slice of one emitted gate: from the arena when
+// the output is kept, from scratch when the gate only passes the meter.
+func (m *mapper) take(n int) []int {
+	if m.meter == nil {
+		return m.arena.Take(n)
 	}
-	m.out.Gates = append(m.out.Gates, phys)
+	if cap(m.scratch) < n {
+		m.scratch = make([]int, n)
+	}
+	return m.scratch[:n]
+}
+
+// put hands one emitted gate to the meter or the output, and to the ASAP
+// recurrence of the depth bound.
+func (m *mapper) put(g circuit.Gate) {
+	if m.meter != nil {
+		m.meter(g)
+	} else {
+		if g.Op == circuit.OpMeasure && g.Cbit >= m.out.NumClbits {
+			m.out.NumClbits = g.Cbit + 1
+		}
+		m.out.Gates = append(m.out.Gates, g)
+	}
 	if m.asap != nil {
-		m.note(phys.Op, phys.Qubits)
+		m.note(g.Op, g.Qubits)
 	}
 }
 
@@ -582,9 +697,6 @@ type swapCand struct {
 // unexecutable two-qubit front gates (obtain_swaps in the paper). The
 // result buffer and edge-dedup stamps are reused across rounds.
 func (m *mapper) candidates(front []int) []swapCand {
-	if m.edgeStamp == nil {
-		m.edgeStamp = make([]int32, len(m.dev.Edges))
-	}
 	m.edgeEpoch++
 	out := m.candBuf[:0]
 	for _, k := range front {
@@ -615,15 +727,6 @@ func (m *mapper) candidates(front []int) []swapCand {
 // indexRound (re)builds the per-physical-qubit incidence index and the
 // unswapped integer distance sums, and drops every cached h.
 func (m *mapper) indexRound(front, ext []int) {
-	if m.incF == nil {
-		nq := m.dev.NumQubits
-		m.incF = make([][]int32, nq)
-		m.incE = make([][]int32, nq)
-		m.incStamp = make([]int32, nq)
-		m.dFCache = make([]int32, len(m.dev.Edges))
-		m.dECache = make([]int32, len(m.dev.Edges))
-		m.hStamp = make([]int32, len(m.dev.Edges))
-	}
 	m.incEpoch++
 	m.hEpoch++
 	m.baseF, m.nF = m.index(front, m.incF)
@@ -793,12 +896,9 @@ func (m *mapper) applySwap(c swapCand) {
 		m.noteSwap(c)
 	}
 	if !m.discard {
-		qs := m.arena.Take(2)
+		qs := m.take(2)
 		qs[0], qs[1] = c.a, c.b
-		m.out.Gates = append(m.out.Gates, circuit.Gate{Op: circuit.OpSwap, Qubits: qs})
-		if m.asap != nil {
-			m.note(circuit.OpSwap, qs)
-		}
+		m.put(circuit.Gate{Op: circuit.OpSwap, Qubits: qs})
 	}
 	m.layout.SwapPhysical(c.a, c.b)
 	m.decay[c.a] += DefaultDecayDelta
@@ -852,6 +952,11 @@ func InitialLayout(c *circuit.Circuit, dev *arch.Device, seed int64, opts Option
 // InitialLayoutAssembled is InitialLayout over a pre-built assembly. Both
 // passes run on one layout-only mapper (reverseTraversal).
 func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
+	return new(Mapper).InitialLayoutAssembled(a, dev, seed, opts)
+}
+
+// InitialLayoutAssembled is the package's InitialLayoutAssembled on x.
+func (x *Mapper) InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, opts Options) (*arch.Layout, error) {
 	// A circuit that does not fit gets a start with one logical qubit per
 	// physical one, which the forward pass's input check then rejects.
 	start, err := arch.RandomLayout(seed, min(a.Circ.NumQubits, dev.NumQubits), dev.NumQubits)
@@ -859,8 +964,8 @@ func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, o
 		return nil, err
 	}
 	opts.DepthBound = nil // the passes emit nothing for a bound to track
-	m, err := prepare(a, dev, start, opts, true)
-	if err != nil {
+	m := &x.m
+	if err := m.prepare(a, dev, start, opts, true, nil); err != nil {
 		return nil, err
 	}
 	return m.reverseTraversal(a)
@@ -870,8 +975,8 @@ func InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, seed int64, o
 // mapper: forward over a from the mapper's layout, then backward from the
 // forward pass's final layout, and returns the backward pass's final
 // layout. The backward pass reads a reversed view of the assembly's SoA,
-// built in the mapper's own memory, so no reversed circuit is copied; a
-// layout-only mapper never reads the gate values.
+// built in the mapper's own memory (rev), so no reversed circuit is
+// copied; a layout-only mapper never reads the gate values.
 func (m *mapper) reverseTraversal(a *circuit.Assembly) (*arch.Layout, error) {
 	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
@@ -884,10 +989,9 @@ func (m *mapper) reverseTraversal(a *circuit.Assembly) (*arch.Layout, error) {
 	m.resetDecay()
 	m.swaps = 0
 	m.check = interrupt.NewChecker(m.opts.Ctx, ctxCheckEvery)
-	var revSoA circuit.SoA
-	revSoA.LoadReversed(a.SoA)
+	m.rev.LoadReversed(a.SoA)
 	rev := &circuit.Circuit{NumQubits: a.Circ.NumQubits, NumClbits: a.Circ.NumClbits}
-	if err := m.pass(rev, &revSoA); err != nil {
+	if err := m.pass(rev, &m.rev); err != nil {
 		return nil, err
 	}
 	return m.layout, nil

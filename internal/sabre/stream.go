@@ -56,6 +56,11 @@ const streamBatchSize = 1024
 // As in core.RemapStream, the source may be read ahead on another
 // goroutine and is released on every return.
 func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
+	return new(Mapper).RemapStream(src, dev, initial, opts, sink)
+}
+
+// RemapStream is the package's RemapStream on x.
+func (x *Mapper) RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opts Options, sink schedule.Sink) (*StreamResult, error) {
 	initial, err := arch.StartLayout(src.NumQubits(), dev, initial, opts.Cost)
 	if err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
@@ -64,7 +69,8 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		return nil, fmt.Errorf("sabre: %w", err)
 	}
 
-	win := circuit.NewWindow(src, streamBatchSize)
+	win := &x.win
+	win.Reset(src, streamBatchSize)
 	defer win.Close()
 	if err := win.Fill(); err != nil {
 		return nil, fmt.Errorf("sabre: %w", err)
@@ -74,23 +80,20 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 	// window's gates into one SoA and reloads the mapper over it. The window
 	// owns the gate slice and both index into it positionally, so eviction
 	// requires a reload.
-	m := newMapper(dev, initial, opts, false)
+	m := &x.m
+	m.reset(dev, initial, opts, false, nil)
+	x.asap.Reset(dev.NumQubits)
 	var (
-		soa             circuit.SoA
 		cur             cursor
-		chunk           []schedule.ScheduledGate
-		asap            = arch.NewASAPTracker(dev.NumQubits)
-		oldToNew        []int
-		keep            []int
 		flushed, chunks int
 	)
 	for {
-		soa.Load(win.Gates())
+		x.soa.Load(win.Gates())
 		m.load(&circuit.Circuit{
 			NumQubits: win.NumQubits(),
 			NumClbits: win.NumClbits(),
 			Gates:     win.Gates(),
-		}, &soa, win.Open())
+		}, &x.soa, win.Open())
 		m.run(&cur)
 		if m.ctxErr != nil {
 			return nil, fmt.Errorf("sabre: %w", m.ctxErr)
@@ -104,15 +107,15 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		// schedule.ASAP over the concatenated output). The sink borrows the
 		// chunk, so its buffer is reused.
 		if len(m.out.Gates) > 0 {
-			chunk = chunk[:0]
+			x.chunk = x.chunk[:0]
 			for _, g := range m.out.Gates {
 				dur := dev.Durations.Of(g.Op)
-				chunk = append(chunk, schedule.ScheduledGate{Gate: g, Start: asap.Place(g.Qubits, dur), Duration: dur})
+				x.chunk = append(x.chunk, schedule.ScheduledGate{Gate: g, Start: x.asap.Place(g.Qubits, dur), Duration: dur})
 			}
-			if err := sink.Flush(chunk); err != nil {
+			if err := sink.Flush(x.chunk); err != nil {
 				return nil, fmt.Errorf("sabre: sink: %w", err)
 			}
-			flushed += len(chunk)
+			flushed += len(x.chunk)
 			chunks++
 		}
 
@@ -124,11 +127,8 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		// compacted buffer (compaction preserves order, so front order —
 		// which is emission order — is untouched).
 		n := len(m.executedMark)
-		if cap(oldToNew) < n {
-			oldToNew = make([]int, n)
-		}
-		oldToNew = oldToNew[:n]
-		keep = keep[:0]
+		oldToNew := circuit.Reuse(x.oldToNew, n)
+		keep := x.keep[:0]
 		for i := 0; i < n; i++ {
 			if !m.executedMark[i] {
 				oldToNew[i] = len(keep)
@@ -137,6 +137,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 				oldToNew[i] = -1
 			}
 		}
+		x.oldToNew, x.keep = oldToNew, keep
 		for i, k := range cur.front {
 			cur.front[i] = oldToNew[k]
 		}
@@ -159,7 +160,7 @@ func RemapStream(src circuit.Source, dev *arch.Device, initial *arch.Layout, opt
 		InitialLayout: m.initial,
 		FinalLayout:   m.layout,
 		SwapCount:     m.swaps,
-		Makespan:      asap.Span(),
+		Makespan:      x.asap.Span(),
 		Chunks:        chunks,
 	}, nil
 }

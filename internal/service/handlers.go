@@ -21,7 +21,6 @@ import (
 	"codar/internal/placement"
 	"codar/internal/pool"
 	"codar/internal/portfolio"
-	"codar/internal/qasm"
 )
 
 // cacheHeader reports cache disposition per response. The disposition
@@ -197,40 +196,41 @@ func (s *Server) resolveDevice(req *MapRequest) (*arch.Device, *svcError) {
 
 // mapOne runs the full mapping pipeline for one normalized request on an
 // already-resolved device, under the device's calibration when cal is
-// non-nil. The context cancels the mapping mid-run (client disconnect,
-// deadline, drain). It is pure with respect to server state (no cache, no
-// counters), so the single and batch paths share it.
-func (s *Server) mapOne(ctx context.Context, req *MapRequest, pspec *portfolio.Spec, dev *arch.Device, cal *Calibration) (*MapResponse, *svcError) {
-	c, resp, serr := s.prepare(ctx, req, dev, cal)
+// non-nil, on the compile context w of the caller's worker-pool slot. The
+// context cancels the mapping mid-run (client disconnect, deadline,
+// drain). It is pure with respect to server state (no cache, no
+// counters), so the single and batch paths share it. The response owns
+// its bytes: mapped_qasm is rendered before the slot is released.
+func (s *Server) mapOne(ctx context.Context, w *compile.Worker, req *MapRequest, pspec *portfolio.Spec, dev *arch.Device, cal *Calibration) (*MapResponse, *svcError) {
+	c, resp, serr := s.prepare(ctx, w, req, dev, cal)
 	if serr != nil {
 		return nil, serr
 	}
 	// The portfolio places and routes each candidate through the same
 	// pipeline, so it branches off before the single-shot spec.
 	if pspec != nil {
-		return s.mapPortfolio(ctx, pspec, dev, cal, c, resp)
+		return s.mapPortfolio(ctx, w, pspec, dev, cal, c, resp)
 	}
-	res, err := compile.Run(c, dev, specFor(ctx, req, cal))
+	res, err := w.Run(c, dev, specFor(ctx, req, cal))
 	if err != nil {
 		return nil, compileSvcError(err)
 	}
-	resp.MappedQASM = qasm.Write(res.Circuit)
+	resp.MappedQASM = string(w.Write(res.Circuit))
 	summarize(resp, res)
 	return resp, nil
 }
 
 // prepare is the part of every single mapping before the pipeline: the
-// chaos hook, the parse, the lowering, the size check, and the response
-// fields known from the input alone.
-func (s *Server) prepare(ctx context.Context, req *MapRequest, dev *arch.Device, cal *Calibration) (*circuit.Circuit, *MapResponse, *svcError) {
+// chaos hook, the parse and the lowering on w, the size check, and the
+// response fields known from the input alone.
+func (s *Server) prepare(ctx context.Context, w *compile.Worker, req *MapRequest, dev *arch.Device, cal *Calibration) (*circuit.Circuit, *MapResponse, *svcError) {
 	if err := s.cfg.Chaos.BeforeMap(ctx); err != nil {
 		return nil, nil, mapSvcError("chaos", err)
 	}
-	parsed, err := qasm.Parse(req.QASM)
+	c, err := w.Parse(req.QASM)
 	if err != nil {
 		return nil, nil, errBadQASM("bad qasm: %v", err)
 	}
-	c := circuit.Decompose(parsed)
 	if c.NumQubits > dev.NumQubits {
 		return nil, nil, errBadQASM("circuit needs %d qubits but %s has %d", c.NumQubits, dev.Name, dev.NumQubits)
 	}
@@ -299,7 +299,7 @@ func compileSvcError(err error) *svcError {
 // abandon off — concurrent cold computations of one cache key must produce
 // byte-identical responses, and which losers get abandoned is the one
 // timing-dependent part of a portfolio report (DESIGN.md §9).
-func (s *Server) mapPortfolio(ctx context.Context, pspec *portfolio.Spec, dev *arch.Device, cal *Calibration, c *circuit.Circuit, resp *MapResponse) (*MapResponse, *svcError) {
+func (s *Server) mapPortfolio(ctx context.Context, w *compile.Worker, pspec *portfolio.Spec, dev *arch.Device, cal *Calibration, c *circuit.Circuit, resp *MapResponse) (*MapResponse, *svcError) {
 	spec := *pspec
 	spec.Ctx = ctx
 	spec.Workers = 1
@@ -314,7 +314,7 @@ func (s *Server) mapPortfolio(ctx context.Context, pspec *portfolio.Spec, dev *a
 	wr := pres.WinnerReport()
 	resp.Algo = string(wr.Algorithm)
 	resp.Seed = wr.Seed
-	resp.MappedQASM = qasm.Write(pres.Winner.Circuit)
+	resp.MappedQASM = string(w.Write(pres.Winner.Circuit))
 	summarize(resp, pres.Winner)
 	resp.Portfolio = &PortfolioStats{
 		Objective:   string(pres.Objective),
@@ -380,7 +380,8 @@ func (s *Server) mapBytes(ctx context.Context, req *MapRequest) (body []byte, di
 // admitFunc is the admission policy a mapping runs under: the synchronous
 // path uses Server.acquire (bounded queue, 429 beyond it), the async jobs
 // path uses Server.acquireJob (unbounded wait — the job store is the bound).
-type admitFunc func(ctx context.Context) (func(), *svcError)
+// Both hand over the slot's compile context.
+type admitFunc func(ctx context.Context) (*compile.Worker, func(), *svcError)
 
 // mapBytesAdmit is mapBytes under an explicit admission policy.
 func (s *Server) mapBytesAdmit(ctx context.Context, req *MapRequest, admit admitFunc) (body []byte, disposition string, serr *svcError) {
@@ -451,7 +452,7 @@ func (s *Server) leadFlight(ctx context.Context, f *flight, req *MapRequest, psp
 			f.abort()
 		}
 	}()
-	release, serr := admit(ctx)
+	w, release, serr := admit(ctx)
 	if serr != nil {
 		// Rejections about this leader (its context fired while queueing)
 		// hand off; queue-full applies to any would-be leader right now and
@@ -462,7 +463,7 @@ func (s *Server) leadFlight(ctx context.Context, f *flight, req *MapRequest, psp
 		return nil, "", serr
 	}
 	defer release()
-	resp, serr := s.mapOne(ctx, req, pspec, dev, cal)
+	resp, serr := s.mapOne(ctx, w, req, pspec, dev, cal)
 	if serr != nil {
 		handoff := serr.status == statusClientClosedRequest || serr.status == http.StatusGatewayTimeout
 		f.fail(serr, handoff)

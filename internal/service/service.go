@@ -57,6 +57,7 @@ import (
 	"codar/api"
 	"codar/internal/arch"
 	"codar/internal/chaos"
+	"codar/internal/compile"
 	"codar/internal/experiments"
 	"codar/internal/interrupt"
 	"codar/internal/jobs"
@@ -231,7 +232,9 @@ type Server struct {
 	quotas   *quotas // nil when QuotaRPS <= 0
 	stats    *stats
 	jobs     *jobs.Store
-	sem      chan struct{} // worker-pool slots; nil only before New
+	// sem is the worker pool: one compile context per slot, so holding a
+	// slot means holding a context. nil only before New.
+	sem      chan *compile.Worker
 	mux      *http.ServeMux
 	logger   *log.Logger
 
@@ -256,7 +259,7 @@ func New(cfg Config) *Server {
 		}),
 		quotas: newQuotas(cfg.QuotaRPS, cfg.QuotaBurst),
 		stats:  newStats(),
-		sem:    make(chan struct{}, workers),
+		sem:    make(chan *compile.Worker, workers),
 		mux:    http.NewServeMux(),
 		logger: cfg.errorLog(),
 	}
@@ -266,6 +269,9 @@ func New(cfg Config) *Server {
 		// record straight back into the file.
 		cfg.Persist.Replay(s.cache.Seed)
 		s.cache.SetPersist(cfg.Persist)
+	}
+	for i := 0; i < workers; i++ {
+		s.sem <- new(compile.Worker)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	// The job store shares the worker pool with the synchronous path: every
@@ -363,16 +369,18 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 // acquire admits a mapping job and blocks until a worker-pool slot is free;
-// the returned release func must be called when the job finishes. Admission
+// it returns the slot's compile context, and the release func that must be
+// called when the job finishes, once nothing from the context is in use.
+// Admission
 // is bounded: beyond workers+MaxQueue concurrently admitted jobs, or after
 // QueueWait in the queue, the job is rejected with 429 + Retry-After. The
 // job's context cancels the wait (client disconnect, deadline, drain). The
 // in-flight gauge brackets slot ownership, so /v1/stats reports executing
 // jobs; queued ones are admitted - in-flight.
-func (s *Server) acquire(ctx context.Context) (func(), *svcError) {
+func (s *Server) acquire(ctx context.Context) (*compile.Worker, func(), *svcError) {
 	if s.stats.admitted.Add(1) > int64(s.workers+s.cfg.maxQueue()) {
 		s.stats.admitted.Add(-1)
-		return nil, errBusy("mapping queue full (%d executing, %d queued)", s.workers, s.cfg.maxQueue())
+		return nil, nil, errBusy("mapping queue full (%d executing, %d queued)", s.workers, s.cfg.maxQueue())
 	}
 	var waitC <-chan time.Time
 	if qw := s.cfg.queueWait(); qw > 0 {
@@ -384,21 +392,28 @@ func (s *Server) acquire(ctx context.Context) (func(), *svcError) {
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	var w *compile.Worker
 	select {
-	case s.sem <- struct{}{}:
+	case w = <-s.sem:
 	case <-done:
 		s.stats.admitted.Add(-1)
-		return nil, ctxSvcError(ctx)
+		return nil, nil, ctxSvcError(ctx)
 	case <-waitC:
 		s.stats.admitted.Add(-1)
-		return nil, errBusy("no worker slot within the %v queue-wait budget", s.cfg.queueWait())
+		return nil, nil, errBusy("no worker slot within the %v queue-wait budget", s.cfg.queueWait())
 	}
+	return w, s.hold(w), nil
+}
+
+// hold brackets the in-flight gauge around slot w's ownership and returns
+// the func that gives the slot back.
+func (s *Server) hold(w *compile.Worker) func() {
 	s.stats.inFlight.Add(1)
 	return func() {
 		s.stats.inFlight.Add(-1)
-		<-s.sem
+		s.sem <- w
 		s.stats.admitted.Add(-1)
-	}, nil
+	}
 }
 
 // acquireJob is the async path's admission: like acquire it blocks for a
@@ -409,24 +424,19 @@ func (s *Server) acquire(ctx context.Context) (func(), *svcError) {
 // Only the job's context (cancel, TTL-independent deadline, drain) aborts
 // the wait. Job-goroutine fan-out is capped at `workers` by the store, so
 // the admitted gauge grows by at most workers on top of the sync bound.
-func (s *Server) acquireJob(ctx context.Context) (func(), *svcError) {
+func (s *Server) acquireJob(ctx context.Context) (*compile.Worker, func(), *svcError) {
 	s.stats.admitted.Add(1)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	select {
-	case s.sem <- struct{}{}:
+	case w := <-s.sem:
+		return w, s.hold(w), nil
 	case <-done:
 		s.stats.admitted.Add(-1)
-		return nil, ctxSvcError(ctx)
+		return nil, nil, ctxSvcError(ctx)
 	}
-	s.stats.inFlight.Add(1)
-	return func() {
-		s.stats.inFlight.Add(-1)
-		<-s.sem
-		s.stats.admitted.Add(-1)
-	}, nil
 }
 
 // Drain waits for every admitted mapping job to finish. When ctx expires

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"codar/api"
-	"codar/internal/compile"
 	"codar/internal/jobs"
 	"codar/internal/qasm"
 	"codar/internal/schedule"
@@ -92,13 +91,13 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 		return errInternal("response writer cannot stream")
 	}
 
-	release, serr := s.acquire(ctx)
+	worker, release, serr := s.acquire(ctx)
 	if serr != nil {
 		return serr
 	}
 	defer release()
 
-	c, resp, serr := s.prepare(ctx, req, dev, cal)
+	c, resp, serr := s.prepare(ctx, worker, req, dev, cal)
 	if serr != nil {
 		return serr
 	}
@@ -158,7 +157,7 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 		seq++
 		return emit(rec)
 	})
-	res, err := compile.Run(c, dev, spec)
+	res, err := worker.Run(c, dev, spec)
 	if err != nil {
 		return fail(compileSvcError(err))
 	}
