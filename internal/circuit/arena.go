@@ -51,9 +51,9 @@ func (a *IntArena) Reset() {
 
 // Rewind is Reset for an arena reused from circuit to circuit: when the
 // takes since the last rewind spilled past the current block, the next
-// block holds them all, so an arena serving circuits of similar sizes
-// settles on one block and stops allocating. The caller must hold no
-// slice taken from the arena.
+// block holds them all with a quarter to spare, so an arena serving
+// circuits of similar sizes settles on one block and stops allocating.
+// The caller must hold no slice taken from the arena.
 func (a *IntArena) Rewind() {
 	a.buf, a.spill = rewind(a.buf, a.spill), 0
 }
@@ -62,7 +62,7 @@ func (a *IntArena) Rewind() {
 // buf's own takes outgrew it.
 func rewind[T any](buf []T, spill int) []T {
 	if need := spill + len(buf); need > cap(buf) {
-		return make([]T, 0, need)
+		return make([]T, 0, need+need/4)
 	}
 	return buf[:0]
 }

@@ -115,23 +115,36 @@ func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
 }
 
 // Place computes the initial layout of Spec.Placement at Spec.Seed, under
-// the Spec's Ctx and Cost, on a fresh Worker.
+// the Spec's Ctx and Cost, on fresh memory.
 func Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	return oneShot().Place(a, dev, spec)
+	initial, err := placement.Generate(spec.Placement, a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
+	if err != nil {
+		return nil, &Error{StageLayout, err}
+	}
+	return initial, nil
 }
 
 // Route maps the assembly from initial with Spec.Algorithm, and the
 // baseline from the same layout, on a fresh Worker. The layout is only
 // read.
 func Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
-	return oneShot().Route(a, dev, initial, spec)
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
+	return oneShot().route(a, dev, initial, spec)
 }
 
 // Stream maps a lowered gate stream that fits dev, on a fresh Worker. A
 // stream is never whole, so it takes only the trivial placement and needs
 // a sink; its output and summary equal Run's under the same Spec.
 func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
-	return oneShot().Stream(src, dev, spec)
+	if spec.Placement != placement.MethodTrivial || spec.Sink == nil {
+		return nil, errors.New("compile: a stream takes the trivial placement and needs a sink")
+	}
+	if err := spec.checkCodar(); err != nil {
+		return nil, err
+	}
+	return oneShot().mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
 }
 
 // retainGates caps the circuits whose memory a Worker keeps: a call on a
@@ -147,15 +160,17 @@ const retainGates = 1 << 14
 // memory instead of allocating it. What a call returns (a parsed circuit,
 // a Result and its circuit, rendered text) lives in the worker's memory
 // and is valid only until the next call on the worker; a caller that
-// keeps a result uses the package functions, each of which runs on a
-// fresh Worker. The zero value is ready to use; a Worker serves one
-// goroutine at a time.
+// keeps a result uses the package functions, each of which runs on fresh
+// memory. The zero value is ready to use; a Worker serves one goroutine
+// at a time.
 type Worker struct {
-	parser qasm.Parser
+	// The parser and both mappers are made on first use, so that a
+	// package function's fresh worker allocates only what it runs.
+	parser *qasm.Parser
 	lower  circuit.Lowerer
 	asm    circuit.Assembly
-	sabre  sabre.Mapper
-	codar  core.Engine
+	sabre  *sabre.Mapper
+	codar  *core.Engine
 	meter  meter
 	text   []byte
 	// oneShot marks the fresh worker of a package function, whose caller
@@ -169,6 +184,22 @@ type Worker struct {
 
 // oneShot returns the fresh worker of one package-level call.
 func oneShot() *Worker { return &Worker{oneShot: true} }
+
+// mapper returns the worker's SABRE mapper.
+func (w *Worker) mapper() *sabre.Mapper {
+	if w.sabre == nil {
+		w.sabre = new(sabre.Mapper)
+	}
+	return w.sabre
+}
+
+// engine returns the worker's CODAR engine.
+func (w *Worker) engine() *core.Engine {
+	if w.codar == nil {
+		w.codar = new(core.Engine)
+	}
+	return w.codar
+}
 
 // begin marks a call on w.
 func (w *Worker) begin() {
@@ -191,6 +222,9 @@ func (w *Worker) end(gates int) {
 // and then circuit.Decompose, into the worker's memory.
 func (w *Worker) Parse(src string) (*circuit.Circuit, error) {
 	w.begin()
+	if w.parser == nil {
+		w.parser = new(qasm.Parser)
+	}
 	parsed, err := w.parser.Parse(src)
 	if err != nil {
 		w.end(0)
@@ -224,51 +258,14 @@ func (w *Worker) Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, 
 	return res, err
 }
 
-// Place is the package's Place on w.
-func (w *Worker) Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	w.begin()
-	initial, err := w.place(a, dev, spec)
-	w.end(len(a.Circ.Gates))
-	return initial, err
-}
-
-// Route is the package's Route on w.
-func (w *Worker) Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spec) (*Result, error) {
-	if err := spec.checkCodar(); err != nil {
-		return nil, err
-	}
-	w.begin()
-	res, err := w.route(a, dev, initial, spec)
-	w.end(len(a.Circ.Gates))
-	return res, err
-}
-
-// Stream is the package's Stream on w. Its buffers are bounded by the
-// stream's window, not its length.
-func (w *Worker) Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
-	if spec.Placement != placement.MethodTrivial || spec.Sink == nil {
-		return nil, errors.New("compile: a stream takes the trivial placement and needs a sink")
-	}
-	if err := spec.checkCodar(); err != nil {
-		return nil, err
-	}
-	w.begin()
-	res, err := w.mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
-	w.end(0)
-	return res, err
-}
-
-// place computes the initial layout; SABRE's reverse traversal runs on
-// the worker's mapper.
+// place is Place with SABRE's reverse traversal run on the worker's
+// mapper. Every other rule, and a circuit too large for placement's own
+// check, goes to Place.
 func (w *Worker) place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	opts := sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost}
-	var initial *arch.Layout
-	var err error
-	if spec.Placement == placement.MethodSabreReverse && a.Circ.NumQubits <= dev.NumQubits {
-		initial, err = w.sabre.InitialLayoutAssembled(a, dev, spec.Seed, opts)
-	} else {
-		initial, err = placement.Generate(spec.Placement, a, dev, spec.Seed, opts)
+	if spec.Placement != placement.MethodSabreReverse || a.Circ.NumQubits > dev.NumQubits {
+		return Place(a, dev, spec)
 	}
+	initial, err := w.mapper().InitialLayoutAssembled(a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
 	if err != nil {
 		return nil, &Error{StageLayout, err}
 	}
@@ -342,27 +339,27 @@ func (w *Worker) mapWith(s *Spec, algo Algorithm, stage string, a *circuit.Assem
 	switch {
 	case algo == Codar && a != nil:
 		var r *core.Result
-		if r, err = w.codar.RemapAssembled(a, dev, initial, copts); err == nil {
+		if r, err = w.engine().RemapAssembled(a, dev, initial, copts); err == nil {
 			res.Circuit, res.InitialLayout, res.FinalLayout, res.Swaps = r.Circuit, r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Sabre && a != nil:
 		var r *sabre.Result
-		if r, err = w.sabre.RemapAssembled(a, dev, initial, sopts); err == nil {
+		if r, err = w.mapper().RemapAssembled(a, dev, initial, sopts); err == nil {
 			res.Circuit, res.InitialLayout, res.FinalLayout, res.Swaps = r.Circuit, r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == meteredSabre:
 		var r *sabre.Result
-		if r, err = w.sabre.MeasureAssembled(a, dev, initial, sopts, m.add); err == nil {
+		if r, err = w.mapper().MeasureAssembled(a, dev, initial, sopts, m.add); err == nil {
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Codar:
 		var r *core.StreamResult
-		if r, err = w.codar.RemapStream(src, dev, initial, copts, m); err == nil {
+		if r, err = w.engine().RemapStream(src, dev, initial, copts, m); err == nil {
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Sabre:
 		var r *sabre.StreamResult
-		if r, err = w.sabre.RemapStream(src, dev, initial, sopts, m); err == nil {
+		if r, err = w.mapper().RemapStream(src, dev, initial, sopts, m); err == nil {
 			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	default:

@@ -342,14 +342,6 @@ type remapper struct {
 	edgeEpoch int32
 }
 
-// newRemapper builds the engine for one batch run over a pre-built
-// assembly.
-func newRemapper(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
-	r := newEngine(a.Circ.NumQubits, dev, initial, opts)
-	r.loadBatch(a)
-	return r
-}
-
 // loadBatch reserves the output of a batch run over a and loads its gates.
 func (r *remapper) loadBatch(a *circuit.Assembly) {
 	// Reserve the output once: the input plus one SWAP per two-qubit gate,
@@ -357,16 +349,11 @@ func (r *remapper) loadBatch(a *circuit.Assembly) {
 	size := len(a.Circ.Gates) + a.SoA.TwoQubitGates() + 16
 	if cap(r.out) < size {
 		r.out = make([]circuit.Gate, 0, size)
+	}
+	if cap(r.starts) < size {
 		r.starts = make([]int, 0, size)
 	}
 	r.load(a.Circ.Gates, a.SoA)
-}
-
-// newEngine returns a fresh engine after reset.
-func newEngine(numLogical int, dev *arch.Device, initial *arch.Layout, opts Options) *remapper {
-	r := new(remapper)
-	r.reset(numLogical, dev, initial, opts)
-	return r
 }
 
 // reset starts a run: it sets the state whose size depends only on the

@@ -214,8 +214,10 @@ type mapper struct {
 	decay   []float64
 	out     *circuit.Circuit
 	swaps   int
-	// rev is the reversed view of the backward placement pass.
-	rev circuit.SoA
+	// rev is the reversed view of the backward placement pass, made on
+	// first use. It is not a field value, so that a mapper that points
+	// soa at it can stay on its caller's stack.
+	rev *circuit.SoA
 
 	// distTab is the flat distance matrix H scores against: the device hop
 	// matrix, or the calibration-weighted one when Options.Cost is set.
@@ -989,9 +991,12 @@ func (m *mapper) reverseTraversal(a *circuit.Assembly) (*arch.Layout, error) {
 	m.resetDecay()
 	m.swaps = 0
 	m.check = interrupt.NewChecker(m.opts.Ctx, ctxCheckEvery)
+	if m.rev == nil {
+		m.rev = new(circuit.SoA)
+	}
 	m.rev.LoadReversed(a.SoA)
 	rev := &circuit.Circuit{NumQubits: a.Circ.NumQubits, NumClbits: a.Circ.NumClbits}
-	if err := m.pass(rev, &m.rev); err != nil {
+	if err := m.pass(rev, m.rev); err != nil {
 		return nil, err
 	}
 	return m.layout, nil

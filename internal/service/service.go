@@ -234,9 +234,9 @@ type Server struct {
 	jobs     *jobs.Store
 	// sem is the worker pool: one compile context per slot, so holding a
 	// slot means holding a context. nil only before New.
-	sem      chan *compile.Worker
-	mux      *http.ServeMux
-	logger   *log.Logger
+	sem    chan *compile.Worker
+	mux    *http.ServeMux
+	logger *log.Logger
 
 	// baseCtx parents every request context; baseCancel is the drain
 	// hammer — firing it aborts every in-flight mapping at the pipeline's
@@ -368,12 +368,12 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return ctx, func() { stop(); cancel() }, nil
 }
 
-// acquire admits a mapping job and blocks until a worker-pool slot is free;
-// it returns the slot's compile context, and the release func that must be
-// called when the job finishes, once nothing from the context is in use.
-// Admission
-// is bounded: beyond workers+MaxQueue concurrently admitted jobs, or after
-// QueueWait in the queue, the job is rejected with 429 + Retry-After. The
+// acquire admits a mapping job and blocks until a worker-pool slot is free.
+// It returns the slot's compile context and the release func, which must
+// be called when the job finishes, once nothing from the context is in
+// use. Admission is bounded: beyond workers+MaxQueue concurrently admitted
+// jobs, or after QueueWait in the queue, the job is rejected with 429 +
+// Retry-After. The
 // job's context cancels the wait (client disconnect, deadline, drain). The
 // in-flight gauge brackets slot ownership, so /v1/stats reports executing
 // jobs; queued ones are admitted - in-flight.
