@@ -2,12 +2,16 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"codar/api"
+	"codar/internal/chaos"
 	"codar/internal/qasm"
 	"codar/internal/service"
 	"codar/internal/workloads"
@@ -76,11 +80,13 @@ func TestMapStreamRoundTrip(t *testing.T) {
 }
 
 // TestMapStreamErrorsKeepSentinels: rejections before the stream commits
-// arrive as ordinary *APIErrors with their HTTP status; a deadline that
-// fires once the mapping is underway arrives either as a 504 envelope or as
-// an in-band error record — both must satisfy errors.Is(err, ErrDeadline).
+// arrive as ordinary *APIErrors with their HTTP status; a deadline arrives
+// as a 504 envelope before the commit and as an in-band error record after
+// it, and both must satisfy errors.Is(err, ErrDeadline). Neither deadline
+// races a mapping: the first is held in the chaos slow-mapper hook, and
+// the second comes from a stub server.
 func TestMapStreamErrorsKeepSentinels(t *testing.T) {
-	c := newServerAndClient(t, service.Config{Workers: 2}, WithTimeout(250*time.Millisecond))
+	c := newServerAndClient(t, service.Config{Workers: 2})
 	ctx := context.Background()
 
 	_, err := c.MapStream(ctx, &api.MapRequest{QASM: "not qasm", Arch: "tokyo"}, nil)
@@ -98,13 +104,31 @@ func TestMapStreamErrorsKeepSentinels(t *testing.T) {
 		t.Fatalf("baseline err = %v, want ErrBadRequest", err)
 	}
 
-	// WithTimeout sets X-Codard-Timeout: the server's deadline fires during
-	// a 60k-gate mapping, whichever side of the stream commit it lands on.
-	_, err = c.MapStream(ctx, &api.MapRequest{
-		QASM: qasm.Write(workloads.Random(16, 60000, 45, 3)), Arch: "tokyo", Algo: "codar",
-	}, nil)
+	// A deadline before the stream commits: the slow-mapper hook holds the
+	// request in its slot, before the parse, until X-Codard-Timeout fires,
+	// and the server answers 504.
+	slow := newServerAndClient(t, service.Config{Workers: 1, Chaos: &chaos.Injector{SlowMapper: time.Minute}}, WithTimeout(50*time.Millisecond))
+	_, err = slow.MapStream(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "tokyo"}, nil)
+	if !errors.Is(err, ErrDeadline) || !errors.As(err, &ae) || ae.Status != 504 {
+		t.Fatalf("pre-commit deadline err = %v, want a 504 ErrDeadline", err)
+	}
+
+	// A deadline after the commit arrives as an in-band error record on
+	// the 200 stream.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", api.StreamContentType)
+		enc := json.NewEncoder(w)
+		enc.Encode(&api.StreamRecord{Type: api.StreamTypeHeader, Header: &api.StreamHeader{Device: "ibm-q20-tokyo"}})
+		enc.Encode(&api.StreamRecord{Type: api.StreamTypeError, Error: &api.ErrorBody{Code: api.CodeDeadline, Message: "deadline exceeded"}})
+	}))
+	t.Cleanup(ts.Close)
+	inBand, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = inBand.MapStream(ctx, &api.MapRequest{QASM: ghzQASM, Arch: "tokyo"}, nil)
 	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("deadline err = %v, want ErrDeadline", err)
+		t.Fatalf("in-band deadline err = %v, want ErrDeadline", err)
 	}
 }
 

@@ -135,6 +135,21 @@ func TestDurationsValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Error("negative override accepted")
 	}
+	atBound := Durations{Single: 1, Two: 2, Swap: MaxDuration, Measure: MaxDuration}
+	if err := atBound.WithOverride(circuit.OpH, MaxDuration).Validate(); err != nil {
+		t.Errorf("durations at the bound rejected: %v", err)
+	}
+	for name, d := range map[string]Durations{
+		"single":   {Single: MaxDuration + 1, Two: 2, Swap: 6},
+		"two":      {Single: 1, Two: MaxDuration + 1, Swap: 6},
+		"swap":     {Single: 1, Two: 2, Swap: MaxDuration + 1},
+		"measure":  {Single: 1, Two: 2, Swap: 6, Measure: MaxDuration + 1},
+		"override": good.WithOverride(circuit.OpCX, MaxDuration+1),
+	} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s one cycle over the bound accepted", name)
+		}
+	}
 }
 
 func TestPresetShapes(t *testing.T) {

@@ -129,6 +129,7 @@ func FuzzDeviceSpec(f *testing.F) {
 		`{"name":"ring4","qubits":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"preset":"iontrap"}`,
 		`{"name":"pair","qubits":2,"edges":[[0,1]],"durations":{"single":1,"two":2,"swap":6,"measure":5}}`,
 		`{"name":"zero","qubits":2,"edges":[[0,1]],"durations":{"single":0,"two":-1,"swap":0,"measure":0}}`,
+		`{"name":"slowswap","qubits":8,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]],"durations":{"single":1,"two":2,"swap":17592186044416,"measure":5}}`,
 		`{"name":"solo","qubits":1,"edges":[]}`,
 		`{"name":"split","qubits":4,"edges":[[0,1],[2,3]]}`,
 		`{"name":"loop","qubits":2,"edges":[[0,0]]}`,

@@ -462,6 +462,29 @@ func TestBuiltinMemoBoundedByQubitsSquared(t *testing.T) {
 	}
 }
 
+// TestDeviceDurationBound: an upload whose SWAP lasts arch.MaxDuration
+// cycles is accepted and maps, and one a cycle longer is a 400.
+func TestDeviceDurationBound(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	upload := func(name string, swap int) *httptest.ResponseRecorder {
+		return do(t, s, http.MethodPost, "/v1/devices", DeviceSpec{
+			Name: name, Qubits: 8, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}},
+			Durations: &api.DurationsSpec{Single: 1, Two: 2, Swap: swap, Measure: 5},
+		})
+	}
+	if w := upload("ring-at-bound", arch.MaxDuration); w.Code != http.StatusCreated {
+		t.Fatalf("SWAP at the bound: status %d, want 201 (%s)", w.Code, w.Body.String())
+	}
+	if w := do(t, s, http.MethodPost, "/v1/map", MapRequest{QASM: ghzQASM, Arch: "ring-at-bound"}); w.Code != http.StatusOK {
+		t.Fatalf("mapping on the device at the bound: status %d (%s)", w.Code, w.Body.String())
+	}
+	w := upload("ring-over-bound", arch.MaxDuration+1)
+	var env api.ErrorEnvelope
+	if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &env) != nil || env.Error.Code != api.CodeBadRequest {
+		t.Fatalf("SWAP one cycle over the bound: status %d, body %s, want a 400 bad_request", w.Code, w.Body.String())
+	}
+}
+
 // TestCustomDeviceStoreCapped: uploads are never evicted, so the store
 // answers 409 once it holds customCap devices.
 func TestCustomDeviceStoreCapped(t *testing.T) {

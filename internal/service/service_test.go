@@ -441,3 +441,76 @@ func TestMapRejectsNonFiniteParams(t *testing.T) {
 		t.Fatalf("store holds %d entries after a rejected request", n)
 	}
 }
+
+// TestOneWorkerServesRequestsBackToBack: a one-worker server answers a
+// mix of different requests back to back on one compile context, each
+// with a fresh server's bytes. The first response, served again as a
+// cache hit after the others ran, still has its first bytes.
+func TestOneWorkerServesRequestsBackToBack(t *testing.T) {
+	on := true
+	reqs := []struct {
+		path string
+		req  MapRequest
+	}{
+		{"/v1/map", MapRequest{QASM: qasm.Write(workloads.Random(16, 600, 45, 1)), Arch: "tokyo"}},
+		{"/v1/map", MapRequest{QASM: qasm.Write(workloads.Random(40, 500, 45, 2)), Arch: "sycamore", Durations: "iontrap"}},
+		{"/v1/map?stream=1", MapRequest{QASM: qasm.Write(workloads.Random(16, 3000, 45, 3)), Arch: "tokyo"}},
+		{"/v1/map", MapRequest{QASM: ghzQASM, Arch: "tokyo", Algo: "sabre", Baseline: &on}},
+		{"/v1/map", MapRequest{QASM: qasm.Write(workloads.Random(12, 300, 45, 4)), Arch: "tokyo", Portfolio: &PortfolioSpec{}}},
+	}
+	s := newTestServer(t, Config{Workers: 1})
+	bodies := make([]string, len(reqs))
+	for i, rq := range reqs {
+		w := do(t, s, http.MethodPost, rq.path, rq.req)
+		fresh := do(t, newTestServer(t, Config{Workers: 1}), http.MethodPost, rq.path, rq.req)
+		if w.Code != http.StatusOK || w.Body.String() != fresh.Body.String() {
+			t.Fatalf("request %d: status %d, and the body differs from a fresh server's: %v", i, w.Code, w.Body.String() != fresh.Body.String())
+		}
+		bodies[i] = w.Body.String()
+	}
+	w := do(t, s, http.MethodPost, reqs[0].path, reqs[0].req)
+	if w.Header().Get(cacheHeader) != dispHit || w.Body.String() != bodies[0] {
+		t.Fatalf("the first response, served again (%s), no longer has its first bytes", w.Header().Get(cacheHeader))
+	}
+}
+
+// TestWorkerPoolUnderConcurrentRequests: four clients sending distinct
+// misses, streams and SABRE requests on two devices at a two-worker
+// server, so every compile context passes from request to request across
+// goroutines, get a fresh server's bytes for every request.
+func TestWorkerPoolUnderConcurrentRequests(t *testing.T) {
+	type call struct {
+		path string
+		req  MapRequest
+	}
+	var calls []call
+	for i := 0; i < 12; i++ {
+		req := MapRequest{QASM: qasm.Write(workloads.Random(8+i%8, 150+40*i, 45, int64(100+i))), Arch: "tokyo"}
+		path := "/v1/map"
+		switch i % 4 {
+		case 1:
+			path = "/v1/map?stream=1"
+		case 2:
+			req.Arch, req.Algo = "sycamore", "sabre"
+		}
+		calls = append(calls, call{path, req})
+	}
+	want := make([]string, len(calls))
+	for i, c := range calls {
+		want[i] = do(t, newTestServer(t, Config{Workers: 1}), http.MethodPost, c.path, c.req).Body.String()
+	}
+	s := newTestServer(t, Config{Workers: 2})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(calls); i += 4 {
+				if got := do(t, s, http.MethodPost, calls[i].path, calls[i].req).Body.String(); got != want[i] {
+					t.Errorf("request %d: the body differs from a fresh server's", i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
