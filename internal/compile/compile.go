@@ -98,7 +98,8 @@ type Metrics struct {
 
 // Result is one mapping, for both routers and both modes. Circuit is the
 // physical output in emission order, nil with a sink; Chunks counts the
-// sink's flushes; Baseline is the SABRE run of Spec.Baseline.
+// sink's flushes; Baseline is the SABRE run of Spec.Baseline, whose
+// Circuit a reused Worker leaves nil unless Spec.Snapshot is set.
 type Result struct {
 	Circuit                    *circuit.Circuit
 	InitialLayout, FinalLayout *arch.Layout
@@ -157,12 +158,13 @@ const retainGates = 1 << 14
 // and the lowering's storage, the assembly, one SABRE mapper for both
 // placement passes and the baseline, one CODAR engine for batch and
 // stream runs, the meter and the rendered output. Every call reloads this
-// memory instead of allocating it. What a call returns (a parsed circuit,
-// a Result and its circuit, rendered text) lives in the worker's memory
-// and is valid only until the next call on the worker; a caller that
-// keeps a result uses the package functions, each of which runs on fresh
-// memory. The zero value is ready to use; a Worker serves one goroutine
-// at a time.
+// memory instead of allocating it. What a call returns lives in the
+// worker's memory: a parsed circuit is valid until the next Parse, a
+// Result until the next Parse or Run (its gates share their parameters
+// with the input), and rendered text until the next Write or WriteChunk.
+// A caller that keeps a result uses the package functions, each of which
+// runs on fresh memory. The zero value is ready to use; a Worker serves
+// one goroutine at a time.
 type Worker struct {
 	// The parser and both mappers are made on first use, so that a
 	// package function's fresh worker allocates only what it runs.
@@ -235,9 +237,25 @@ func (w *Worker) Parse(src string) (*circuit.Circuit, error) {
 	return c, nil
 }
 
-// Write renders c as qasm.Write does, into the worker's memory.
+// Write renders c as qasm.Write does, into the worker's memory. The text
+// of a circuit over retainGates gates gets memory of its own, which the
+// worker does not keep.
 func (w *Worker) Write(c *circuit.Circuit) []byte {
+	if len(c.Gates) > retainGates {
+		return qasm.Append(nil, c)
+	}
 	w.text = qasm.Append(w.text[:0], c)
+	return w.text
+}
+
+// WriteChunk renders the gate statements of a stream chunk, as
+// qasm.AppendGate does, into the worker's memory. A sink may call it while
+// a run on w flushes the chunk.
+func (w *Worker) WriteChunk(chunk []schedule.ScheduledGate) []byte {
+	w.text = w.text[:0]
+	for i := range chunk {
+		w.text = qasm.AppendGate(w.text, chunk[i].Gate)
+	}
 	return w.text
 }
 

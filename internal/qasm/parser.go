@@ -145,7 +145,6 @@ func (p *parser) parseSource(src string) (*circuit.Circuit, error) {
 type Parser struct {
 	p   parser
 	lex lexer
-	out *circuit.Circuit
 }
 
 // Parse is the package's Parse into x's memory.
@@ -157,8 +156,9 @@ func (x *Parser) Parse(src string) (*circuit.Circuit, error) {
 		defs = make(map[string]*gateDef)
 	}
 	clear(defs)
-	if x.out == nil {
-		x.out = new(circuit.Circuit)
+	out := p.out
+	if out == nil {
+		out = new(circuit.Circuit)
 	}
 	*p = parser{
 		lex:    &x.lex,
@@ -172,7 +172,7 @@ func (x *Parser) Parse(src string) (*circuit.Circuit, error) {
 		vals:   p.vals[:0],
 		qubits: p.qubits,
 		floats: p.floats,
-		out:    x.out,
+		out:    out,
 	}
 	p.qubits.Rewind()
 	p.floats.Rewind()

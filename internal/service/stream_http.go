@@ -142,17 +142,12 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	}
 
 	seq := 0
-	var text []byte
 	spec := specFor(ctx, req, cal)
 	spec.Sink = schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
-		text = text[:0]
-		for i := range chunk {
-			text = qasm.AppendGate(text, chunk[i].Gate)
-		}
 		rec := &api.StreamRecord{Type: api.StreamTypeChunk, Chunk: &api.StreamChunk{
 			Seq:   seq,
 			Gates: len(chunk),
-			QASM:  string(text),
+			QASM:  string(worker.WriteChunk(chunk)),
 		}}
 		seq++
 		return emit(rec)
