@@ -5,8 +5,8 @@ package circuit
 // remappers' launch paths) cost one allocation per few thousand gates
 // instead of one per gate. Returned slices have capacity == length, so an
 // append by the holder can never alias a neighbouring block. Blocks live as
-// long as any slice taken from them; Reset is the only way a block is
-// written twice.
+// long as any slice taken from them; Reset and Rewind are the only ways a
+// block is written twice.
 type IntArena struct {
 	buf []int
 	// spill counts the elements taken from blocks left behind since the

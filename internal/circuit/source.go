@@ -152,14 +152,6 @@ func (w *Window) Reset(src Source, batch int) {
 	w.reset(src, batch, !inMemory && runtime.GOMAXPROCS(0) > 1)
 }
 
-// newWindow builds the window, with the read-ahead stage when readAhead is
-// set.
-func newWindow(src Source, batch int, readAhead bool) *Window {
-	w := new(Window)
-	w.reset(src, batch, readAhead)
-	return w
-}
-
 // reset is Reset with the read-ahead choice made.
 func (w *Window) reset(src Source, batch int, readAhead bool) {
 	clear(w.gates)

@@ -10,6 +10,14 @@ import (
 	"codar/internal/testutil"
 )
 
+// newWindow builds a window with the read-ahead stage on or off, whatever
+// GOMAXPROCS and the source.
+func newWindow(src Source, batch int, readAhead bool) *Window {
+	w := new(Window)
+	w.reset(src, batch, readAhead)
+	return w
+}
+
 // errSource yields its gates then a terminal error (never EOF).
 type errSource struct {
 	nq    int

@@ -50,8 +50,9 @@ func cloneSchedule(res *Result) []schedule.ScheduledGate {
 // TestEngineReuse: one engine mapping circuit after circuit, across
 // devices of different sizes and between batch and stream runs, gives
 // every run a fresh engine's bytes, and the candidate search's edge
-// stamps follow the device. Before the last step, the engine's epoch is set near
-// math.MaxInt32 and must restart with its stamps at the next load.
+// stamps follow the device. Before the last step, the engine's epoch is
+// set near math.MaxInt32 and must restart with its stamps at the next
+// load.
 func TestEngineReuse(t *testing.T) {
 	tokyo, sycamore := arch.IBMQ20Tokyo(), arch.SycamoreQ54()
 	steps := []struct {

@@ -404,11 +404,12 @@ func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, dis
 // load points the mapper at the gates of c, laid out in soa, and resets
 // the gate-indexed state: the DAG and gate views, the output gates and
 // their qubit arena, the extended-set and incidence memos, and the
-// epoch-stamped search state. The output declares c's classical bits. sourceOpen marks the gates as a prefix of a
-// longer stream (see run); only then are the chain tails and the executed
-// marks tracked. Everything else — layout, decay, swap count, ASAP tracker,
-// context checker — carries over, so the stream driver reloads one mapper
-// each epoch without changing any decision.
+// epoch-stamped search state. The output declares c's classical bits.
+// sourceOpen marks the gates as a prefix of a longer stream (see run);
+// only then are the chain tails and the executed marks tracked.
+// Everything else — layout, decay, swap count, ASAP tracker, context
+// checker — carries over, so the stream driver reloads one mapper each
+// epoch without changing any decision.
 func (m *mapper) load(c *circuit.Circuit, soa *circuit.SoA, sourceOpen bool) {
 	n := soa.Len()
 	m.soa, m.gates = soa, c.Gates

@@ -373,10 +373,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // be called when the job finishes, once nothing from the context is in
 // use. Admission is bounded: beyond workers+MaxQueue concurrently admitted
 // jobs, or after QueueWait in the queue, the job is rejected with 429 +
-// Retry-After. The
-// job's context cancels the wait (client disconnect, deadline, drain). The
-// in-flight gauge brackets slot ownership, so /v1/stats reports executing
-// jobs; queued ones are admitted - in-flight.
+// Retry-After. The job's context cancels the wait (client disconnect,
+// deadline, drain). The in-flight gauge brackets slot ownership, so
+// /v1/stats reports executing jobs; queued ones are admitted - in-flight.
 func (s *Server) acquire(ctx context.Context) (*compile.Worker, func(), *svcError) {
 	if s.stats.admitted.Add(1) > int64(s.workers+s.cfg.maxQueue()) {
 		s.stats.admitted.Add(-1)

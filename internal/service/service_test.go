@@ -479,9 +479,10 @@ func TestOneWorkerServesRequestsBackToBack(t *testing.T) {
 // server, so every compile context passes from request to request across
 // goroutines, get a fresh server's bytes for every request.
 func TestWorkerPoolUnderConcurrentRequests(t *testing.T) {
+	// Bodies are encoded up front, so the clients' goroutines never reach
+	// do's t.Fatal.
 	type call struct {
-		path string
-		req  MapRequest
+		path, body string
 	}
 	var calls []call
 	for i := 0; i < 12; i++ {
@@ -493,11 +494,15 @@ func TestWorkerPoolUnderConcurrentRequests(t *testing.T) {
 		case 2:
 			req.Arch, req.Algo = "sycamore", "sabre"
 		}
-		calls = append(calls, call{path, req})
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call{path, string(body)})
 	}
 	want := make([]string, len(calls))
 	for i, c := range calls {
-		want[i] = do(t, newTestServer(t, Config{Workers: 1}), http.MethodPost, c.path, c.req).Body.String()
+		want[i] = do(t, newTestServer(t, Config{Workers: 1}), http.MethodPost, c.path, c.body).Body.String()
 	}
 	s := newTestServer(t, Config{Workers: 2})
 	var wg sync.WaitGroup
@@ -506,7 +511,7 @@ func TestWorkerPoolUnderConcurrentRequests(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(calls); i += 4 {
-				if got := do(t, s, http.MethodPost, calls[i].path, calls[i].req).Body.String(); got != want[i] {
+				if got := do(t, s, http.MethodPost, calls[i].path, calls[i].body).Body.String(); got != want[i] {
 					t.Errorf("request %d: the body differs from a fresh server's", i)
 				}
 			}
