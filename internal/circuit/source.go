@@ -134,19 +134,12 @@ type Window struct {
 	ra  *readAhead // nil when Fill pulls from src itself
 }
 
-// NewWindow returns a window over src refilled batch gates at a time. It
-// starts the read-ahead stage when that can overlap work: more than one
-// goroutine may run at once (GOMAXPROCS > 1) and src is not a SliceSource,
-// whose Next does no work.
-func NewWindow(src Source, batch int) *Window {
-	w := new(Window)
-	w.Reset(src, batch)
-	return w
-}
-
-// Reset points a closed window at a new source, as NewWindow does, and
-// keeps the gate buffer of its previous stream: a reused mapping engine
-// holds one window for all its streams.
+// Reset points a closed or zero window at src, refilled batch gates at a
+// time, and keeps the gate buffer of its previous stream: a reused mapping
+// engine holds one window for all its streams. It starts the read-ahead
+// stage when that can overlap work: more than one goroutine may run at
+// once (GOMAXPROCS > 1) and src is not a SliceSource, whose Next does no
+// work.
 func (w *Window) Reset(src Source, batch int) {
 	_, inMemory := src.(*SliceSource)
 	w.reset(src, batch, !inMemory && runtime.GOMAXPROCS(0) > 1)

@@ -284,7 +284,8 @@ func TestWindowCompactKeepsAndZeroes(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.RZ(float64(i), i%4)
 	}
-	w := NewWindow(NewSliceSource(c), 8)
+	var w Window
+	w.Reset(NewSliceSource(c), 8)
 	if err := w.Fill(); err != nil {
 		t.Fatal(err)
 	}
