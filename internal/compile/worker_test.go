@@ -148,8 +148,9 @@ func TestWorkerMatchesFreshContext(t *testing.T) {
 }
 
 // TestWorkerAfterFailedCompile: a worker whose compile was canceled mid
-// stream, abandoned on its depth bound mid run, or panicked in its sink
-// gives the next request a fresh context's bytes.
+// stream, abandoned on its depth bound mid run or panicked in its sink, or
+// whose input failed to parse midway, gives the next request a fresh
+// context's bytes.
 func TestWorkerAfterFailedCompile(t *testing.T) {
 	tokyo := arch.IBMQ20Tokyo()
 	big := qasm.Write(workloads.Random(16, 6000, 45, 8))
@@ -198,6 +199,17 @@ func TestWorkerAfterFailedCompile(t *testing.T) {
 				return err
 			}
 			_, err = w.Run(c, tokyo, spec)
+			return err
+		}},
+		{"rejected", func(w *compile.Worker) error {
+			// After a compile with gate definitions, two inputs that fail
+			// midway, after a definition's use and after thousands of
+			// gates, as codard's 400s do.
+			requests()[4].run(t, w)
+			if _, err := w.Parse(customQASM + "twist(pi) a[0];\n"); err == nil {
+				return nil
+			}
+			_, err := w.Parse(big + "cx q[0], q[;\n")
 			return err
 		}},
 	}
