@@ -15,7 +15,7 @@ import (
 
 // batchAllocLimit bounds the bytes a batch compile allocates per input
 // gate on Tokyo's Fig 8 suite, each circuit on a fresh context. The figure
-// repeats exactly from run to run (590.3 when the bound was set, 562.8
+// repeats exactly from run to run (590.3 when the bound was set, 562.7
 // since the context shares one SABRE mapper), so the bound sits about 10%
 // above it.
 const batchAllocLimit = 650

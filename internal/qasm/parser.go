@@ -86,8 +86,10 @@ type parser struct {
 	regs     []reg
 	regIndex map[string]int
 	nq, nc   int
-	defs     map[string]*gateDef
-	circ     *circuit.Circuit
+	// defs holds the program's gate definitions. It is made at the first
+	// one, so a reused Parser never clears or keeps an earlier program's.
+	defs map[string]*gateDef
+	circ *circuit.Circuit
 	// gates is the gate capacity the circuit reserves when it is created.
 	gates int
 	// work counts the gates emitted and the definitions expanded (see
@@ -114,7 +116,7 @@ type parser struct {
 }
 
 func newParser(lex *lexer) *parser {
-	return &parser{lex: lex, defs: make(map[string]*gateDef)}
+	return &parser{lex: lex}
 }
 
 // Parse compiles OpenQASM 2.0 source into a flat circuit over all declared
@@ -151,18 +153,12 @@ type Parser struct {
 func (x *Parser) Parse(src string) (*circuit.Circuit, error) {
 	x.lex = *newSourceLexer(src)
 	p := &x.p
-	defs := p.defs
-	if defs == nil {
-		defs = make(map[string]*gateDef)
-	}
-	clear(defs)
 	out := p.out
 	if out == nil {
 		out = new(circuit.Circuit)
 	}
 	*p = parser{
 		lex:    &x.lex,
-		defs:   defs,
 		regs:   p.regs[:0],
 		name:   p.name[:0],
 		ops:    p.ops[:0],
@@ -922,6 +918,9 @@ func (p *parser) parseGateDef() error {
 		def.body = append(def.body, st)
 	}
 	p.take() // }
+	if p.defs == nil {
+		p.defs = make(map[string]*gateDef)
+	}
 	p.defs[def.name] = def
 	return nil
 }
