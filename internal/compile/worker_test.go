@@ -49,6 +49,13 @@ func outcome(r *compile.Result, text string) string {
 // run compiles rq on w, or on fresh memory when w is nil, and renders it.
 func (rq request) run(t *testing.T, w *compile.Worker) string {
 	t.Helper()
+	return outcome(rq.compile(t, w))
+}
+
+// compile compiles rq on w, or on fresh memory when w is nil, and returns
+// the result with its rendered text, whole or chunk by chunk.
+func (rq request) compile(t *testing.T, w *compile.Worker) (*compile.Result, string) {
+	t.Helper()
 	spec := rq.spec
 	var chunks strings.Builder
 	if rq.stream {
@@ -84,7 +91,7 @@ func (rq request) run(t *testing.T, w *compile.Worker) string {
 			text = string(w.Write(res.Circuit))
 		}
 	}
-	return outcome(res, text+chunks.String())
+	return res, text + chunks.String()
 }
 
 // requests is a mix of what codard sends one worker: sync misses on
@@ -126,23 +133,25 @@ measure b[3] -> c[6];
 
 // TestWorkerMatchesFreshContext: one worker serving a mix of requests back
 // to back, from Tokyo to Sycamore and back, gives every request the bytes
-// of a fresh context, and a response rendered from it keeps its bytes
-// after the worker's next request.
+// of a fresh context, and what a result holds besides its circuit (its
+// layouts and measurements, the baseline's included) keeps its bytes
+// while the worker serves the later requests.
 func TestWorkerMatchesFreshContext(t *testing.T) {
 	var w compile.Worker
 	rqs := requests()
 	want := make([]string, len(rqs))
-	got := make([]string, len(rqs))
+	results := make([]*compile.Result, len(rqs))
+	texts := make([]string, len(rqs))
 	for i, rq := range rqs {
 		want[i] = rq.run(t, nil)
-		got[i] = rq.run(t, &w)
-		if got[i] != want[i] {
+		results[i], texts[i] = rq.compile(t, &w)
+		if outcome(results[i], texts[i]) != want[i] {
 			t.Fatalf("request %d on a reused worker differs from a fresh context", i)
 		}
 	}
 	for i := range rqs {
-		if got[i] != want[i] {
-			t.Fatalf("response %d changed after later requests on its worker", i)
+		if outcome(results[i], texts[i]) != want[i] {
+			t.Fatalf("result %d changed after later requests on its worker", i)
 		}
 	}
 }
