@@ -240,7 +240,7 @@ const (
 
 // Place generates an initial layout with the named strategy.
 func Place(m PlacementMethod, c *Circuit, dev *Device, seed int64) (*Layout, error) {
-	return placement.Generate(m, circuit.Assemble(c), dev, seed, sabre.Options{})
+	return placement.Generate(m, circuit.Assemble(c), dev, seed, sabre.Options{}, nil)
 }
 
 // ScheduleASAP schedules a hardware-compliant circuit under τ and returns

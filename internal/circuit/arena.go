@@ -67,6 +67,17 @@ func rewind[T any](buf []T, spill int) []T {
 	return buf[:0]
 }
 
+// Footprint returns the bytes the arena holds until its next Reset or
+// Rewind, or from that Rewind on, whichever is more: its block and what
+// was taken from earlier ones, or the block the Rewind makes.
+func (a *IntArena) Footprint() int { return 8 * held(a.buf, a.spill) }
+
+// held is the element count Footprint reports for an arena over buf that
+// spilled spill elements.
+func held[T any](buf []T, spill int) int {
+	return max(cap(buf)+spill, (spill+len(buf))*5/4)
+}
+
 // FloatArena is IntArena over float64 blocks: batch storage for per-gate
 // parameter slices when a whole circuit is built at once (the parser,
 // Decompose), where one allocation per gate would dominate.
@@ -90,6 +101,9 @@ func (a *FloatArena) Take(n int) []float64 {
 func (a *FloatArena) Rewind() {
 	a.buf, a.spill = rewind(a.buf, a.spill), 0
 }
+
+// Footprint is IntArena.Footprint.
+func (a *FloatArena) Footprint() int { return 8 * held(a.buf, a.spill) }
 
 // Reuse returns s resized to n zeroed elements, keeping its backing array
 // when it is large enough: per-epoch index structures of the streaming

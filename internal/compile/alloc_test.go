@@ -15,13 +15,13 @@ import (
 
 // batchAllocLimit bounds the bytes a batch compile allocates per input
 // gate on Tokyo's Fig 8 suite, each circuit on a fresh context. The figure
-// repeats exactly from run to run (590.3 when the bound was set, 562.7
+// repeats exactly from run to run (590.3 when the bound was set, 562.5
 // since the context shares one SABRE mapper), so the bound sits about 10%
 // above it.
 const batchAllocLimit = 650
 
 // reusedAllocLimit bounds the same sweep on one reused Worker. It reads
-// 22.0, nearly all of it the rendered output, and the bound sits about 10%
+// 21.9, nearly all of it the rendered output, and the bound sits about 10%
 // above that.
 const reusedAllocLimit = 24
 

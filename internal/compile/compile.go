@@ -98,8 +98,7 @@ type Metrics struct {
 
 // Result is one mapping, for both routers and both modes. Circuit is the
 // physical output in emission order, nil with a sink; Chunks counts the
-// sink's flushes; Baseline is the SABRE run of Spec.Baseline, whose
-// Circuit a reused Worker leaves nil unless Spec.Snapshot is set.
+// sink's flushes; Baseline is the SABRE run of Spec.Baseline.
 type Result struct {
 	Circuit                    *circuit.Circuit
 	InitialLayout, FinalLayout *arch.Layout
@@ -112,13 +111,18 @@ type Result struct {
 // one circuit.Assembly. It runs on a fresh Worker, so its result stays
 // valid.
 func Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, error) {
-	return oneShot().Run(c, dev, spec)
+	return new(Worker).Run(c, dev, spec)
 }
 
 // Place computes the initial layout of Spec.Placement at Spec.Seed, under
 // the Spec's Ctx and Cost, on fresh memory.
 func Place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	initial, err := placement.Generate(spec.Placement, a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
+	return place(a, dev, spec, nil)
+}
+
+// place is Place on the SABRE mapper x, or on fresh memory when x is nil.
+func place(a *circuit.Assembly, dev *arch.Device, spec Spec, x *sabre.Mapper) (*arch.Layout, error) {
+	initial, err := placement.Generate(spec.Placement, a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost}, x)
 	if err != nil {
 		return nil, &Error{StageLayout, err}
 	}
@@ -132,7 +136,7 @@ func Route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, spec Spe
 	if err := spec.checkCodar(); err != nil {
 		return nil, err
 	}
-	return oneShot().route(a, dev, initial, spec)
+	return new(Worker).route(a, dev, initial, spec)
 }
 
 // Stream maps a lowered gate stream that fits dev, on a fresh Worker. A
@@ -145,14 +149,26 @@ func Stream(src circuit.Source, dev *arch.Device, spec Spec) (*Result, error) {
 	if err := spec.checkCodar(); err != nil {
 		return nil, err
 	}
-	return oneShot().mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
+	return new(Worker).mapWith(&spec, spec.Algorithm, string(spec.Algorithm), nil, src, dev, nil)
 }
 
-// retainGates caps the circuits whose memory a Worker keeps: a call on a
-// larger circuit drops every buffer when it returns, so a worker that
-// once compiled a huge circuit does not hold its memory for good. It is
-// four times the largest circuit of the service benchmark's mix.
-const retainGates = 1 << 14
+// The retention caps bound what a Worker keeps between calls: a call that
+// grows its memory past them drops all of it when it returns, so a worker
+// that once compiled a huge circuit, or parsed a huge input, does not hold
+// that memory for good.
+const (
+	// retainGates caps the circuits, at four times the largest circuit of
+	// the service benchmark's mix. A lowered gate has at most two qubits,
+	// a barrier aside, so a circuit counts as the larger of its gates and
+	// half its qubit operands.
+	retainGates = 1 << 14
+	// retainBytes caps the parser's memory and the rendered text, which a
+	// source can grow past what its gates need: the parser reserves its
+	// gate slice from the source's statement ends, comments included, and
+	// a failed parse keeps what it grew. A program of retainGates gates
+	// takes 1.3 MB in the parser and 0.3 MB as mapped text.
+	retainBytes = 2 << 20
+)
 
 // Worker is one goroutine's compile context (DESIGN.md §15): the parser's
 // and the lowering's storage, the assembly, one SABRE mapper for both
@@ -175,17 +191,10 @@ type Worker struct {
 	codar  *core.Engine
 	meter  meter
 	text   []byte
-	// oneShot marks the fresh worker of a package function, whose caller
-	// keeps the baseline's circuit; a reused worker measures the baseline
-	// through the meter instead, unless a snapshot needs its schedule.
-	oneShot bool
 	// busy is set while a call runs. A call that finds it set follows one
 	// that panicked and starts from fresh memory.
 	busy bool
 }
-
-// oneShot returns the fresh worker of one package-level call.
-func oneShot() *Worker { return &Worker{oneShot: true} }
 
 // mapper returns the worker's SABRE mapper.
 func (w *Worker) mapper() *sabre.Mapper {
@@ -211,12 +220,12 @@ func (w *Worker) begin() {
 	w.busy = true
 }
 
-// end closes a call over a circuit of the given gate count, dropping
-// every buffer when the call grew them past retainGates.
-func (w *Worker) end(gates int) {
+// end closes a call on w, dropping all its memory when the call grew it
+// past the retention caps.
+func (w *Worker) end(grown bool) {
 	w.busy = false
-	if gates > retainGates {
-		*w = Worker{oneShot: w.oneShot}
+	if grown {
+		*w = Worker{}
 	}
 }
 
@@ -229,34 +238,39 @@ func (w *Worker) Parse(src string) (*circuit.Circuit, error) {
 	}
 	parsed, err := w.parser.Parse(src)
 	if err != nil {
-		w.end(0)
+		w.end(w.parser.Footprint() > retainBytes)
 		return nil, err
 	}
 	c := w.lower.Decompose(parsed)
-	w.end(max(len(parsed.Gates), len(c.Gates)))
+	w.end(w.parser.Footprint() > retainBytes || len(c.Gates) > retainGates)
 	return c, nil
 }
 
-// Write renders c as qasm.Write does, into the worker's memory. The text
-// of a circuit over retainGates gates gets memory of its own, which the
-// worker does not keep.
+// Write renders c as qasm.Write does, into the worker's memory.
 func (w *Worker) Write(c *circuit.Circuit) []byte {
-	if len(c.Gates) > retainGates {
-		return qasm.Append(nil, c)
-	}
-	w.text = qasm.Append(w.text[:0], c)
-	return w.text
+	return w.keepText(qasm.Append(w.text[:0], c))
 }
 
 // WriteChunk renders the gate statements of a stream chunk, as
 // qasm.AppendGate does, into the worker's memory. A sink may call it while
 // a run on w flushes the chunk.
 func (w *Worker) WriteChunk(chunk []schedule.ScheduledGate) []byte {
-	w.text = w.text[:0]
+	text := w.text[:0]
 	for i := range chunk {
-		w.text = qasm.AppendGate(w.text, chunk[i].Gate)
+		text = qasm.AppendGate(text, chunk[i].Gate)
 	}
-	return w.text
+	return w.keepText(text)
+}
+
+// keepText keeps the memory of the rendered text for the next rendering,
+// unless it grew past retainBytes, and returns the text.
+func (w *Worker) keepText(text []byte) []byte {
+	if cap(text) > retainBytes {
+		w.text = nil
+	} else {
+		w.text = text
+	}
+	return text
 }
 
 // Run is the package's Run on w: Place, then Route, over the worker's
@@ -267,27 +281,13 @@ func (w *Worker) Run(c *circuit.Circuit, dev *arch.Device, spec Spec) (*Result, 
 	}
 	w.begin()
 	w.asm.Load(c)
-	initial, err := w.place(&w.asm, dev, spec)
+	initial, err := place(&w.asm, dev, spec, w.mapper())
 	var res *Result
 	if err == nil {
 		res, err = w.route(&w.asm, dev, initial, spec)
 	}
-	w.end(len(c.Gates))
+	w.end(max(len(c.Gates), len(w.asm.SoA.Qubits)/2) > retainGates)
 	return res, err
-}
-
-// place is Place with SABRE's reverse traversal run on the worker's
-// mapper. Every other rule, and a circuit too large for placement's own
-// check, goes to Place.
-func (w *Worker) place(a *circuit.Assembly, dev *arch.Device, spec Spec) (*arch.Layout, error) {
-	if spec.Placement != placement.MethodSabreReverse || a.Circ.NumQubits > dev.NumQubits {
-		return Place(a, dev, spec)
-	}
-	initial, err := w.mapper().InitialLayoutAssembled(a, dev, spec.Seed, sabre.Options{Ctx: spec.Ctx, Cost: spec.Cost})
-	if err != nil {
-		return nil, &Error{StageLayout, err}
-	}
-	return initial, nil
 }
 
 // route maps the assembly from initial with Spec.Algorithm, whole or
@@ -306,13 +306,7 @@ func (w *Worker) route(a *circuit.Assembly, dev *arch.Device, initial *arch.Layo
 		res.Baseline = &b
 		return res, nil
 	}
-	// A reused worker keeps only the baseline's measurements, unless the
-	// snapshot needs its schedule.
-	algo := Sabre
-	if !w.oneShot && spec.Snapshot == nil {
-		algo = meteredSabre
-	}
-	if res.Baseline, err = w.mapWith(&spec, algo, StageBaseline, a, nil, dev, initial); err != nil {
+	if res.Baseline, err = w.mapWith(&spec, Sabre, StageBaseline, a, nil, dev, initial); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -335,21 +329,15 @@ func (s *Spec) checkCodar() error {
 	return fmt.Errorf("compile: Spec.Codar.%s is set; set Spec.%s instead", field, field)
 }
 
-// meteredSabre is the SABRE router run through the meter alone, with no
-// output circuit: the reused worker's baseline.
-const meteredSabre Algorithm = "sabre (metered)"
-
 // mapWith maps from initial with algo on the worker's mappers, failing as
 // stage: the assembly whole, or src through the meter into the Spec's
-// sink. A whole output is measured after the run; a metered SABRE run and
-// a stream are measured as they emit.
+// sink. A whole output is measured after the run, a stream as it emits.
 func (w *Worker) mapWith(s *Spec, algo Algorithm, stage string, a *circuit.Assembly, src circuit.Source, dev *arch.Device, initial *arch.Layout) (*Result, error) {
 	copts := s.Codar
 	copts.Ctx, copts.Cost, copts.DepthBound = s.Ctx, s.Cost, s.DepthBound
 	sopts := sabre.Options{Ctx: s.Ctx, Cost: s.Cost, DepthBound: s.DepthBound}
 	m := &w.meter
-	metered := a == nil || algo == meteredSabre
-	if metered {
+	if a == nil {
 		m.reset(dev.NumQubits, dev.Durations, s.Sink)
 	}
 	res := &Result{}
@@ -364,11 +352,6 @@ func (w *Worker) mapWith(s *Spec, algo Algorithm, stage string, a *circuit.Assem
 		var r *sabre.Result
 		if r, err = w.mapper().RemapAssembled(a, dev, initial, sopts); err == nil {
 			res.Circuit, res.InitialLayout, res.FinalLayout, res.Swaps = r.Circuit, r.InitialLayout, r.FinalLayout, r.SwapCount
-		}
-	case algo == meteredSabre:
-		var r *sabre.Result
-		if r, err = w.mapper().MeasureAssembled(a, dev, initial, sopts, m.add); err == nil {
-			res.InitialLayout, res.FinalLayout, res.Swaps = r.InitialLayout, r.FinalLayout, r.SwapCount
 		}
 	case algo == Codar:
 		var r *core.StreamResult
@@ -386,7 +369,7 @@ func (w *Worker) mapWith(s *Spec, algo Algorithm, stage string, a *circuit.Assem
 	if err != nil {
 		return nil, &Error{stage, err}
 	}
-	if metered {
+	if a == nil {
 		res.Metrics, res.Chunks = m.Metrics, m.chunks
 		return res, nil
 	}

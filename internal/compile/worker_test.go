@@ -239,10 +239,13 @@ func TestWorkerAfterFailedCompile(t *testing.T) {
 }
 
 // TestWorkerDropsLargeBuffers: a worker keeps the memory of circuits up to
-// compile.RetainGates gates, and a compile of a larger circuit, its
-// rendered text included, leaves it holding nothing: the live heap a
-// worker adds after a 200,000-gate circuit is within measurement noise of
-// zero.
+// compile.RetainGates gates, and a call that grows its memory past the
+// retention caps leaves it holding nothing: the live heap a worker adds is
+// within measurement noise of zero after compiling and rendering a
+// 200,000-gate circuit, and after parsing the same gates with a bad last
+// line, a short program behind a comment full of statement ends (which
+// the parser reserves gates for) or barriers over a 65,536-qubit register.
+// Nor does a worker keep the source it parsed.
 func TestWorkerDropsLargeBuffers(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("-race perturbs heap figures")
@@ -250,32 +253,63 @@ func TestWorkerDropsLargeBuffers(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	atCap := qasm.Write(workloads.Random(16, compile.RetainGates, 45, 1))
 	huge := qasm.Write(workloads.Random(16, 200_000, 45, 2))
-	retained := func(src string) int64 {
+	short := qasm.Write(workloads.Random(4, 20, 45, 3))
+	// retained returns the live heap a fresh worker holds after parsing
+	// src and, when run is set, compiling and rendering it.
+	retained := func(src string, run bool) int64 {
 		w := new(compile.Worker)
 		before := heapAfterGC()
 		c, err := w.Parse(src)
-		if err != nil {
-			t.Fatal(err)
+		if run {
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Run(c, dev, serviceSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = w.Write(res.Circuit)
 		}
-		res, err := w.Run(c, dev, serviceSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = w.Write(res.Circuit)
 		after := heapAfterGC()
 		// The source stays live, so the figure is the worker's alone.
 		runtime.KeepAlive(src)
 		if (request{src: atCap, dev: dev, spec: serviceSpec()}).run(t, w) == "" {
-			t.Fatal("worker unusable after the compile")
+			t.Fatal("worker unusable after the call")
 		}
 		return int64(after) - int64(before)
 	}
-	capped, dropped := retained(atCap), retained(huge)
-	t.Logf("a worker retains %d B after a %d-gate circuit and %d B after a 200,000-gate one", capped, compile.RetainGates, dropped)
+	capped := retained(atCap, true)
+	t.Logf("a worker retains %d B after a %d-gate circuit", capped, compile.RetainGates)
 	if capped < 1<<20 {
 		t.Fatalf("a worker retains %d B after a circuit at the cap; the test no longer sees reuse", capped)
 	}
-	if dropped > 1<<16 {
-		t.Fatalf("a worker retains %d B after a 200,000-gate circuit, want none of its memory", dropped)
+	for _, tc := range []struct {
+		name string
+		src  string
+		run  bool
+	}{
+		{"a 200,000-gate circuit", huge, true},
+		{"200,000 gates and a bad last line", huge + "cx q[0], q[;\n", false},
+		{"a short program behind 4 MiB of ';' in a comment", short + "// " + strings.Repeat(";", 4<<20) + "\n", false},
+		{"barriers over a 65,536-qubit register", "OPENQASM 2.0;\nqreg q[65536];\n" + strings.Repeat("barrier q;\n", 8), false},
+	} {
+		dropped := retained(tc.src, tc.run)
+		t.Logf("a worker retains %d B after %s", dropped, tc.name)
+		if dropped > 1<<16 {
+			t.Errorf("a worker retains %d B after %s, want none of its memory", dropped, tc.name)
+		}
+	}
+
+	var w compile.Worker
+	before := heapAfterGC()
+	func() {
+		if _, err := w.Parse("// " + strings.Repeat("x", 8<<20) + "\n" + short); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	kept := int64(heapAfterGC()) - int64(before)
+	runtime.KeepAlive(&w)
+	if kept > 1<<20 {
+		t.Errorf("a worker retains %d B after parsing a short program behind an 8 MiB comment; it keeps the source", kept)
 	}
 }

@@ -156,8 +156,10 @@ func (m Method) Seeded() bool {
 // reverse traversal (sabre.InitialLayoutAssembled, two full SABRE passes
 // on one mapper over the assembly's SoA). Only sabre-reverse runs under
 // opts: Cost places under a calibration-weighted metric (the
-// placement-heavy win in DESIGN.md §8) and Ctx aborts its passes.
-func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options) (*arch.Layout, error) {
+// placement-heavy win in DESIGN.md §8) and Ctx aborts its passes. It runs
+// on x, the mapper a compile context reuses, or on a fresh one when x is
+// nil.
+func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts sabre.Options, x *sabre.Mapper) (*arch.Layout, error) {
 	n := a.Circ.NumQubits
 	if n > dev.NumQubits {
 		return nil, fmt.Errorf("placement: circuit needs %d qubits, device %s has %d", n, dev.Name, dev.NumQubits)
@@ -170,7 +172,10 @@ func Generate(m Method, a *circuit.Assembly, dev *arch.Device, seed int64, opts 
 	case MethodDense:
 		return Dense(a.Circ, dev)
 	case MethodSabreReverse:
-		return sabre.InitialLayoutAssembled(a, dev, seed, opts)
+		if x == nil {
+			x = new(sabre.Mapper)
+		}
+		return x.InitialLayoutAssembled(a, dev, seed, opts)
 	default:
 		_, err := ParseMethod(string(m))
 		return nil, err

@@ -25,7 +25,7 @@ func TestAllMethodsProduceValidLayouts(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := ghzChain(8)
 	for _, m := range Methods() {
-		l, err := Generate(m, circuit.Assemble(c), dev, 3, sabre.Options{})
+		l, err := Generate(m, circuit.Assemble(c), dev, 3, sabre.Options{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -36,7 +36,7 @@ func TestAllMethodsProduceValidLayouts(t *testing.T) {
 			t.Errorf("%s: shape %d/%d", m, l.NumLogical(), l.NumPhysical())
 		}
 	}
-	if _, err := Generate(Method("bogus"), circuit.Assemble(c), dev, 0, sabre.Options{}); err == nil {
+	if _, err := Generate(Method("bogus"), circuit.Assemble(c), dev, 0, sabre.Options{}, nil); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestParseMethod(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Errorf("ParseMethod(bogus) = %v, want %s", err, want)
 	}
-	if _, gerr := Generate("bogus", circuit.Assemble(ghzChain(2)), arch.Linear(3), 0, sabre.Options{}); gerr == nil || gerr.Error() != want {
+	if _, gerr := Generate("bogus", circuit.Assemble(ghzChain(2)), arch.Linear(3), 0, sabre.Options{}, nil); gerr == nil || gerr.Error() != want {
 		t.Errorf("Generate(bogus) = %v, want %s", gerr, want)
 	}
 }
@@ -63,7 +63,7 @@ func TestOversizedCircuitRejected(t *testing.T) {
 	dev := arch.Linear(3)
 	c := circuit.New(5)
 	for _, m := range Methods() {
-		if _, err := Generate(m, circuit.Assemble(c), dev, 0, sabre.Options{}); err == nil {
+		if _, err := Generate(m, circuit.Assemble(c), dev, 0, sabre.Options{}, nil); err == nil {
 			t.Errorf("%s accepted an oversized circuit", m)
 		}
 	}
@@ -71,7 +71,7 @@ func TestOversizedCircuitRejected(t *testing.T) {
 
 func TestTrivialIsIdentity(t *testing.T) {
 	dev := arch.Linear(5)
-	l, err := Generate(MethodTrivial, circuit.Assemble(circuit.New(3)), dev, 0, sabre.Options{})
+	l, err := Generate(MethodTrivial, circuit.Assemble(circuit.New(3)), dev, 0, sabre.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,12 @@ func TestTrivialIsIdentity(t *testing.T) {
 func TestRandomSeedBehaviour(t *testing.T) {
 	dev := arch.IBMQ16Melbourne()
 	c := circuit.Assemble(circuit.New(8))
-	a, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{})
-	b, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{})
+	a, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{}, nil)
+	b, _ := Generate(MethodRandom, c, dev, 1, sabre.Options{}, nil)
 	if !a.Equal(b) {
 		t.Error("same seed, different layouts")
 	}
-	d, _ := Generate(MethodRandom, c, dev, 2, sabre.Options{})
+	d, _ := Generate(MethodRandom, c, dev, 2, sabre.Options{}, nil)
 	if a.Equal(d) {
 		t.Error("different seeds should give different layouts (overwhelmingly)")
 	}
@@ -139,7 +139,7 @@ func TestDenseBeatsRandomOnStructuredCircuits(t *testing.T) {
 	randomTotal := 0
 	const tries = 3
 	for seed := int64(0); seed < tries; seed++ {
-		r, err := Generate(MethodRandom, circuit.Assemble(c), dev, seed, sabre.Options{})
+		r, err := Generate(MethodRandom, circuit.Assemble(c), dev, seed, sabre.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

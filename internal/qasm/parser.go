@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"codar/internal/circuit"
 )
@@ -142,8 +143,8 @@ func (p *parser) parseSource(src string) (*circuit.Circuit, error) {
 // Parser is Parse with its memory kept from one call to the next: the
 // circuit's gate slice, the arenas behind the gates' qubit and parameter
 // slices, and the statement scratch. The circuit Parse returns is valid
-// only until the next call. The zero value is ready to use; a Parser
-// serves one goroutine at a time.
+// only until the next call; the source is not kept past it. The zero
+// value is ready to use; a Parser serves one goroutine at a time.
 type Parser struct {
 	p   parser
 	lex lexer
@@ -172,7 +173,29 @@ func (x *Parser) Parse(src string) (*circuit.Circuit, error) {
 	}
 	p.qubits.Rewind()
 	p.floats.Rewind()
-	return p.parseSource(src)
+	c, err := p.parseSource(src)
+	// The lexer and the lookahead read src in place, and the register
+	// names and definitions are the program's: none is kept for the next
+	// call.
+	x.lex, p.tok, p.defs, p.regIndex = lexer{}, token{}, nil, nil
+	clear(p.regs)
+	return c, err
+}
+
+// Footprint returns the bytes of memory x keeps for its next call: the
+// gate slice, the arenas and the statement scratch. It can exceed what
+// the last circuit's gates take: Parse reserves the gate slice from the
+// source's statement ends, comments included, and a failed call keeps
+// what it grew.
+func (x *Parser) Footprint() int {
+	p := &x.p
+	n := p.qubits.Footprint() + p.floats.Footprint()
+	if p.out != nil {
+		n += cap(p.out.Gates) * int(unsafe.Sizeof(circuit.Gate{}))
+	}
+	return n + cap(p.regs)*int(unsafe.Sizeof(reg{})) + cap(p.name) +
+		cap(p.ops)*int(unsafe.Sizeof(operand{})) + 8*(cap(p.qs)+cap(p.params)+cap(p.vals)) +
+		cap(p.expr)*int(unsafe.Sizeof(exprNode{}))
 }
 
 // peek returns the lookahead token, scanning it on first use.

@@ -115,7 +115,7 @@ func (o *observer) checked(swaps int) error {
 // points prepare theirs.
 func prepared(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) (*mapper, error) {
 	m := new(mapper)
-	return m, m.prepare(a, dev, initial, opts, discard, nil)
+	return m, m.prepare(a, dev, initial, opts, discard)
 }
 
 // remapObserved maps c as Remap does, with the reference observing every

@@ -124,39 +124,24 @@ type Mapper struct {
 
 // RemapAssembled is the package's RemapAssembled on x.
 func (x *Mapper) RemapAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options) (*Result, error) {
-	return x.remap(a, dev, initial, opts, nil)
-}
-
-// MeasureAssembled is RemapAssembled without the output circuit: each
-// mapped gate goes to add in emission order, and its qubit slice is valid
-// only during the call. The Result's Circuit is nil.
-func (x *Mapper) MeasureAssembled(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, add func(circuit.Gate)) (*Result, error) {
-	return x.remap(a, dev, initial, opts, add)
-}
-
-// remap runs one batch mapping, metered when meter is set.
-func (x *Mapper) remap(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, meter func(circuit.Gate)) (*Result, error) {
 	m := &x.m
-	if err := m.prepare(a, dev, initial, opts, false, meter); err != nil {
+	if err := m.prepare(a, dev, initial, opts, false); err != nil {
 		return nil, err
 	}
 	if err := m.pass(a.Circ, a.SoA); err != nil {
 		return nil, err
 	}
-	res := &Result{
+	return &Result{
+		Circuit:       m.out,
 		InitialLayout: m.initial,
 		FinalLayout:   m.layout,
 		SwapCount:     m.swaps,
-	}
-	if meter == nil {
-		res.Circuit = m.out
-	}
-	return res, nil
+	}, nil
 }
 
 // prepare runs the input checks of a batch run over a and resets m for
-// it; discard selects layout-only mode and meter metered mode (see reset).
-func (m *mapper) prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool, meter func(circuit.Gate)) error {
+// it; discard selects layout-only mode (see reset).
+func (m *mapper) prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.Layout, opts Options, discard bool) error {
 	if err := a.Checked(); err != nil {
 		return fmt.Errorf("sabre: %w", err)
 	}
@@ -167,7 +152,7 @@ func (m *mapper) prepare(a *circuit.Assembly, dev *arch.Device, initial *arch.La
 	if err := interrupt.Classify(opts.Ctx); err != nil {
 		return fmt.Errorf("sabre: %w", err)
 	}
-	m.reset(dev, initial, opts, discard, meter)
+	m.reset(dev, initial, opts, discard)
 	return nil
 }
 
@@ -205,10 +190,6 @@ type mapper struct {
 	// appended to out. Routing never reads out, so FinalLayout is
 	// unaffected.
 	discard bool
-	// meter, when set, receives every mapped gate instead of out, with its
-	// qubits in scratch (MeasureAssembled).
-	meter   func(circuit.Gate)
-	scratch []int
 	layout  *arch.Layout
 	initial *arch.Layout
 	decay   []float64
@@ -328,22 +309,20 @@ func (m *mapper) resetDecay() {
 
 // reset starts a run: it sets the state whose size depends only on the
 // device (the layouts, decay, distance table, ASAP tracker, context
-// checker and the device-sized search state) and clears every count, flag
-// and hook of the previous run, keeping the memory of all buffers. The
+// checker and the device-sized search state) and clears every count and
+// flag of the previous run, keeping the memory of all buffers. The
 // gate-indexed state comes from load. A discard mapper runs layout-only
 // passes: it materialises no output circuit — no presized gate buffer, no
 // arena, no per-gate physical images — and every routing decision is a
 // function of the layout and the DAG, never of the emitted output, so its
-// final layout is byte-identical to a full run's. A metered mapper hands
-// each gate to meter instead of the output circuit, which it leaves alone.
-// A DepthBound overrides discard, since the bound tracks the emitted gates.
-func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, discard bool, meter func(circuit.Gate)) {
+// final layout is byte-identical to a full run's. A DepthBound overrides
+// discard, since the bound tracks the emitted gates.
+func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, discard bool) {
 	nq := dev.NumQubits
 	*m = mapper{
 		opts:    opts,
 		dev:     dev,
 		discard: discard && opts.DepthBound == nil,
-		meter:   meter,
 		layout:  initial.Clone(),
 		initial: initial.Clone(),
 		decay:   circuit.Reuse(m.decay, nq),
@@ -353,7 +332,6 @@ func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, dis
 		// Memory kept from the previous run.
 		dag:          m.dag,
 		indeg:        m.indeg,
-		scratch:      m.scratch,
 		out:          m.out,
 		rev:          m.rev,
 		spare:        m.spare[:0],
@@ -391,7 +369,7 @@ func (m *mapper) reset(dev *arch.Device, initial *arch.Layout, opts Options, dis
 		}
 		m.asap.Reset(nq)
 	}
-	if !m.discard && meter == nil {
+	if !m.discard {
 		if m.out == nil {
 			m.out = new(circuit.Circuit)
 		}
@@ -421,7 +399,7 @@ func (m *mapper) load(c *circuit.Circuit, soa *circuit.SoA, sourceOpen bool) {
 	m.incStamp, m.incEpoch = circuit.Reuse(m.incStamp, m.nq), 0
 	m.hStamp, m.hEpoch = circuit.Reuse(m.hStamp, len(m.dev.Edges)), 0
 	m.extValid, m.idxValid = false, false
-	if !m.discard && m.meter == nil {
+	if !m.discard {
 		m.out.NumClbits = c.NumClbits
 		// Reserve the input plus one SWAP per two-qubit gate, more than
 		// SABRE inserts on most of the Fig 8 suite (DESIGN.md §10). The
@@ -607,38 +585,16 @@ func (m *mapper) emit(k int) {
 	}
 	phys := m.gates[k]
 	ops := m.soa.Operands(k)
-	phys.Qubits = m.take(len(ops))
+	phys.Qubits = m.arena.Take(len(ops))
 	for i, q := range ops {
 		phys.Qubits[i] = m.layout.Phys(int(q))
 	}
-	m.put(phys)
-}
-
-// take returns the qubit slice of one emitted gate: from the arena when
-// the output is kept, from scratch when the gate only passes the meter.
-func (m *mapper) take(n int) []int {
-	if m.meter == nil {
-		return m.arena.Take(n)
+	if phys.Op == circuit.OpMeasure && phys.Cbit >= m.out.NumClbits {
+		m.out.NumClbits = phys.Cbit + 1
 	}
-	if cap(m.scratch) < n {
-		m.scratch = make([]int, n)
-	}
-	return m.scratch[:n]
-}
-
-// put hands one emitted gate to the meter or the output, and to the ASAP
-// recurrence of the depth bound.
-func (m *mapper) put(g circuit.Gate) {
-	if m.meter != nil {
-		m.meter(g)
-	} else {
-		if g.Op == circuit.OpMeasure && g.Cbit >= m.out.NumClbits {
-			m.out.NumClbits = g.Cbit + 1
-		}
-		m.out.Gates = append(m.out.Gates, g)
-	}
+	m.out.Gates = append(m.out.Gates, phys)
 	if m.asap != nil {
-		m.note(g.Op, g.Qubits)
+		m.note(phys.Op, phys.Qubits)
 	}
 }
 
@@ -899,9 +855,12 @@ func (m *mapper) applySwap(c swapCand) {
 		m.noteSwap(c)
 	}
 	if !m.discard {
-		qs := m.take(2)
+		qs := m.arena.Take(2)
 		qs[0], qs[1] = c.a, c.b
-		m.put(circuit.Gate{Op: circuit.OpSwap, Qubits: qs})
+		m.out.Gates = append(m.out.Gates, circuit.Gate{Op: circuit.OpSwap, Qubits: qs})
+		if m.asap != nil {
+			m.note(circuit.OpSwap, qs)
+		}
 	}
 	m.layout.SwapPhysical(c.a, c.b)
 	m.decay[c.a] += DefaultDecayDelta
@@ -968,7 +927,7 @@ func (x *Mapper) InitialLayoutAssembled(a *circuit.Assembly, dev *arch.Device, s
 	}
 	opts.DepthBound = nil // the passes emit nothing for a bound to track
 	m := &x.m
-	if err := m.prepare(a, dev, start, opts, true, nil); err != nil {
+	if err := m.prepare(a, dev, start, opts, true); err != nil {
 		return nil, err
 	}
 	return m.reverseTraversal(a)

@@ -81,7 +81,7 @@ func (x *Mapper) RemapStream(src circuit.Source, dev *arch.Device, initial *arch
 	// owns the gate slice and both index into it positionally, so eviction
 	// requires a reload.
 	m := &x.m
-	m.reset(dev, initial, opts, false, nil)
+	m.reset(dev, initial, opts, false)
 	x.asap.Reset(dev.NumQubits)
 	var (
 		cur             cursor
